@@ -25,6 +25,23 @@ from .realizer import (
 )
 from .verifier import certificate_to_json, check_certificate_detailed, report_to_json, verify_all
 
+# What reading an input file can raise: an unreadable file, bad JSON or a
+# domain error (each a ValueError), a missing key, or JSON of the wrong shape
+# (a list where an object belongs, a number where a word belongs).
+INPUT_ERRORS = (OSError, KeyError, TypeError, AttributeError, ValueError)
+
+
+def _input_error(exc: Exception) -> int:
+    """Report an input file that could not be read as one line; exit code 2."""
+    if isinstance(exc, KeyError):
+        detail = f"missing key {exc}"
+    elif isinstance(exc, (TypeError, AttributeError)):
+        detail = f"JSON of the wrong shape ({exc})"
+    else:
+        detail = str(exc)
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
+
 
 @dataclass
 class RunConfig:
@@ -58,9 +75,8 @@ def _outdir(cfg: RunConfig) -> Path:
 def cmd_realize(cfg: RunConfig) -> int:
     try:
         d = dagmod.load(cfg.input)
-    except (dagmod.DagError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
     r = realize(d)
     report = verify_all(r, cfg.bound)
     out = _outdir(cfg)
@@ -80,9 +96,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         with open(cfg.input, encoding="utf-8") as fh:
             r = realization_from_json(json.load(fh))
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
     report = verify_all(r, cfg.bound)
     out = _outdir(cfg)
     _write_json(out / "report.json", report_to_json(report))
@@ -99,10 +114,9 @@ def cmd_transfer(cfg: RunConfig) -> int:
             r = realization_from_json(json.load(fh))
         e = load_embedding(cfg.embedding)
         presentations = cep_transfer(r, e)
-    except (KeyError, ValueError, OSError) as exc:
-        # covers RealizerError, WordError, rank mismatches, missing basis words
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except INPUT_ERRORS as exc:
+        # also covers RealizerError, rank mismatches and missing basis words
+        return _input_error(exc)
     out = _outdir(cfg)
     note = "valid conditional on CEP of the supplied basis"
     if e.note:
@@ -121,9 +135,8 @@ def cmd_cep(cfg: RunConfig, group_name: str | None, subgroup_gens, scan: bool, m
         else:
             g = ceplab.load_group(cfg.input)
             label = str(cfg.input)
-    except (ceplab.GroupTableError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
     result: dict = {"group": label, "order": g.order}
     code = 0
     if scan:

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class DagError(ValueError):
@@ -40,20 +41,54 @@ class CycleFoundError(DagError):
 
 @dataclass(frozen=True)
 class ColoredDag:
-    """A finite simple digraph with a 0/1 color on every vertex."""
+    """A finite simple digraph with a 0/1 color on every vertex.
+
+    The successor and reachability maps are derived from the frozen
+    ``vertices`` and ``edges`` on first use and cached on the instance.
+    """
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     color: dict[str, int] = field(compare=False)
 
+    @cached_property
+    def successor_map(self) -> dict[str, tuple[str, ...]]:
+        """Every edge source -> its sorted targets."""
+        succ: dict[str, list[str]] = {}
+        for u, v in self.edges:
+            succ.setdefault(u, []).append(v)
+        return {u: tuple(sorted(vs)) for u, vs in succ.items()}
+
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """Every vertex or edge endpoint -> what a path of length >= 1 from
+        it reaches. One BFS per source, so a cyclic (unvalidated) instance
+        gets exact answers too."""
+        succ = self.successor_map
+        sources = set(self.vertices).union(*self.edges)
+        out = {}
+        for u in sources:
+            seen: set[str] = set()
+            frontier = [u]
+            while frontier:
+                nxt = []
+                for s in frontier:
+                    for t in succ.get(s, ()):
+                        if t not in seen:
+                            seen.add(t)
+                            nxt.append(t)
+                frontier = nxt
+            out[u] = frozenset(seen)
+        return out
+
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
 
     def successors(self, u: str) -> list[str]:
-        return sorted(v for (s, v) in self.edges if s == u)
+        return list(self.successor_map.get(u, ()))
 
     def out_degree(self, u: str) -> int:
-        return sum(1 for (s, _) in self.edges if s == u)
+        return len(self.successor_map.get(u, ()))
 
 
 def colored_dag(vertices, edges, color) -> ColoredDag:
@@ -109,31 +144,13 @@ def leq(d: ColoredDag, u: str, v: str) -> bool:
     """True iff a directed path u -> ... -> v exists (reflexive)."""
     if u not in d.color or v not in d.color:
         raise UnknownVertexError(f"unknown vertex in leq({u}, {v})")
-    if u == v:
-        return True
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in d.successors(s):
-                if t == v:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return False
+    return u == v or v in d.reach.get(u, ())
 
 
 def transitive_closure(d: ColoredDag) -> ColoredDag:
     validate(d)
-    closed = set()
-    for u in d.vertices:
-        for v in d.vertices:
-            if u != v and leq(d, u, v):
-                closed.add((u, v))
-    return ColoredDag(d.vertices, frozenset(closed), dict(d.color))
+    closed = frozenset((u, v) for u in d.vertices for v in d.reach[u])
+    return ColoredDag(d.vertices, closed, dict(d.color))
 
 
 def maximal_vertices(d: ColoredDag) -> list[str]:
@@ -189,6 +206,8 @@ def from_json(data) -> ColoredDag:
         raw_edges = [tuple(str(x) for x in e) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise DagError(f"malformed DAG JSON: {exc}") from exc
+    if any(len(e) != 2 for e in raw_edges):
+        raise DagError("malformed DAG JSON: every edge needs exactly two endpoints")
     if len(set(raw_edges)) != len(raw_edges):
         seen = set()
         for e in raw_edges:

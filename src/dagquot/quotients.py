@@ -15,7 +15,8 @@ through exact evaluation in the marked quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from .snf import AbelianInvariants, invariants_from_rows
@@ -159,6 +160,7 @@ class CommutatorScheme:
 
     a: Word
     t: Word
+    _members: dict[int, Word] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.rank != self.t.rank:
@@ -173,7 +175,10 @@ class CommutatorScheme:
     def member(self, i: int) -> Word:
         if i < 1:
             raise ValueError(f"scheme member index must be >= 1, got {i}")
-        return commutator(self.a, conjugate(self.a, power(self.t, i)))
+        w = self._members.get(i)
+        if w is None:
+            w = self._members[i] = commutator(self.a, conjugate(self.a, power(self.t, i)))
+        return w
 
     def promoted(self, rank: int) -> "CommutatorScheme":
         return CommutatorScheme(self.a.promoted(rank), self.t.promoted(rank))
@@ -351,7 +356,7 @@ class MarkedQuotient:
     def __post_init__(self):
         if self.relators.rank != self.rank:
             raise QuotientModelError("relator rank does not match quotient rank")
-        lvs = leaves(self.expr)
+        lvs = self.leaf_list
         if set(self.marking) != set(range(1, self.rank + 1)):
             raise QuotientModelError("marking must cover exactly generators 1..rank")
         for idx, img in self.marking.items():
@@ -369,7 +374,7 @@ class MarkedQuotient:
             if isinstance(leaf, Lamplighter) and img.value not in ("lamp", "shift"):
                 raise QuotientModelError(f"x{idx}: lamplighter image must be lamp or shift")
 
-    @property
+    @cached_property
     def leaf_list(self) -> tuple[LeafExpr, ...]:
         return leaves(self.expr)
 

@@ -37,7 +37,6 @@ from .quotients import (
     RelatorSet,
     check_soundness,
     free_product,
-    leaves,
     quotient_from_json,
     quotient_to_json,
 )
@@ -79,15 +78,22 @@ class Realization:
 def removal_order(d: ColoredDag) -> list[str]:
     """Vertices in the order the induction peels them off: repeatedly the
     largest-id maximal vertex of what remains."""
-    remaining = set(d.vertices)
-    edges = set(d.edges)
+    left = {v: d.out_degree(v) for v in d.vertices}  # out-degree into what remains
+    below: dict[str, list[str]] = {}
+    for u in left:
+        for t in d.successor_map.get(u, ()):
+            below.setdefault(t, []).append(u)
+    maximal = {v for v, k in left.items() if k == 0}
     order = []
-    while remaining:
-        maximal = [v for v in remaining if not any(s == v for s, _ in edges)]
+    while left:
         w = max(maximal)
+        maximal.remove(w)
+        del left[w]
         order.append(w)
-        remaining.remove(w)
-        edges = {(s, t) for s, t in edges if s != w and t != w}
+        for u in below.get(w, ()):
+            left[u] -= 1
+            if not left[u]:
+                maximal.add(u)
     return order
 
 
@@ -95,6 +101,7 @@ def realize(d: ColoredDag) -> Realization:
     dagmod.validate(d)
     closed = dagmod.transitive_closure(d)
     build = list(reversed(removal_order(closed)))
+    step = {w: j for j, w in enumerate(build, start=1)}
 
     quotients: dict[str, MarkedQuotient] = {}
     for j, w in enumerate(build, start=1):
@@ -108,7 +115,7 @@ def realize(d: ColoredDag) -> Realization:
             if closed.has_edge(u, w):
                 # u below the new vertex: relators survive, quotient gains F2
                 expr = free_product([old.expr, FreeOfRank(2)])
-                new_leaf = len(leaves(expr)) - 1
+                new_leaf = len(old.leaf_list)
                 marking[lo] = LeafImage(new_leaf, 1)
                 marking[hi] = LeafImage(new_leaf, 2)
                 quotients[u] = MarkedQuotient(
@@ -147,7 +154,7 @@ def realize(d: ColoredDag) -> Realization:
         dag=closed,
         ambient_rank=2 * len(build),
         assignment={v: quotients[v] for v in sorted(quotients)},
-        step_index={v: build.index(v) + 1 for v in sorted(quotients)},
+        step_index=dict(sorted(step.items())),
     )
 
 

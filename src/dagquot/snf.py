@@ -28,7 +28,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by Gaussian elimination over ``Fraction``."""
     n = len(a)
     if n == 0:
         return 1
@@ -95,10 +95,12 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     while t < min(rows, cols):
         # move a minimal-magnitude nonzero entry of the trailing block to (t, t)
         pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        nonzero = ((i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j] != 0)
+        for i, j in nonzero:
+            if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
+                pivot = (i, j)
+                if abs(d[i][j]) == 1:
+                    break  # nothing nonzero is smaller than a unit
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -130,7 +132,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if dirty:
                 continue
             # pivot now divides its cleared row and column; enforce the
-            # divisibility chain over the remaining block
+            # divisibility chain over the remaining block (a unit divides all)
+            if abs(d[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):

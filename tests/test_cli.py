@@ -1,5 +1,10 @@
+import hashlib
 import json
+import random
 
+import pytest
+
+from dagquot import dag as dagmod
 from dagquot.cli import main
 
 
@@ -76,6 +81,27 @@ class TestRealizeCommand:
             assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
             report = json.loads((out / "report.json").read_text())
             assert report["counts"]["inconclusive"] == 0
+
+
+class TestRealizationBytes:
+    # sha256 of realization.json as `dagquot realize` writes it for
+    # random_colored_dag(order, Random(seed), edge_prob), taken from the
+    # uncached seed construction: realization.json must stay byte-identical
+    PINS = [
+        (5, 1, 0.5, "34b2d8e030bc497c263f41f9bd81038ed9f6518471e3a91101ec05ca66127ca7"),
+        (11, 3, 0.2, "810afb6417dd21a84fb385aff851b624e84b7113378f2562224c6d005d30903d"),
+        (14, 4, 0.5, "e5aa9a495d6f537e7ae95ef0c25d686932d23ad4b97deca9ffd3024caf8d93f6"),
+    ]
+
+    @pytest.mark.parametrize("order,seed,edge_prob,digest", PINS)
+    def test_sha256_pinned(self, tmp_path, order, seed, edge_prob, digest):
+        d = dagmod.random_colored_dag(order, random.Random(seed), edge_prob)
+        inp = tmp_path / "dag.json"
+        write_json(inp, dagmod.to_json(d))
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        data = (out / "realization.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestVerifyCommand:
@@ -162,6 +188,82 @@ class TestTransferCommand:
         code = main(["transfer", "--input", str(out / "realization.json"),
                      "--embedding", str(emb), "--out", str(out)])
         assert code == 2
+
+
+def realized_chain(tmp_path):
+    inp = tmp_path / "dag.json"
+    write_json(inp, chain_dag())
+    out = tmp_path / "real"
+    assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+    return json.loads((out / "realization.json").read_text())
+
+
+def with_vertex_field(realization, vertex, key, value):
+    vertices = dict(realization["vertices"])
+    vertices[vertex] = dict(vertices[vertex], **{key: value})
+    return dict(realization, vertices=vertices)
+
+
+IDENTITY_EMBEDDING = {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", "x3", "x4"]}
+
+
+class TestMalformedInput:
+    """Input of the wrong JSON shape exits 2 with one `error:` line."""
+
+    def assert_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [
+        [],
+        {"vertices": {"a": 0}, "edges": []},
+        {"vertices": [{"id": "a", "color": 0}], "edges": [["a"]]},
+        {"vertices": [{"id": "a", "color": 0}, {"id": "b", "color": 0}],
+         "edges": [["a", "b", "c"]]},
+    ])
+    def test_realize(self, tmp_path, capsys, data):
+        inp = tmp_path / "dag.json"
+        write_json(inp, data)
+        self.assert_input_error(
+            ["realize", "--input", str(inp), "--out", str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda r: [],
+        lambda r: dict(r, vertices=[]),
+        lambda r: dict(r, step_index=[1]),
+        lambda r: dict(r, dag=dict(r["dag"], edges=[["u"]])),
+        lambda r: with_vertex_field(r, "u", "marking", []),
+        lambda r: with_vertex_field(r, "u", "relators", "x1"),
+    ], ids=["list", "vertices-list", "step-index-list", "short-edge",
+            "marking-list", "relators-string"])
+    def test_verify(self, tmp_path, capsys, mutate):
+        bad = tmp_path / "bad.json"
+        write_json(bad, mutate(realized_chain(tmp_path)))
+        capsys.readouterr()
+        self.assert_input_error(
+            ["verify", "--input", str(bad), "--out", str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize("mutate,embedding", [
+        (lambda r: [], IDENTITY_EMBEDDING),
+        (lambda r: dict(r, vertices=[]), IDENTITY_EMBEDDING),
+        (lambda r: r, []),
+        (lambda r: r, {"alphabet_rank": 4, "basis": [1, 2, 3, 4]}),
+    ], ids=["realization-list", "vertices-list", "embedding-list", "basis-ints"])
+    def test_transfer(self, tmp_path, capsys, mutate, embedding):
+        inp = tmp_path / "r.json"
+        emb = tmp_path / "e.json"
+        write_json(inp, mutate(realized_chain(tmp_path)))
+        write_json(emb, embedding)
+        capsys.readouterr()
+        self.assert_input_error(["transfer", "--input", str(inp), "--embedding", str(emb),
+                                 "--out", str(tmp_path / "o")], capsys)
+
+    def test_cep_table_not_a_list(self, tmp_path, capsys):
+        inp = tmp_path / "g.json"
+        write_json(inp, {"order": 1, "table": 5})
+        self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys)
 
 
 class TestCepCommand:

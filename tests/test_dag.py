@@ -56,6 +56,12 @@ class TestValidate:
         with pytest.raises(DuplicateEdgeError):
             from_json(data)
 
+    @pytest.mark.parametrize("edge", [["a"], ["a", "b", "a"]])
+    def test_edge_arity_in_json(self, edge):
+        data = {"vertices": [{"id": "a", "color": 0}, {"id": "b", "color": 1}], "edges": [edge]}
+        with pytest.raises(DagError, match="two endpoints"):
+            from_json(data)
+
 
 class TestLeq:
     def test_transitivity_on_chain(self):
@@ -124,6 +130,63 @@ class TestMaximalVertices:
     def test_empty_dag_rejected(self):
         with pytest.raises(DagError):
             maximal_vertices(ColoredDag((), frozenset(), {}))
+
+
+def bfs_reach(edges, u):
+    """What a path of length >= 1 from u reaches, by BFS over the raw edge set."""
+    seen = set()
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a, b in edges:
+                if a == s and b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+def assert_reachability_matches_bfs(d):
+    reach = {u: bfs_reach(d.edges, u) for u in d.vertices}
+    for u in d.vertices:
+        for v in d.vertices:
+            assert leq(d, u, v) == (u == v or v in reach[u]), (u, v)
+    assert transitive_closure(d).edges == {(u, v) for u in d.vertices for v in reach[u]}
+    assert maximal_vertices(d) == sorted(v for v in d.vertices if not reach[v])
+
+
+class TestReachabilityAgainstBfs:
+    def test_every_order_3_dag(self):
+        for d in enumerate_colored_dags(3):
+            assert_reachability_matches_bfs(d)
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    def test_random_dags_up_to_order_24(self, edge_prob):
+        rng = random.Random(2024)
+        for order in (1, 2, 5, 9, 16, 24):
+            for _ in range(3):
+                assert_reachability_matches_bfs(random_colored_dag(order, rng, edge_prob))
+
+    def test_unvalidated_cycle(self):
+        # a -> b -> a -> ... -> c; d is isolated. leq must answer, not hang
+        d = ColoredDag(
+            ("a", "b", "c", "d"),
+            frozenset({("a", "b"), ("b", "a"), ("b", "c")}),
+            {v: 0 for v in "abcd"},
+        )
+        for u in d.vertices:
+            for v in d.vertices:
+                assert leq(d, u, v) == (u == v or v in bfs_reach(d.edges, u)), (u, v)
+        assert leq(d, "a", "c") and leq(d, "b", "a") and not leq(d, "c", "a")
+        with pytest.raises(UnknownVertexError):
+            leq(d, "a", "z")
+
+    def test_successors_returns_a_fresh_list(self):
+        d = chain3()
+        d.successors("1").pop()
+        assert d.successors("1") == ["2"]
+        assert leq(d, "1", "3")
 
 
 class TestEnumeration:

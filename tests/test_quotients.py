@@ -39,7 +39,16 @@ from dagquot.quotients import (
     scheme_member,
 )
 from dagquot.snf import AbelianInvariants
-from dagquot.words import Word, exponent_vector, generator, multiply, parse_word
+from dagquot.words import (
+    Word,
+    commutator,
+    conjugate,
+    exponent_vector,
+    generator,
+    multiply,
+    parse_word,
+    power,
+)
 
 
 def w(text, rank=4):
@@ -90,6 +99,32 @@ class TestSchemeMember:
         s = CommutatorScheme(w("x3"), w("x4"))
         for i in range(1, 6):
             assert exponent_vector(scheme_member(s, i)) == [0, 0, 0, 0]
+
+    def test_memoized_member_equals_fresh_commutator(self, rng):
+        for _ in range(20):
+            a, t = random_word(rng, 3), random_word(rng, 3)
+            if a.is_identity or t.is_identity:
+                continue
+            s = CommutatorScheme(a, t)
+            for i in (3, 1, 3, 2, 1, 4):
+                assert s.member(i) == commutator(a, conjugate(a, power(t, i)))
+
+    def test_memo_is_per_scheme_and_invisible(self):
+        s = CommutatorScheme(w("x3"), w("x4"))
+        s.member(2)
+        fresh = CommutatorScheme(w("x3"), w("x4"))
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+        other = CommutatorScheme(w("x4"), w("x3"))
+        assert other.member(2) != s.member(2)
+        assert s.promoted(5).member(2) == s.member(2).promoted(5)
+
+    def test_member_zero_still_raises_after_use(self):
+        s = CommutatorScheme(w("x3"), w("x4"))
+        s.member(1)
+        for i in (0, -1):
+            with pytest.raises(ValueError):
+                s.member(i)
 
 
 class TestLamplighter:

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from dagquot.dag import colored_dag
+from dagquot.dag import colored_dag, random_colored_dag, transitive_closure
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -65,6 +66,21 @@ class TestRemovalOrder:
 
     def test_diamond(self):
         assert removal_order(diamond()) == ["d", "c", "b", "a"]
+
+    def test_matches_definition_on_random_dags(self):
+        # oracle: the docstring, read literally over the raw edge set
+        rng = random.Random(11)
+        for order in (1, 4, 8, 13):
+            for edge_prob in (0.1, 0.5):
+                d = random_colored_dag(order, rng, edge_prob)
+                remaining, expected = set(d.vertices), []
+                while remaining:
+                    w = max(v for v in remaining
+                            if not any(s == v and t in remaining for s, t in d.edges))
+                    expected.append(w)
+                    remaining.remove(w)
+                assert removal_order(d) == expected
+                assert removal_order(transitive_closure(d)) == expected
 
 
 class TestRealizeBaseCases:

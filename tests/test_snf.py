@@ -1,3 +1,9 @@
+import random
+from itertools import combinations
+from math import gcd
+
+import pytest
+
 from dagquot.snf import (
     AbelianInvariants,
     invariants_from_rows,
@@ -115,3 +121,54 @@ class TestInvariants:
     def test_str(self):
         assert str(AbelianInvariants(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
         assert str(AbelianInvariants(0, ())) == "0"
+
+
+def determinantal_invariants(rank, rows):
+    """Oracle: invariant factors d_k / d_(k-1), where the determinantal
+    divisor d_k is the gcd of every k x k minor (each by mat_det)."""
+    divisors = [1]
+    for k in range(1, min(len(rows), rank) + 1):
+        g = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(rank), k):
+                g = gcd(g, mat_det([[rows[i][j] for j in cs] for i in rs]))
+        if g == 0:
+            break
+        divisors.append(g)
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return AbelianInvariants(rank - len(factors), tuple(f for f in factors if f > 1))
+
+
+def unit_row(rank, i):
+    return [1 if j == i else 0 for j in range(rank)]
+
+
+class TestInvariantsAgainstDeterminantalDivisors:
+    def test_random_matrices_up_to_4x4(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            rank, nrows = rng.randint(1, 4), rng.randint(1, 4)
+            bound = rng.choice((1, 2, 6, 30))
+            density = rng.choice((0.3, 0.7, 1.0))
+            rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                     for _ in range(rank)] for _ in range(nrows)]
+            assert invariants_from_rows(rank, rows) == determinantal_invariants(rank, rows)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_realize_shaped_rows(self, steps):
+        # step j of realize kills x1..x_(2j-2) and, for color 0, adds x_(2j-1);
+        # older vertices add both fresh generators. Every relator is a
+        # generator, so the rows are unit vectors, in any order, with repeats
+        rng = random.Random(steps)
+        rank = 2 * steps
+        kill = [unit_row(rank, i) for i in range(rank - 2)]
+        shapes = [kill, kill + [unit_row(rank, rank - 2)],
+                  [unit_row(rank, rank - 2), unit_row(rank, rank - 1)]]
+        for _ in range(10):
+            extra = [unit_row(rank, rng.randrange(rank)) for _ in range(rng.randint(0, 2))]
+            mixed = kill + extra
+            rng.shuffle(mixed)
+            shapes.append(mixed)
+        for rows in shapes:
+            if rows:
+                assert invariants_from_rows(rank, rows) == determinantal_invariants(rank, rows)
