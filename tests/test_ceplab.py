@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -8,12 +10,14 @@ from dagquot.ceplab import (
     Subgroup,
     a3_in_s3,
     all_subgroups,
+    all_subgroups_within,
     builtin_group,
     builtin_names,
     cep_transitivity_scan,
     d4_in_s4,
     free_counterexample_demo,
     group_from_json,
+    group_from_permutations,
     is_almost_cep_finite,
     is_cep_finite,
     normal_closure_finite,
@@ -49,7 +53,8 @@ class TestPermutations:
 
 class TestGroupConstruction:
     def test_builtin_orders(self):
-        expected = {"s3": 6, "s4": 24, "a4": 12, "d4": 8, "q8": 8, "c2xc2": 4}
+        expected = {"s3": 6, "s4": 24, "a4": 12, "d4": 8, "q8": 8, "c2xc2": 4,
+                    "s5": 120, "a5": 60, "s4xc2": 48}
         for name, order in expected.items():
             assert builtin_group(name).order == order
         assert set(builtin_names()) == set(expected)
@@ -86,6 +91,127 @@ class TestGroupConstruction:
         assert g.names[g.mul(i, i)] == "-1"
 
 
+# a Latin square with identity 0 (a loop) that is not associative
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def direct_product_table(t1, t2):
+    """Table of the direct product, element (a, b) numbered a * len(t2) + b."""
+    n2 = len(t2)
+    return tuple(
+        tuple(t1[a1][b1] * n2 + t2[a2][b2] for b1 in range(len(t1)) for b2 in range(n2))
+        for a1 in range(len(t1)) for a2 in range(n2)
+    )
+
+
+def cyclic_table(n):
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+def brute_force_associative(table):
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def normalized_latin_squares(n):
+    """Every n x n Latin square whose row and column 0 read 0..n-1."""
+    rows = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(tuple(r) for r in rows)
+            return
+        a, b = divmod(cell, n)
+        if a == 0 or b == 0:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[a][:b]) | {rows[r][b] for r in range(a)}
+        for v in range(n):
+            if v not in used:
+                rows[a][b] = v
+                yield from fill(cell + 1)
+        rows[a][b] = None
+
+    yield from fill(0)
+
+
+def names(n):
+    return tuple(str(i) for i in range(n))
+
+
+class TestAssociativity:
+    def test_order_5_loop_rejected(self):
+        assert not brute_force_associative(LOOP5)
+        with pytest.raises(GroupTableError, match="associativity"):
+            FiniteGroup(5, LOOP5, names(5))
+
+    def test_loop_times_c41_rejected(self):
+        # order 205: above the size where associativity used to be sampled
+        table = direct_product_table(LOOP5, cyclic_table(41))
+        with pytest.raises(GroupTableError, match="associativity"):
+            FiniteGroup(205, table, names(205))
+
+    def test_group_times_c41_accepted(self):
+        g = builtin_group("c2xc2")
+        table = direct_product_table(g.table, cyclic_table(41))
+        assert FiniteGroup(164, table, names(164)).order == 164
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_triple_check_on_every_small_loop(self, n):
+        verdicts = set()
+        for table in normalized_latin_squares(n):
+            try:
+                FiniteGroup(n, table, names(n))
+                accepted = True
+            except GroupTableError:
+                accepted = False
+            assert accepted == brute_force_associative(table), table
+            verdicts.add(accepted)
+        assert True in verdicts
+
+    def test_every_builtin_passes(self):
+        for name in builtin_names():
+            g = builtin_group(name)
+            g.validate()
+            assert brute_force_associative(g.table) or g.order > 60
+
+    def test_permutation_tables_pass(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            degree = rng.randint(2, 5)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                points = list(range(1, degree + 1))
+                rng.shuffle(points)
+                gens.append("(" + " ".join(map(str, points)) + ")")
+            g, _ = group_from_permutations(degree, gens)
+            g.validate()
+            if g.order <= 24:
+                assert brute_force_associative(g.table)
+
+
+def brute_force_generated(g, seed):
+    """Fixpoint of the seed and the identity under products and inverses."""
+    elems = set(seed) | {0}
+    while True:
+        bigger = elems | {g.mul(a, b) for a in elems for b in elems} | {g.inv(a) for a in elems}
+        if bigger == elems:
+            return frozenset(elems)
+        elems = bigger
+
+
+def brute_force_normal_closure(g, ambient, seed):
+    conjugates = {g.conj(s, x) for s in seed for x in ambient}
+    return brute_force_generated(g, conjugates)
+
+
+def fresh_copy(g):
+    return FiniteGroup(g.order, g.table, g.names)
+
+
 class TestSubgroups:
     def test_subgroup_validation(self):
         g = builtin_group("s3")
@@ -103,6 +229,53 @@ class TestSubgroups:
 
     def test_all_subgroups_s3_count(self):
         assert len(all_subgroups(builtin_group("s3"))) == 6
+
+    @pytest.mark.parametrize("name,count", [("s4", 30), ("s5", 156), ("a5", 59), ("s4xc2", 98)])
+    def test_classical_subgroup_counts(self, name, count):
+        assert len(all_subgroups(builtin_group(name))) == count
+
+    @pytest.mark.parametrize("name", ["s3", "c2xc2", "d4", "q8", "a4", "s4", "s4xc2", "a5", "s5"])
+    def test_generated_matches_brute_force(self, name):
+        g = builtin_group(name)
+        rng = random.Random(name)
+        for _ in range(8):
+            seed = rng.sample(range(g.order), rng.randint(1, 3))
+            assert subgroup_generated(g, seed).elements == brute_force_generated(g, seed)
+
+    @pytest.mark.parametrize("name", ["s3", "c2xc2", "d4", "q8", "a4", "s4"])
+    def test_lattice_has_every_cyclic_subgroup_and_join(self, name):
+        g = builtin_group(name)
+        subs = all_subgroups(g)
+        assert len(set(subs)) == len(subs)
+        assert subs == sorted(subs, key=lambda s: (len(s), sorted(s)))
+        for sub in subs:
+            Subgroup(g, sub)
+        listed = set(subs)
+        for x in range(g.order):
+            assert brute_force_generated(g, {x}) in listed
+        for a, b in itertools.combinations(subs, 2):
+            assert brute_force_generated(g, a | b) in listed
+
+    @pytest.mark.parametrize("name", ["s3", "c2xc2", "d4", "q8", "a4", "s4", "s4xc2", "a5"])
+    def test_lattice_does_not_depend_on_cache_order(self, name):
+        g = builtin_group(name)
+        whole = all_subgroups(g)
+        for k in whole:
+            filtered = all_subgroups_within(g, k)
+            assert filtered == [sub for sub in whole if sub <= k]
+            assert all_subgroups_within(fresh_copy(g), k) == filtered
+
+    @pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "s4"])
+    def test_normal_subgroups_and_closures_match_brute_force(self, name):
+        g = builtin_group(name)
+        for k in all_subgroups(g):
+            normals = [
+                sub for sub in all_subgroups_within(g, k)
+                if all(g.conj(a, x) in sub for a in sub for x in k)
+            ]
+            assert normal_subgroups_within(g, k) == normals
+            for h in all_subgroups_within(g, k):
+                assert normal_closure_in(g, k, h) == brute_force_normal_closure(g, k, h)
 
     def test_lagrange(self):
         g = builtin_group("a4")
@@ -204,7 +377,7 @@ class TestAlmostCep:
 
 
 class TestTransitivityScan:
-    @pytest.mark.parametrize("name", ["s3", "a4", "s4", "q8"])
+    @pytest.mark.parametrize("name", ["s3", "a4", "s4", "q8", "a5", "s4xc2"])
     def test_zero_violations(self, name):
         report = cep_transitivity_scan(builtin_group(name), name)
         assert report.ok

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dagquot import dag as dagmod
+from dagquot import ceplab, dag as dagmod
 from dagquot.cli import main
 
 
@@ -265,6 +265,21 @@ class TestMalformedInput:
         write_json(inp, {"order": 1, "table": 5})
         self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys)
 
+    @pytest.mark.parametrize("group", [
+        {"order": 3, "table": [[0, 1, 2], [1, 0, 9], [2, 9, 0]]},
+        {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, -2]]},
+        {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+        {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "e"]},
+        {"order": 0, "table": []},
+        {"order": 201, "table": [[(a + b) % 201 if (a, b) != (5, 7) else 201
+                                  for b in range(201)] for a in range(201)]},
+    ], ids=["out-of-range", "negative", "column-repeats", "duplicate-names", "empty",
+            "out-of-range-order-201"])
+    def test_cep_bad_table(self, tmp_path, capsys, group):
+        inp = tmp_path / "g.json"
+        write_json(inp, group)
+        self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys)
+
 
 class TestCepCommand:
     def test_s4_d4_query(self, tmp_path, capsys):
@@ -282,6 +297,43 @@ class TestCepCommand:
 
     def test_needs_group_or_input(self, capsys):
         assert main(["cep", "--scan"]) == 2
+
+    # sha256 of cep.json as written by the exhaustive-closure lattice this
+    # package used to have; a5, s4xc2 and s5 were loaded from the same generators
+    # with --input, with the group label set to the builtin name
+    SCAN_SHA256 = {
+        "c2xc2": "aa3dee94294c6a2273d4f6c1234e51b6810970814eeea45ce373f142ccb86e2c",
+        "d4": "86c3dac54dea33a600c752c84021319ca4add6eea2fb63d01b060e3ca7efafb1",
+        "q8": "d8c595abc43ea7ae4c0a2d2bdbff49abd4f3087f3c514516b5c023a983dd5a89",
+        "s3": "1a765f8d6637444fe768a11d5bb4424880f380f6a563c4c728eb869f65715305",
+        "a4": "20c2008815ead2e6eccd903dc345e6057362fd8b436f8b54955f532655637b14",
+        "s4": "429e7cf09620d4176102bd244896c6547163da1dd4c8ed12863da3b2ee0383a0",
+        "a5": "e40c1e0252f406fbca51fd8ed3e311f659c2ad8564232358f558c09a24d66df4",
+        "s4xc2": "d33f2226bba845c388ce0dd68f88d0deb44535bd34c5273ab60e1048c27555be",
+        "s5": "474c51882c7185d53469be4d485f05eae655095240b086ffe856132475f423dd",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SHA256))
+    def test_scan_bytes_pinned(self, tmp_path, capsys, name):
+        assert main(["cep", "--group", name, "--scan", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "cep.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SCAN_SHA256[name]
+
+    def test_every_builtin_scan_is_pinned(self):
+        assert set(self.SCAN_SHA256) == set(ceplab.builtin_names())
+
+    @pytest.mark.parametrize("argv,sha256", [
+        (["--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)", "--max-s", "1"],
+         "40b60e8551a3934ab80622b3bac73d20fd127473b6aa139850dfb63287e5ec8d"),
+        (["--group", "s4", "--subgroup", "(1 2)(3 4)", "(1 3)(2 4)", "--max-s", "2"],
+         "3b158e84b62d929537f622b392a937320d848377a7a78ce518c4980681f8f99f"),
+        (["--group", "a4", "--subgroup", "(1 2)(3 4)", "--max-s", "1"],
+         "ce6a8f36280e9606cfb1ba1ef903684eb657fdb3ee03690834634758e705d9d7"),
+    ], ids=["s4-d4", "s4-klein", "a4-c2"])
+    def test_query_bytes_pinned(self, tmp_path, capsys, argv, sha256):
+        main(["cep", *argv, "--out", str(tmp_path)])
+        data = (tmp_path / "cep.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_unknown_subgroup_element(self):
         assert main(["cep", "--group", "s3", "--subgroup", "(9 9)"]) == 2
