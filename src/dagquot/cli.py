@@ -50,7 +50,6 @@ class RunConfig:
     out: Path | None = None
     bound: int = 5
     emit_dot: bool = False
-    seed: int = 0
     embedding: Path | None = None
 
 
@@ -64,6 +63,13 @@ def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_report(path: Path, report) -> None:
+    # One line of sorted-key JSON: without indent, json.dumps runs CPython's
+    # C encoder; the report grows with the square of the DAG order.
+    text = json.dumps(report_to_json(report), sort_keys=True, separators=(",", ":"))
+    _write_text(path, text + "\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -81,7 +87,7 @@ def cmd_realize(cfg: RunConfig) -> int:
     report = verify_all(r, cfg.bound)
     out = _outdir(cfg)
     _write_json(out / "realization.json", realization_to_json(r))
-    _write_json(out / "report.json", report_to_json(report))
+    _write_report(out / "report.json", report)
     _write_text(out / "lattice.dot", lattice_to_dot(r))
     if cfg.emit_dot:
         _write_text(out / "dag.dot", dagmod.to_dot(d))
@@ -100,7 +106,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return _input_error(exc)
     report = verify_all(r, cfg.bound)
     out = _outdir(cfg)
-    _write_json(out / "report.json", report_to_json(report))
+    _write_report(out / "report.json", report)
     if cfg.emit_dot:
         _write_text(out / "lattice.dot", lattice_to_dot(r))
     print(f"verdict: {'pass' if report.verdict else 'FAIL'} "
@@ -246,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="realize colored DAGs as normal-subgroup lattices of free "
         "groups, verify with algebraic certificates, transfer along CEP embeddings",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled operations (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("realize", help="realize a colored DAG JSON file and verify")
@@ -296,7 +300,6 @@ def main(argv=None) -> int:
         out=getattr(args, "out", None),
         bound=getattr(args, "bound", 5),
         emit_dot=getattr(args, "dot", False),
-        seed=args.seed,
         embedding=getattr(args, "embedding", None),
     )
     if cfg.bound < 1:

@@ -184,10 +184,6 @@ class CommutatorScheme:
         return CommutatorScheme(self.a.promoted(rank), self.t.promoted(rank))
 
 
-def scheme_member(s: CommutatorScheme, i: int) -> Word:
-    return s.member(i)
-
-
 @dataclass(frozen=True)
 class RelatorSet:
     rank: int
@@ -504,10 +500,27 @@ def quotient_to_json(q: MarkedQuotient) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
+
+
+def json_field(data, key: str, kind: type, owner: str):
+    """``data[key]``, checked to be a JSON value of ``kind``; a wrong shape
+    raises a ValueError that names the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner} must be a JSON object, not {type(data).__name__}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"{owner} field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
+            f"not {type(value).__name__}"
+        )
+    return value
+
+
 def quotient_from_json(data) -> MarkedQuotient:
     return MarkedQuotient(
-        rank=int(data["rank"]),
-        relators=relators_from_json(data["relators"]),
-        expr=expr_from_json(data["expr"]),
-        marking=marking_from_json(data["marking"]),
+        rank=json_field(data, "rank", int, "quotient"),
+        relators=relators_from_json(json_field(data, "relators", dict, "quotient")),
+        expr=expr_from_json(json_field(data, "expr", dict, "quotient")),
+        marking=marking_from_json(json_field(data, "marking", dict, "quotient")),
     )

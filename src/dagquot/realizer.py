@@ -37,6 +37,7 @@ from .quotients import (
     RelatorSet,
     check_soundness,
     free_product,
+    json_field,
     quotient_from_json,
     quotient_to_json,
 )
@@ -259,13 +260,16 @@ def realization_to_json(r: Realization) -> dict:
 
 
 def realization_from_json(data) -> Realization:
-    d = dagmod.from_json(data["dag"])
-    assignment = {v: quotient_from_json(q) for v, q in data["vertices"].items()}
+    d = dagmod.from_json(json_field(data, "dag", dict, "realization"))
+    vertices = json_field(data, "vertices", dict, "realization")
+    assignment = {v: quotient_from_json(q) for v, q in vertices.items()}
+    step_index = json_field(data, "step_index", dict, "realization")
     return Realization(
         dag=d,
-        ambient_rank=int(data["ambient_rank"]),
+        ambient_rank=json_field(data, "ambient_rank", int, "realization"),
         assignment={v: assignment[v] for v in sorted(assignment)},
-        step_index={v: int(i) for v, i in sorted(data["step_index"].items())},
+        step_index={v: json_field(step_index, v, int, "step_index")
+                    for v in sorted(step_index)},
     )
 
 

@@ -11,7 +11,8 @@ Three certificate kinds cover the realization conditions:
     the bound.
   * separation - unreachable ordered pairs: a witness generator of the
     source with a nontrivial normal form in the target quotient.  A failed
-    search is reported as inconclusive, never as a pass.
+    search is reported as inconclusive, never as a pass.  Distinctness of
+    two vertices carries the separation certificate of one direction.
   * color - the structural biconditional: color 0 iff the relator set is
     scheme-free iff the quotient expression has no lamplighter leaf.  (Free
     products of finitely presented groups are finitely presented; a free
@@ -34,6 +35,7 @@ from .quotients import (
     NormalForm,
     abelianization,
     eval_word,
+    has_lamplighter,
     nf_from_json,
     nf_to_json,
     predicted_invariants,
@@ -226,36 +228,55 @@ def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certif
     raise WitnessNotFoundError(bound)
 
 
-def certify_distinctness(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
+def certify_distinctness(
+    r: Realization,
+    u: str,
+    v: str,
+    bound: int = 5,
+    separations: dict[tuple[str, str], Certificate] | None = None,
+) -> Certificate:
+    """The separation certificate of one direction, noted as distinctness.
+
+    ``separations`` maps an ordered pair to its separation certificate; a
+    pair without one is comparable or has no witness up to the bound.
+    ``verify_all`` passes the certificates it has already made; without
+    them, both directions are certified here.
+    """
     if u == v:
         raise NotComparableError("distinctness needs two distinct vertices")
+    if separations is None:
+        separations = {}
+        for s, t in ((u, v), (v, u)):
+            if not leq(r.dag, s, t):
+                try:
+                    separations[s, t] = certify_separation(r, s, t, bound)
+                except WitnessNotFoundError:
+                    pass
     # certify in a direction that is NOT below: a witness in the source that
     # survives in the target shows the two normal subgroups differ
-    note = f"distinctness of ({u}, {v})"
     if leq(r.dag, u, v):
-        cert = certify_separation(r, v, u, bound)
+        directions = ((v, u),)
     elif leq(r.dag, v, u):
-        cert = certify_separation(r, u, v, bound)
+        directions = ((u, v),)
     else:
-        try:
-            cert = certify_separation(r, u, v, bound)
-        except WitnessNotFoundError:
-            cert = certify_separation(r, v, u, bound)
-    return Certificate(
-        kind=cert.kind,
-        subject=cert.subject,
-        bound=cert.bound,
-        witness=cert.witness,
-        notes=(note,),
-    )
+        directions = ((u, v), (v, u))
+    for pair in directions:
+        cert = separations.get(pair)
+        if cert is not None:
+            return Certificate(
+                kind=cert.kind,
+                subject=cert.subject,
+                bound=cert.bound,
+                witness=cert.witness,
+                notes=(f"distinctness of ({u}, {v})",),
+            )
+    raise WitnessNotFoundError(bound)
 
 
 def certify_color(r: Realization, v: str) -> Certificate:
     q = r.assignment[v]
     color = r.dag.color[v]
     scheme_free = not q.relators.schemes
-    from .quotients import has_lamplighter
-
     lamp_free = not has_lamplighter(q.expr)
     if not ((color == 0) == scheme_free == lamp_free):
         raise StructureMismatchError(
@@ -374,8 +395,6 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
         elif r is not None:
             (v,) = c.subject
             q = r.assignment[v]
-            from .quotients import has_lamplighter
-
             facts = ColorFacts(
                 r.dag.color[v],
                 not q.relators.schemes,
@@ -433,19 +452,21 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     entries: list[ReportEntry] = []
     ids = sorted(r.assignment)
 
-    def run(check: str, subject: tuple[str, ...], make) -> None:
+    def run(check: str, subject: tuple[str, ...], make) -> Certificate | None:
         try:
             cert = make()
         except WitnessNotFoundError as exc:
             entries.append(ReportEntry(check, subject, "inconclusive", str(exc)))
-            return
+            return None
         except (TraceFailedError, StructureMismatchError) as exc:
             entries.append(ReportEntry(check, subject, "fail", str(exc)))
-            return
+            return None
         ok, problems = check_certificate_detailed(r, cert)
         status = "pass" if ok else "fail"
         entries.append(ReportEntry(check, subject, status, "; ".join(problems), cert))
+        return cert
 
+    separations: dict[tuple[str, str], Certificate] = {}
     for u in ids:
         for v in ids:
             if u == v:
@@ -453,10 +474,14 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             if leq(r.dag, u, v):
                 run("inclusion", (u, v), lambda u=u, v=v: certify_inclusion(r, u, v, bound))
             else:
-                run("separation", (u, v), lambda u=u, v=v: certify_separation(r, u, v, bound))
+                cert = run("separation", (u, v),
+                           lambda u=u, v=v: certify_separation(r, u, v, bound))
+                if cert is not None:
+                    separations[u, v] = cert
     for i, u in enumerate(ids):
         for v in ids[i + 1:]:
-            run("distinctness", (u, v), lambda u=u, v=v: certify_distinctness(r, u, v, bound))
+            run("distinctness", (u, v),
+                lambda u=u, v=v: certify_distinctness(r, u, v, bound, separations))
     for v in ids:
         run("color", (v,), lambda v=v: certify_color(r, v))
 

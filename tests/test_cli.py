@@ -6,6 +6,8 @@ import pytest
 
 from dagquot import ceplab, dag as dagmod
 from dagquot.cli import main
+from dagquot.realizer import realize
+from dagquot.verifier import report_to_json, verify_all
 
 
 def write_json(path, data):
@@ -139,6 +141,47 @@ class TestVerifyCommand:
         assert main(["verify", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def report_content(data):
+    """A report.json object without its one nondeterministic field."""
+    data = dict(data)
+    del data["elapsed_seconds"]
+    return data
+
+
+class TestReportJson:
+    """report.json is one line of sorted-key JSON holding report_to_json."""
+
+    def realize_and_verify(self, tmp_path, d, bound):
+        inp = tmp_path / "dag.json"
+        write_json(inp, dagmod.to_json(d))
+        out, out2 = tmp_path / "out", tmp_path / "out2"
+        assert main(["realize", "--input", str(inp), "--out", str(out),
+                     "--bound", str(bound)]) == 0
+        assert main(["verify", "--input", str(out / "realization.json"),
+                     "--out", str(out2), "--bound", str(bound)]) == 0
+        return out, out2
+
+    @pytest.mark.parametrize("order,seed,edge_prob,bound", [
+        (6, 2, 0.4, 3), (9, 5, 0.1, 5),
+    ])
+    def test_content_equals_report_to_json(self, tmp_path, order, seed, edge_prob, bound):
+        d = dagmod.random_colored_dag(order, random.Random(seed), edge_prob)
+        out, out2 = self.realize_and_verify(tmp_path, d, bound)
+        want = report_content(report_to_json(verify_all(realize(d), bound)))
+        for path in (out / "report.json", out2 / "report.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text.count("\n") == 1 and text.endswith("\n")
+            data = json.loads(text)
+            assert list(data) == sorted(data)
+            assert report_content(data) == want
+
+    def test_realization_stays_indented(self, tmp_path):
+        d = dagmod.random_colored_dag(5, random.Random(1), 0.5)
+        out, _ = self.realize_and_verify(tmp_path, d, 5)
+        text = (out / "realization.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestTransferCommand:
     def test_identity_embedding(self, tmp_path):
         inp = tmp_path / "dag.json"
@@ -210,11 +253,13 @@ IDENTITY_EMBEDDING = {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", 
 class TestMalformedInput:
     """Input of the wrong JSON shape exits 2 with one `error:` line."""
 
-    def assert_input_error(self, argv, capsys):
+    def assert_input_error(self, argv, capsys, field=None):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        if field is not None:
+            assert repr(field) in err
 
     @pytest.mark.parametrize("data", [
         [],
@@ -229,21 +274,22 @@ class TestMalformedInput:
         self.assert_input_error(
             ["realize", "--input", str(inp), "--out", str(tmp_path / "o")], capsys)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda r: [],
-        lambda r: dict(r, vertices=[]),
-        lambda r: dict(r, step_index=[1]),
-        lambda r: dict(r, dag=dict(r["dag"], edges=[["u"]])),
-        lambda r: with_vertex_field(r, "u", "marking", []),
-        lambda r: with_vertex_field(r, "u", "relators", "x1"),
+    # field: the name the error line must quote, for a field of the wrong shape
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda r: [], None),
+        (lambda r: dict(r, vertices=[]), "vertices"),
+        (lambda r: dict(r, step_index=[1]), "step_index"),
+        (lambda r: dict(r, dag=dict(r["dag"], edges=[["u"]])), None),
+        (lambda r: with_vertex_field(r, "u", "marking", []), "marking"),
+        (lambda r: with_vertex_field(r, "u", "relators", "x1"), "relators"),
     ], ids=["list", "vertices-list", "step-index-list", "short-edge",
             "marking-list", "relators-string"])
-    def test_verify(self, tmp_path, capsys, mutate):
+    def test_verify(self, tmp_path, capsys, mutate, field):
         bad = tmp_path / "bad.json"
         write_json(bad, mutate(realized_chain(tmp_path)))
         capsys.readouterr()
         self.assert_input_error(
-            ["verify", "--input", str(bad), "--out", str(tmp_path / "o")], capsys)
+            ["verify", "--input", str(bad), "--out", str(tmp_path / "o")], capsys, field)
 
     @pytest.mark.parametrize("mutate,embedding", [
         (lambda r: [], IDENTITY_EMBEDDING),

@@ -1,11 +1,19 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from dagquot.dag import colored_dag, enumerate_colored_dags, transitive_closure
+from dagquot.dag import (
+    colored_dag,
+    enumerate_colored_dags,
+    leq,
+    random_colored_dag,
+    transitive_closure,
+)
 from dagquot.quotients import (
     CommutatorScheme,
+    IdentityImage,
     NormalForm,
     RelatorSet,
     abelianization,
@@ -161,6 +169,101 @@ class TestDistinctness:
     def test_same_vertex_rejected(self):
         with pytest.raises(NotComparableError):
             certify_distinctness(chain(), "u", "u")
+
+
+def fresh_distinctness(r, u, v, bound=5):
+    """Reference: a fresh separation search in the direction that is not
+    below, (u, v) then (v, u) for incomparable vertices; returns what the
+    distinctness entry of (u, v) must hold."""
+    if leq(r.dag, u, v):
+        directions = [(v, u)]
+    elif leq(r.dag, v, u):
+        directions = [(u, v)]
+    else:
+        directions = [(u, v), (v, u)]
+    for s, t in directions:
+        try:
+            cert = certify_separation(r, s, t, bound)
+        except WitnessNotFoundError:
+            continue
+        status = "pass" if check_certificate(r, cert) else "fail"
+        witness = cert.witness
+        return status, cert.subject, witness.word, witness.provenance, witness.image
+    return "inconclusive", None, None, None, None
+
+
+def distinctness_entries(r, bound=5):
+    """Every distinctness entry of verify_all as the tuple fresh_distinctness
+    gives, with its note checked on the way."""
+    out = {}
+    for e in verify_all(r, bound).entries:
+        if e.check != "distinctness":
+            continue
+        u, v = e.subject
+        c = e.certificate
+        if c is None:
+            out[u, v] = (e.status, None, None, None, None)
+            continue
+        assert c.notes == (f"distinctness of ({u}, {v})",)
+        out[u, v] = (e.status, c.subject, c.witness.word, c.witness.provenance, c.witness.image)
+    return out
+
+
+def all_identity(r, vertex):
+    q = r.assignment[vertex]
+    marking = {i: IdentityImage() for i in range(1, q.rank + 1)}
+    return replace_quotient(r, vertex, marking=marking)
+
+
+class TestDistinctnessFromSeparation:
+    """verify_all reads distinctness off the separation certificates it has
+    already made; each entry must equal a fresh two-direction search."""
+
+    def assert_matches_fresh_search(self, r, bound=5):
+        got = distinctness_entries(r, bound)
+        ids = sorted(r.assignment)
+        pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+        assert sorted(got) == pairs
+        for u, v in pairs:
+            assert got[u, v] == fresh_distinctness(r, u, v, bound), (u, v)
+
+    def test_every_order_three_dag(self):
+        for d in enumerate_colored_dags(3):
+            self.assert_matches_fresh_search(realize(d))
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    def test_random_dags(self, edge_prob):
+        for order in (4, 7, 10, 13, 16):
+            for seed in range(3):
+                d = random_colored_dag(order, random.Random(1000 * order + seed), edge_prob)
+                self.assert_matches_fresh_search(realize(d), bound=3)
+
+    # identity: vertices whose marking sends every generator to the identity,
+    # so no witness survives in their quotient
+    @pytest.mark.parametrize("make,identity,status,subject", [
+        (antichain, ["w"], "pass", ("w", "u")),
+        (antichain, ["u", "w"], "inconclusive", None),
+        (chain, ["u"], "inconclusive", None),
+    ], ids=["antichain-fallback", "antichain-both-inconclusive", "chain-upper-inconclusive"])
+    def test_inconclusive_directions(self, make, identity, status, subject):
+        r = make()
+        for vertex in identity:
+            r = all_identity(r, vertex)
+        expected = fresh_distinctness(r, "u", "w")
+        assert expected[:2] == (status, subject)
+        assert distinctness_entries(r) == {("u", "w"): expected}
+        report = verify_all(r)
+        (entry,) = [e for e in report.entries if e.check == "distinctness"]
+        assert not report.verdict
+        if status == "inconclusive":
+            assert entry.certificate is None
+            assert entry.detail == str(WitnessNotFoundError(5))
+            with pytest.raises(WitnessNotFoundError):
+                certify_distinctness(r, "u", "w")
+        else:
+            cert = certify_distinctness(r, "u", "w")
+            assert cert == entry.certificate
+            assert cert.witness.word == w("x2", 4)
 
 
 class TestColor:
