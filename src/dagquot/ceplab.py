@@ -576,13 +576,13 @@ def free_counterexample_demo() -> Certificate:
         raise GroupTableError("retraction unexpectedly kills a")
 
     traces = (
-        EvalTrace("closure-side:hom-kills-relator", retraction, expr_r,
-                  eval_word(retraction, expr_r)),
-        EvalTrace("closure-side:hom-value-of-a", retraction, expr_a, hom_value_a),
-        EvalTrace("ambient-side:a-dies", ambient_quotient, a,
-                  eval_word(ambient_quotient, a)),
-        EvalTrace("ambient-side:conjugate-dies", ambient_quotient, r,
-                  eval_word(ambient_quotient, r)),
+        EvalTrace("closure-side:hom-kills-relator", eval_word(retraction, expr_r),
+                  retraction, expr_r),
+        EvalTrace("closure-side:hom-value-of-a", hom_value_a, retraction, expr_a),
+        EvalTrace("ambient-side:a-dies", eval_word(ambient_quotient, a),
+                  ambient_quotient, a),
+        EvalTrace("ambient-side:conjugate-dies", eval_word(ambient_quotient, r),
+                  ambient_quotient, r),
     )
     word_facts = (
         SubstitutionFact("a-in-subgroup", base_words, expr_a, a),

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import ceplab, dag as dagmod
@@ -43,16 +42,6 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: Path | None = None
-    out: Path | None = None
-    bound: int = 5
-    emit_dot: bool = False
-    embedding: Path | None = None
-
-
 def _write_json(path: Path, data) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -67,29 +56,29 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_report(path: Path, report) -> None:
     # One line of sorted-key JSON: without indent, json.dumps runs CPython's
-    # C encoder; the report grows with the square of the DAG order.
+    # C encoder.
     text = json.dumps(report_to_json(report), sort_keys=True, separators=(",", ":"))
     _write_text(path, text + "\n")
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = cfg.out or Path(".")
+def _outdir(args) -> Path:
+    out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_realize(cfg: RunConfig) -> int:
+def cmd_realize(args) -> int:
     try:
-        d = dagmod.load(cfg.input)
+        d = dagmod.load(args.input)
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     r = realize(d)
-    report = verify_all(r, cfg.bound)
-    out = _outdir(cfg)
+    report = verify_all(r, args.bound)
+    out = _outdir(args)
     _write_json(out / "realization.json", realization_to_json(r))
     _write_report(out / "report.json", report)
     _write_text(out / "lattice.dot", lattice_to_dot(r))
-    if cfg.emit_dot:
+    if args.dot:
         _write_text(out / "dag.dot", dagmod.to_dot(d))
     print(
         f"realized {len(d.vertices)} vertices in ambient free rank "
@@ -98,32 +87,32 @@ def cmd_realize(cfg: RunConfig) -> int:
     return 0 if report.verdict else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     try:
-        with open(cfg.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             r = realization_from_json(json.load(fh))
     except INPUT_ERRORS as exc:
         return _input_error(exc)
-    report = verify_all(r, cfg.bound)
-    out = _outdir(cfg)
+    report = verify_all(r, args.bound)
+    out = _outdir(args)
     _write_report(out / "report.json", report)
-    if cfg.emit_dot:
+    if args.dot:
         _write_text(out / "lattice.dot", lattice_to_dot(r))
     print(f"verdict: {'pass' if report.verdict else 'FAIL'} "
           f"({report.inconclusive} inconclusive)")
     return 0 if report.verdict else 1
 
 
-def cmd_transfer(cfg: RunConfig) -> int:
+def cmd_transfer(args) -> int:
     try:
-        with open(cfg.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             r = realization_from_json(json.load(fh))
-        e = load_embedding(cfg.embedding)
+        e = load_embedding(args.embedding)
         presentations = cep_transfer(r, e)
     except INPUT_ERRORS as exc:
         # also covers RealizerError, rank mismatches and missing basis words
         return _input_error(exc)
-    out = _outdir(cfg)
+    out = _outdir(args)
     note = "valid conditional on CEP of the supplied basis"
     if e.note:
         note += f"; embedding provenance: {e.note}"
@@ -133,19 +122,22 @@ def cmd_transfer(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cep(cfg: RunConfig, group_name: str | None, subgroup_gens, scan: bool, max_s: int | None) -> int:
+def cmd_cep(args) -> int:
+    if not args.group and not args.input:
+        print("error: cep needs --group or --input", file=sys.stderr)
+        return 2
     try:
-        if group_name:
-            g = ceplab.builtin_group(group_name)
-            label = group_name
+        if args.group:
+            g = ceplab.builtin_group(args.group)
+            label = args.group
         else:
-            g = ceplab.load_group(cfg.input)
-            label = str(cfg.input)
+            g = ceplab.load_group(args.input)
+            label = str(args.input)
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     result: dict = {"group": label, "order": g.order}
     code = 0
-    if scan:
+    if args.scan:
         rep = ceplab.cep_transitivity_scan(g, label)
         result["transitivity_scan"] = {
             "chains_checked": rep.chains_checked,
@@ -156,9 +148,9 @@ def cmd_cep(cfg: RunConfig, group_name: str | None, subgroup_gens, scan: bool, m
         }
         if not rep.ok:
             code = 1
-    if subgroup_gens:
+    if args.subgroup:
         try:
-            h = ceplab.subgroup_from_generator_names(g, subgroup_gens)
+            h = ceplab.subgroup_from_generator_names(g, args.subgroup)
         except ceplab.GroupTableError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -170,22 +162,24 @@ def cmd_cep(cfg: RunConfig, group_name: str | None, subgroup_gens, scan: bool, m
                 "normal_subgroup": g.name_set(violation.seed_normal),
                 "intersection_with_ambient_closure": g.name_set(violation.intersection),
             }
-        if max_s is not None:
-            witness = ceplab.is_almost_cep_finite(g, h, max_s)
+        if args.max_s is not None:
+            witness = ceplab.is_almost_cep_finite(g, h, args.max_s)
             result["almost_cep_witness"] = (
                 None if witness is None else g.name_set(witness)
             )
     text = json.dumps(result, indent=2, sort_keys=True)
-    if cfg.out:
-        _write_json(_outdir(cfg) / "cep.json", result)
+    if args.out:
+        _write_json(_outdir(args) / "cep.json", result)
     print(text)
     return code
 
 
-def _demo_counterexample(cfg: RunConfig) -> int:
+def cmd_demo(args) -> int:
+    if args.name == "s4-d4-cep":
+        return _demo_s4_d4(args)
     cert = ceplab.free_counterexample_demo()
     ok, problems = check_certificate_detailed(None, cert)
-    out = _outdir(cfg)
+    out = _outdir(args)
     _write_json(out / "certificate.json", certificate_to_json(cert))
     lines = ["free-group congruence extension counterexample", ""]
     lines += [f"* {note}" for note in cert.notes]
@@ -202,7 +196,7 @@ def _demo_counterexample(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _demo_s4_d4(cfg: RunConfig) -> int:
+def _demo_s4_d4(args) -> int:
     g, h = ceplab.d4_in_s4()
     is_cep, violation = ceplab.is_cep_finite(g, h)
     verified = False
@@ -213,7 +207,7 @@ def _demo_s4_d4(cfg: RunConfig) -> int:
         verified = (closure & h.elements) == violation.intersection and (
             violation.intersection != violation.seed_normal
         )
-    out = _outdir(cfg)
+    out = _outdir(args)
     result = {
         "group": "s4",
         "subgroup": g.name_set(h.elements),
@@ -255,23 +249,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("realize", help="realize a colored DAG JSON file and verify")
+    p.set_defaults(run=cmd_realize)
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--dot", action="store_true", help="also emit the input DAG as DOT")
 
     p = sub.add_parser("verify", help="re-verify a stored realization")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("transfer", help="rewrite a realization along a CEP embedding")
+    p.set_defaults(run=cmd_transfer)
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--embedding", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
 
     p = sub.add_parser("cep", help="finite-group CEP checks")
+    p.set_defaults(run=cmd_cep)
     p.add_argument("--group", choices=ceplab.builtin_names())
     p.add_argument("--input", type=Path, help="group JSON (table or permutations)")
     p.add_argument("--subgroup", nargs="+", metavar="ELEM",
@@ -282,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("demo", help="reproduce a bundled worked example")
+    p.set_defaults(run=cmd_demo)
     p.add_argument("name", choices=["sec3-counterexample", "s4-d4-cep"])
     p.add_argument("--out", required=True, type=Path)
 
@@ -294,34 +293,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        out=getattr(args, "out", None),
-        bound=getattr(args, "bound", 5),
-        emit_dot=getattr(args, "dot", False),
-        embedding=getattr(args, "embedding", None),
-    )
-    if cfg.bound < 1:
+    if getattr(args, "bound", 1) < 1:
         print("error: --bound must be >= 1", file=sys.stderr)
         return 2
-    if cfg.command == "realize":
-        return cmd_realize(cfg)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    if cfg.command == "transfer":
-        return cmd_transfer(cfg)
-    if cfg.command == "cep":
-        if not args.group and not cfg.input:
-            print("error: cep needs --group or --input", file=sys.stderr)
-            return 2
-        return cmd_cep(cfg, args.group, args.subgroup, args.scan, args.max_s)
-    if cfg.command == "demo":
-        if args.name == "sec3-counterexample":
-            return _demo_counterexample(cfg)
-        return _demo_s4_d4(cfg)
-    print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-    return 2
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -184,11 +184,20 @@ class CommutatorScheme:
         return CommutatorScheme(self.a.promoted(rank), self.t.promoted(rank))
 
 
+# (label, word, is_relator): "finite[k]", "scheme[i].a", "scheme[i].t" or
+# "scheme[i].member[j]"; the scheme words a and t are not relators
+Labelled = tuple[str, Word, bool]
+
+
 @dataclass(frozen=True)
 class RelatorSet:
     rank: int
     finite_part: tuple[Word, ...]
     schemes: tuple[CommutatorScheme, ...] = ()
+    _labelled: dict[int, tuple[Labelled, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _by_length: dict[int, tuple[tuple[str, Word], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.finite_part:
@@ -210,23 +219,59 @@ class RelatorSet:
     def extended(self, extra) -> "RelatorSet":
         return RelatorSet(self.rank, self.finite_part + tuple(extra), self.schemes)
 
+    def labelled(self, bound: int) -> tuple[Labelled, ...]:
+        """Every finite relator, then per scheme its words a and t and its
+        members 1..bound; memoized per bound."""
+        out = self._labelled.get(bound)
+        if out is None:
+            items = [(f"finite[{k}]", w, True) for k, w in enumerate(self.finite_part)]
+            for si, s in enumerate(self.schemes):
+                items.append((f"scheme[{si}].a", s.a, False))
+                items.append((f"scheme[{si}].t", s.t, False))
+                items.extend((f"scheme[{si}].member[{i}]", s.member(i), True)
+                             for i in range(1, bound + 1))
+            out = self._labelled[bound] = tuple(items)
+        return out
+
+    def by_length(self, bound: int) -> tuple[tuple[str, Word], ...]:
+        """(label, word) of every relator of ``labelled(bound)``, shortest
+        first, then by letters, then in ``labelled`` order; memoized per bound."""
+        out = self._by_length.get(bound)
+        if out is None:
+            relators = [(label, w) for label, w, rel in self.labelled(bound) if rel]
+            relators.sort(key=lambda c: (len(c[1]), c[1].letters))
+            out = self._by_length[bound] = tuple(relators)
+        return out
+
 
 def relators_to_json(r: RelatorSet) -> dict:
     return {
         "rank": r.rank,
         "finite": [format_word(w) for w in r.finite_part],
-        "schemes": [{"a": format_word(s.a), "t": format_word(s.t)} for s in r.schemes],
+        "schemes": [scheme_to_json(s) for s in r.schemes],
     }
 
 
 def relators_from_json(data) -> RelatorSet:
-    rank = int(data["rank"])
-    finite = tuple(parse_word(text, rank) for text in data.get("finite", ()))
-    schemes = tuple(
-        CommutatorScheme(parse_word(s["a"], rank), parse_word(s["t"], rank))
-        for s in data.get("schemes", ())
+    rank = json_field(data, "rank", int, "relators")
+    finite = json_field(data, "finite", list, "relators", item=str, optional=True)
+    schemes = json_field(data, "schemes", list, "relators", item=dict, optional=True)
+    return RelatorSet(
+        rank,
+        tuple(parse_word(text, rank) for text in finite),
+        tuple(scheme_from_json(s, rank) for s in schemes),
     )
-    return RelatorSet(rank, finite, schemes)
+
+
+def scheme_to_json(s: CommutatorScheme) -> dict:
+    return {"a": format_word(s.a), "t": format_word(s.t)}
+
+
+def scheme_from_json(data, rank: int) -> CommutatorScheme:
+    return CommutatorScheme(
+        parse_word(json_field(data, "a", str, "scheme"), rank),
+        parse_word(json_field(data, "t", str, "scheme"), rank),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +531,9 @@ def marking_from_json(data) -> dict[int, MarkImage]:
         if val == "identity":
             out[int(key)] = IdentityImage()
         else:
-            value = val["value"]
-            out[int(key)] = LeafImage(int(val["leaf"]), value)
+            image = json_field(data, key, dict, "marking")
+            out[int(key)] = LeafImage(json_field(image, "leaf", int, "marking image"),
+                                      image["value"])
     return out
 
 
@@ -503,18 +549,41 @@ def quotient_to_json(q: MarkedQuotient) -> dict:
 _JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
-def json_field(data, key: str, kind: type, owner: str):
-    """``data[key]``, checked to be a JSON value of ``kind``; a wrong shape
-    raises a ValueError that names the field."""
+def _is_json(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_field(data, key: str, kind: type, owner: str, item: type | None = None,
+               optional: bool = False):
+    """``data[key]``, checked to be a JSON value of ``kind`` (an array of
+    ``item`` values, when given); a wrong shape raises a ValueError that
+    names the field. An ``optional`` field that is absent reads as ``kind()``."""
     if not isinstance(data, dict):
         raise ValueError(f"{owner} must be a JSON object, not {type(data).__name__}")
+    if optional and key not in data:
+        return kind()
     value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_json(value, kind):
         raise ValueError(
             f"{owner} field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
             f"not {type(value).__name__}"
         )
+    if item is not None:
+        for x in value:
+            if not _is_json(x, item):
+                raise ValueError(
+                    f"{owner} field {key!r} must hold JSON {_JSON_TYPE_NAMES[item]}s, "
+                    f"not {type(x).__name__}"
+                )
     return value
+
+
+def word_to_json(w: Word) -> dict:
+    return {"rank": w.rank, "word": format_word(w)}
+
+
+def word_from_json(data) -> Word:
+    return parse_word(json_field(data, "word", str, "word"), json_field(data, "rank", int, "word"))
 
 
 def quotient_from_json(data) -> MarkedQuotient:

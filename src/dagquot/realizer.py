@@ -40,6 +40,7 @@ from .quotients import (
     json_field,
     quotient_from_json,
     quotient_to_json,
+    scheme_to_json,
 )
 from .words import Word, RankMismatchError, Hom, apply_hom, format_word, generator, parse_word
 
@@ -283,12 +284,17 @@ def embedding_to_json(e: CepEmbedding) -> dict:
 
 
 def embedding_from_json(data) -> CepEmbedding:
-    rank = int(data["alphabet_rank"])
+    rank = json_field(data, "alphabet_rank", int, "embedding")
+
+    def words(key):
+        texts = json_field(data, key, list, "embedding", item=str, optional=True)
+        return tuple(parse_word(t, rank) for t in texts)
+
     return CepEmbedding(
         alphabet_rank=rank,
-        ambient_relators=tuple(parse_word(t, rank) for t in data.get("relators", ())),
-        basis_words=tuple(parse_word(t, rank) for t in data.get("basis", ())),
-        note=str(data.get("note", "")),
+        ambient_relators=words("relators"),
+        basis_words=words("basis"),
+        note=json_field(data, "note", str, "embedding", optional=True),
     )
 
 
@@ -305,9 +311,7 @@ def presentations_to_json(pres: dict[str, Presentation], note: str = "") -> dict
             v: {
                 "alphabet_rank": p.alphabet_rank,
                 "relators": [format_word(w) for w in p.relators],
-                "schemes": [
-                    {"a": format_word(s.a), "t": format_word(s.t)} for s in p.schemes
-                ],
+                "schemes": [scheme_to_json(s) for s in p.schemes],
                 "finitely_presented_claim": p.finitely_presented_claim,
                 "text": str(p),
             }

@@ -19,7 +19,10 @@ Three certificate kinds cover the realization conditions:
     product with a non-finitely-presented factor is not.)
 
 Certificates store enough evidence to be re-checked from scratch by
-evaluation alone; ``check_certificate`` shares no state with generation.
+evaluation alone; ``check_certificate`` shares no state with generation.  An
+inclusion certificate stores its evidence by reference: each trace holds a
+label and an expected normal form, and the checker re-derives the word from
+the relators of the source in the realization.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Union
 
 from .quotients import (
     Lamplighter,
@@ -41,9 +43,11 @@ from .quotients import (
     predicted_invariants,
     quotient_from_json,
     quotient_to_json,
+    word_from_json,
+    word_to_json,
 )
 from .realizer import Realization
-from .words import Word, Hom, apply_hom, format_word, parse_word
+from .words import Word, Hom, apply_hom, format_word
 from .dag import leq
 
 
@@ -70,15 +74,16 @@ class StructureMismatchError(VerifierError):
     pass
 
 
-QuotientRef = Union[str, MarkedQuotient]  # vertex id, or an inline quotient
-
-
 @dataclass(frozen=True)
 class EvalTrace:
+    """``expected`` is the normal form of ``word`` in ``quotient``.  A trace
+    of an inclusion certificate carries neither: its label names a relator
+    of the source, evaluated in the quotient of the target."""
+
     label: str
-    quotient: QuotientRef
-    word: Word
     expected: NormalForm
+    quotient: MarkedQuotient | None = None
+    word: Word | None = None
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,6 @@ class Certificate:
     notes: tuple[str, ...] = ()
 
 
-def _resolve(r: Realization | None, ref: QuotientRef) -> MarkedQuotient:
-    if isinstance(ref, MarkedQuotient):
-        return ref
-    if r is None:
-        raise VerifierError(f"certificate references vertex {ref!r} but no realization given")
-    if ref not in r.assignment:
-        raise VerifierError(f"unknown vertex {ref!r}")
-    return r.assignment[ref]
-
-
 # ---------------------------------------------------------------------------
 # certificate generation
 
@@ -173,50 +168,28 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
     qv = r.assignment[v]
     rel_u = r.assignment[u].relators
     traces: list[EvalTrace] = []
-    for k, w in enumerate(rel_u.finite_part):
+    for label, w, relator in rel_u.labelled(bound):
         nf = eval_word(qv, w)
-        if not nf.is_identity:
-            raise TraceFailedError(
-                f"relator finite[{k}] of {u} survives in quotient of {v}"
-            )
-        traces.append(EvalTrace(f"finite[{k}]", v, w, nf))
-    coverage: list[SchemeCoverage] = []
-    for si, s in enumerate(rel_u.schemes):
-        traces.append(EvalTrace(f"scheme[{si}].a", v, s.a, eval_word(qv, s.a)))
-        traces.append(EvalTrace(f"scheme[{si}].t", v, s.t, eval_word(qv, s.t)))
-        for i in range(1, bound + 1):
-            member = s.member(i)
-            nf = eval_word(qv, member)
-            if not nf.is_identity:
-                raise TraceFailedError(
-                    f"scheme[{si}] member i={i} of {u} survives in quotient of {v}"
-                )
-            traces.append(EvalTrace(f"scheme[{si}].member[{i}]", v, member, nf))
-        cov, reason = _scheme_exactness(qv, s)
-        coverage.append(SchemeCoverage(si, cov, reason))
+        if relator and not nf.is_identity:
+            raise TraceFailedError(f"relator {label} of {u} survives in quotient of {v}")
+        traces.append(EvalTrace(label, nf))
     return Certificate(
         kind="inclusion",
         subject=(u, v),
         bound=bound,
         traces=tuple(traces),
-        scheme_coverage=tuple(coverage),
+        scheme_coverage=tuple(
+            SchemeCoverage(si, *_scheme_exactness(qv, s))
+            for si, s in enumerate(rel_u.schemes)
+        ),
     )
-
-
-def _witness_candidates(rel, bound: int):
-    cands = [(w, f"finite[{k}]") for k, w in enumerate(rel.finite_part)]
-    for si, s in enumerate(rel.schemes):
-        cands.extend(
-            (s.member(i), f"scheme[{si}].member[{i}]") for i in range(1, bound + 1)
-        )
-    return sorted(cands, key=lambda c: (len(c[0]), c[0].letters))
 
 
 def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     if leq(r.dag, u, v):
         raise NotComparableError(f"path {u} -> {v} exists; nothing to separate")
     qv = r.assignment[v]
-    for w, provenance in _witness_candidates(r.assignment[u].relators, bound):
+    for provenance, w in r.assignment[u].relators.by_length(bound):
         nf = eval_word(qv, w)
         if not nf.is_identity:
             return Certificate(
@@ -311,24 +284,30 @@ def _witness_is_generator(r: Realization, source: str, w: WitnessEvidence) -> bo
     return False
 
 
+def _check_trace(t: EvalTrace, q: MarkedQuotient, w: Word, problems: list[str]) -> None:
+    try:
+        nf = eval_word(q, w)
+    except Exception as exc:  # malformed trace counts as a failure
+        problems.append(f"trace {t.label}: {exc}")
+        return
+    if nf != t.expected:
+        problems.append(
+            f"trace {t.label}: recomputed normal form differs for {format_word(w) or '1'}"
+        )
+
+
 def check_certificate_detailed(
     r: Realization | None, c: Certificate
 ) -> tuple[bool, list[str]]:
     """Re-run every piece of evidence from scratch; list all mismatches."""
     problems: list[str] = []
 
-    for t in c.traces:
-        try:
-            q = _resolve(r, t.quotient)
-            nf = eval_word(q, t.word)
-        except Exception as exc:  # malformed trace counts as a failure
-            problems.append(f"trace {t.label}: {exc}")
-            continue
-        if nf != t.expected:
-            problems.append(
-                f"trace {t.label}: recomputed normal form differs for "
-                f"{format_word(t.word) or '1'}"
-            )
+    if c.kind != "inclusion":  # inclusion traces are checked by reference below
+        for t in c.traces:
+            if t.word is None:
+                problems.append(f"trace {t.label}: carries no word, and only inclusion traces may")
+            else:
+                _check_trace(t, t.quotient, t.word, problems)
 
     try:
         _check_kind_specific(r, c, problems)
@@ -347,19 +326,27 @@ def check_certificate_detailed(
 
 
 def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str]) -> None:
-    if c.kind == "inclusion" and r is not None:
+    if c.kind == "inclusion":
+        if r is None:
+            problems.append("inclusion traces name relators of a realization, and none is given")
+            return
+        # the traces name, in order, every word certify_inclusion evaluates
         u, v = c.subject
         rel = r.assignment[u].relators
-        have = {t.label for t in c.traces}
-        need = {f"finite[{k}]" for k in range(len(rel.finite_part))}
-        for si in range(len(rel.schemes)):
-            need |= {f"scheme[{si}].member[{i}]" for i in range(1, c.bound + 1)}
-            need |= {f"scheme[{si}].a", f"scheme[{si}].t"}
-        if not need <= have:
-            problems.append(f"inclusion evidence is missing traces: {sorted(need - have)}")
-        for t in c.traces:
-            if (t.label.startswith("finite[") or ".member[" in t.label) and not t.expected.is_identity:
-                problems.append(f"trace {t.label}: expected form is not the identity")
+        labelled = rel.labelled(c.bound)
+        labels = [t.label for t in c.traces]
+        if labels != [label for label, _, _ in labelled]:
+            problems.append(
+                f"trace labels {labels} are not the relators of {u} up to bound {c.bound}"
+            )
+        else:
+            qv = r.assignment[v]
+            for t, (_, w, relator) in zip(c.traces, labelled):
+                if t.word is not None:
+                    problems.append(f"trace {t.label}: an inclusion trace must not carry a word")
+                _check_trace(t, qv, w, problems)
+                if relator and not t.expected.is_identity:
+                    problems.append(f"trace {t.label}: expected form is not the identity")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
         if covered != set(range(len(rel.schemes))):
             problems.append("scheme coverage tags do not match the scheme list")
@@ -509,44 +496,36 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
 # serialization
 
 
-def _ref_to_json(ref: QuotientRef):
-    if isinstance(ref, MarkedQuotient):
-        return {"inline": quotient_to_json(ref)}
-    return {"vertex": ref}
+def _trace_to_json(t: EvalTrace) -> dict:
+    out = {"label": t.label, "expected": nf_to_json(t.expected)}
+    if t.word is not None:  # otherwise the label implies the word
+        out["quotient"] = {"inline": quotient_to_json(t.quotient)}
+        out["word"] = word_to_json(t.word)
+    return out
 
 
-def _ref_from_json(data) -> QuotientRef:
-    if "inline" in data:
-        return quotient_from_json(data["inline"])
-    return data["vertex"]
-
-
-def _word_to_json(w: Word) -> dict:
-    return {"rank": w.rank, "word": format_word(w)}
-
-
-def _word_from_json(data) -> Word:
-    return parse_word(data["word"], int(data["rank"]))
+def _trace_from_json(data) -> EvalTrace:
+    expected = nf_from_json(data["expected"])
+    if "word" not in data:
+        return EvalTrace(data["label"], expected)
+    return EvalTrace(
+        data["label"],
+        expected,
+        quotient_from_json(data["quotient"]["inline"]),
+        word_from_json(data["word"]),
+    )
 
 
 def certificate_to_json(c: Certificate) -> dict:
     out: dict = {"kind": c.kind, "subject": list(c.subject), "bound": c.bound}
-    out["traces"] = [
-        {
-            "label": t.label,
-            "quotient": _ref_to_json(t.quotient),
-            "word": _word_to_json(t.word),
-            "expected": nf_to_json(t.expected),
-        }
-        for t in c.traces
-    ]
+    out["traces"] = [_trace_to_json(t) for t in c.traces]
     out["scheme_coverage"] = [
         {"scheme": sc.scheme_index, "coverage": sc.coverage, "reason": sc.reason}
         for sc in c.scheme_coverage
     ]
     if c.witness is not None:
         out["witness"] = {
-            "word": _word_to_json(c.witness.word),
+            "word": word_to_json(c.witness.word),
             "provenance": c.witness.provenance,
             "image": nf_to_json(c.witness.image),
         }
@@ -560,9 +539,9 @@ def certificate_to_json(c: Certificate) -> dict:
     out["word_facts"] = [
         {
             "label": f.label,
-            "basis": [_word_to_json(w) for w in f.basis],
-            "expression": _word_to_json(f.expression),
-            "target": _word_to_json(f.target),
+            "basis": [word_to_json(w) for w in f.basis],
+            "expression": word_to_json(f.expression),
+            "target": word_to_json(f.target),
         }
         for f in c.word_facts
     ]
@@ -574,7 +553,7 @@ def certificate_from_json(data) -> Certificate:
     witness = None
     if data.get("witness"):
         witness = WitnessEvidence(
-            _word_from_json(data["witness"]["word"]),
+            word_from_json(data["witness"]["word"]),
             data["witness"]["provenance"],
             nf_from_json(data["witness"]["image"]),
         )
@@ -589,15 +568,7 @@ def certificate_from_json(data) -> Certificate:
         kind=data["kind"],
         subject=tuple(data["subject"]),
         bound=int(data.get("bound", 0)),
-        traces=tuple(
-            EvalTrace(
-                t["label"],
-                _ref_from_json(t["quotient"]),
-                _word_from_json(t["word"]),
-                nf_from_json(t["expected"]),
-            )
-            for t in data.get("traces", ())
-        ),
+        traces=tuple(_trace_from_json(t) for t in data.get("traces", ())),
         scheme_coverage=tuple(
             SchemeCoverage(int(sc["scheme"]), sc["coverage"], sc["reason"])
             for sc in data.get("scheme_coverage", ())
@@ -607,9 +578,9 @@ def certificate_from_json(data) -> Certificate:
         word_facts=tuple(
             SubstitutionFact(
                 f["label"],
-                tuple(_word_from_json(w) for w in f["basis"]),
-                _word_from_json(f["expression"]),
-                _word_from_json(f["target"]),
+                tuple(word_from_json(w) for w in f["basis"]),
+                word_from_json(f["expression"]),
+                word_from_json(f["target"]),
             )
             for f in data.get("word_facts", ())
         ),

@@ -105,6 +105,27 @@ class TestRealizationBytes:
         data = (out / "realization.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # sha256 of report.json without elapsed_seconds, re-encoded as report.json
+    # is written, for the DAGs of PINS: the report format must not drift.
+    # Equal to the earlier format's content once the words and quotient
+    # references of the inclusion traces are dropped.
+    REPORT_PINS = [
+        (5, 1, 0.5, "04405b9347963447857cb870a244bfe882592350b573b961630e191a4c829e47"),
+        (11, 3, 0.2, "789c999623f244c59b99eb99ae188830edd068d53dbbbad1e17ec15b57680fb6"),
+        (14, 4, 0.5, "ee149df6b616ba95fbc816c582363d8834ef19db77549bc8b46b8d0718e99fb3"),
+    ]
+
+    @pytest.mark.parametrize("order,seed,edge_prob,digest", REPORT_PINS)
+    def test_report_content_pinned(self, tmp_path, order, seed, edge_prob, digest):
+        d = dagmod.random_colored_dag(order, random.Random(seed), edge_prob)
+        inp = tmp_path / "dag.json"
+        write_json(inp, dagmod.to_json(d))
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        content = report_content(json.loads((out / "report.json").read_text()))
+        text = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_round_trip_verdict(self, tmp_path):
@@ -247,6 +268,16 @@ def with_vertex_field(realization, vertex, key, value):
     return dict(realization, vertices=vertices)
 
 
+def with_relators_field(realization, vertex, key, value):
+    relators = dict(realization["vertices"][vertex]["relators"], **{key: value})
+    return with_vertex_field(realization, vertex, "relators", relators)
+
+
+def with_marking_image(realization, vertex, generator, value):
+    marking = dict(realization["vertices"][vertex]["marking"], **{generator: value})
+    return with_vertex_field(realization, vertex, "marking", marking)
+
+
 IDENTITY_EMBEDDING = {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", "x3", "x4"]}
 
 
@@ -282,8 +313,13 @@ class TestMalformedInput:
         (lambda r: dict(r, dag=dict(r["dag"], edges=[["u"]])), None),
         (lambda r: with_vertex_field(r, "u", "marking", []), "marking"),
         (lambda r: with_vertex_field(r, "u", "relators", "x1"), "relators"),
+        (lambda r: with_relators_field(r, "u", "finite", "x1"), "finite"),
+        (lambda r: with_relators_field(r, "w", "schemes", [5]), "schemes"),
+        (lambda r: with_relators_field(r, "u", "rank", "4"), "rank"),
+        (lambda r: with_marking_image(r, "u", "1", 5), "1"),
     ], ids=["list", "vertices-list", "step-index-list", "short-edge",
-            "marking-list", "relators-string"])
+            "marking-list", "relators-string", "finite-string", "scheme-int",
+            "relators-rank-string", "marking-image-int"])
     def test_verify(self, tmp_path, capsys, mutate, field):
         bad = tmp_path / "bad.json"
         write_json(bad, mutate(realized_chain(tmp_path)))
@@ -291,20 +327,23 @@ class TestMalformedInput:
         self.assert_input_error(
             ["verify", "--input", str(bad), "--out", str(tmp_path / "o")], capsys, field)
 
-    @pytest.mark.parametrize("mutate,embedding", [
-        (lambda r: [], IDENTITY_EMBEDDING),
-        (lambda r: dict(r, vertices=[]), IDENTITY_EMBEDDING),
-        (lambda r: r, []),
-        (lambda r: r, {"alphabet_rank": 4, "basis": [1, 2, 3, 4]}),
-    ], ids=["realization-list", "vertices-list", "embedding-list", "basis-ints"])
-    def test_transfer(self, tmp_path, capsys, mutate, embedding):
+    @pytest.mark.parametrize("mutate,embedding,field", [
+        (lambda r: [], IDENTITY_EMBEDDING, None),
+        (lambda r: dict(r, vertices=[]), IDENTITY_EMBEDDING, None),
+        (lambda r: r, [], None),
+        (lambda r: r, {"alphabet_rank": 4, "basis": [1, 2, 3, 4]}, None),
+        (lambda r: r, dict(IDENTITY_EMBEDDING, basis=["x1", "x2", 3, "x4"]), "basis"),
+        (lambda r: r, dict(IDENTITY_EMBEDDING, alphabet_rank=4.5), "alphabet_rank"),
+    ], ids=["realization-list", "vertices-list", "embedding-list", "basis-ints",
+            "basis-int-among-words", "alphabet-rank-float"])
+    def test_transfer(self, tmp_path, capsys, mutate, embedding, field):
         inp = tmp_path / "r.json"
         emb = tmp_path / "e.json"
         write_json(inp, mutate(realized_chain(tmp_path)))
         write_json(emb, embedding)
         capsys.readouterr()
         self.assert_input_error(["transfer", "--input", str(inp), "--embedding", str(emb),
-                                 "--out", str(tmp_path / "o")], capsys)
+                                 "--out", str(tmp_path / "o")], capsys, field)
 
     def test_cep_table_not_a_list(self, tmp_path, capsys):
         inp = tmp_path / "g.json"
@@ -394,6 +433,14 @@ class TestDemoCommand:
         assert cert["kind"] == "cep-counterexample"
         transcript = (tmp_path / "transcript.txt").read_text()
         assert "pass" in transcript
+
+    def test_counterexample_certificate_bytes_pinned(self, tmp_path):
+        # sha256 of certificate.json from the inline-trace encoder this
+        # package had before inclusion traces went by reference
+        assert main(["demo", "sec3-counterexample", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "certificate.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "0d2873e59b7683b03307ed2e8cd697d1d555ad7250b28eaa6671a568d3bf6024")
 
     def test_s4_d4_demo(self, tmp_path):
         code = main(["demo", "s4-d4-cep", "--out", str(tmp_path)])

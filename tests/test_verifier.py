@@ -14,14 +14,16 @@ from dagquot.dag import (
 from dagquot.quotients import (
     CommutatorScheme,
     IdentityImage,
+    eval_word,
     NormalForm,
     RelatorSet,
     abelianization,
     predicted_invariants,
 )
-from dagquot.realizer import Realization, realize
+from dagquot.realizer import Realization, realization_from_json, realization_to_json, realize
 from dagquot.verifier import (
     Certificate,
+    EvalTrace,
     NotComparableError,
     StructureMismatchError,
     TraceFailedError,
@@ -340,6 +342,129 @@ class TestCheckCertificate:
         data["subject"] = ["u", "ghost"]
         ok, problems = check_certificate_detailed(r, certificate_from_json(data))
         assert not ok and problems
+
+
+def scheme_below():
+    """u (color 1) below w, and z beside both: the relators of u are the
+    fresh pair of z and the scheme on its own pair."""
+    return realize(colored_dag(["u", "w", "z"], [("u", "w")], {"u": 1, "w": 0, "z": 0}))
+
+
+NONTRIVIAL = [{"leaf": 0, "z": 1}]
+
+
+def drop(traces, i):
+    del traces[i]
+
+
+def swap(traces, i, j):
+    traces[i], traces[j] = traces[j], traces[i]
+
+
+def relabel(traces, i, label):
+    traces[i]["label"] = label
+
+
+def set_expected(traces, i, nf):
+    traces[i]["expected"] = nf
+
+
+class TestInclusionByReference:
+    """An inclusion trace holds a label and an expected normal form; the
+    checker re-derives its word from the relators of the source."""
+
+    def test_traces_are_labels_and_forms(self):
+        r = scheme_below()
+        data = certificate_to_json(certify_inclusion(r, "u", "w"))
+        assert [t["label"] for t in data["traces"]] == [
+            "finite[0]", "finite[1]", "scheme[0].a", "scheme[0].t",
+            *(f"scheme[0].member[{i}]" for i in range(1, 6)),
+        ]
+        assert all(set(t) == {"label", "expected"} for t in data["traces"])
+        assert check_certificate(r, certificate_from_json(data))
+
+    # (source, target, tamper of the trace list)
+    @pytest.mark.parametrize("u,v,tamper", [
+        ("u", "w", lambda t: relabel(t, 0, "finite[99]")),
+        ("u", "w", lambda t: relabel(t, 2, "scheme[3].a")),
+        ("u", "w", lambda t: t.append({"label": "finite[99]", "expected": []})),
+        ("u", "w", lambda t: t.append({"label": "scheme[3].a", "expected": []})),
+        ("u", "w", lambda t: t.__setitem__(1, dict(t[0]))),
+        ("u", "w", lambda t: t.append(dict(t[-1]))),
+        ("u", "w", lambda t: swap(t, 0, 1)),
+        ("u", "w", lambda t: swap(t, 4, 5)),
+        ("u", "w", lambda t: drop(t, -1)),
+        ("u", "w", lambda t: set_expected(t, 0, NONTRIVIAL)),
+        ("u", "w", lambda t: set_expected(t, 8, NONTRIVIAL)),
+        ("u", "w", lambda t: set_expected(t, 2, NONTRIVIAL)),
+        ("u", "u", lambda t: set_expected(t, 2, [{"leaf": 0, "shift": 1, "lamps": []}])),
+        ("u", "u", lambda t: set_expected(t, 3, [])),
+    ], ids=["finite-99", "scheme-3-a", "extra-finite-99", "extra-scheme-3-a",
+            "duplicated", "duplicated-appended", "finite-out-of-order",
+            "members-out-of-order", "member-dropped", "finite-nonempty",
+            "member-nonempty", "scheme-a-changed", "scheme-a-changed-reflexive",
+            "scheme-t-emptied"])
+    def test_tampered_trace_rejected(self, u, v, tamper):
+        r = scheme_below()
+        data = json.loads(json.dumps(certificate_to_json(certify_inclusion(r, u, v))))
+        assert check_certificate(r, certificate_from_json(data))
+        tamper(data["traces"])
+        ok, problems = check_certificate_detailed(r, certificate_from_json(data))
+        assert not ok and problems
+
+    def test_word_carried_by_an_inclusion_trace_rejected(self):
+        r = scheme_below()
+        cert = certify_inclusion(r, "u", "w")
+        first = dataclasses.replace(
+            cert.traces[0], quotient=r.assignment["w"], word=w("x5", 6))
+        forged = dataclasses.replace(cert, traces=(first,) + cert.traces[1:])
+        assert not check_certificate(r, forged)
+
+    def test_surviving_relator_rejected(self):
+        # the forged traces hold the true forms of a relator that survives
+        r = chain()
+        broken = replace_quotient(
+            r, "u",
+            relators=r.assignment["u"].relators.extended([generator(4, 4)]),
+        )
+        qw = broken.assignment["w"]
+        forged = Certificate("inclusion", ("u", "w"), 5, tuple(
+            EvalTrace(label, eval_word(qw, word))
+            for label, word, _ in broken.assignment["u"].relators.labelled(5)
+        ))
+        ok, problems = check_certificate_detailed(broken, forged)
+        assert not ok
+        assert problems == ["trace finite[1]: expected form is not the identity"]
+
+    def test_needs_the_realization(self):
+        cert = certify_inclusion(chain(), "u", "w")
+        ok, problems = check_certificate_detailed(None, cert)
+        assert not ok and problems
+
+    def test_wordless_trace_outside_inclusion_rejected(self):
+        r = antichain()
+        cert = certify_separation(r, "u", "w")
+        forged = dataclasses.replace(
+            cert, traces=certify_inclusion(r, "u", "u").traces)
+        assert not check_certificate(r, forged)
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    def test_every_certificate_survives_json(self, edge_prob):
+        for order in (4, 7, 10, 13, 16):
+            for seed in range(3):
+                d = random_colored_dag(order, random.Random(1000 * order + seed), edge_prob)
+                r = realize(d)
+                stored = realization_from_json(json.loads(json.dumps(realization_to_json(r))))
+                report = verify_all(r, 3)
+                assert report.verdict
+                for e in report.entries:
+                    if e.certificate is None:
+                        continue
+                    data = json.loads(json.dumps(certificate_to_json(e.certificate)))
+                    cert = certificate_from_json(data)
+                    assert cert == e.certificate
+                    ok, problems = check_certificate_detailed(stored, cert)
+                    assert ok, (order, seed, e.check, e.subject, problems)
 
 
 class TestVerifyAll:
