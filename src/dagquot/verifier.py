@@ -19,10 +19,11 @@ Three certificate kinds cover the realization conditions:
     product with a non-finitely-presented factor is not.)
 
 Certificates store enough evidence to be re-checked from scratch by
-evaluation alone; ``check_certificate`` shares no state with generation.  An
-inclusion certificate stores its evidence by reference: each trace holds a
-label and an expected normal form, and the checker re-derives the word from
-the relators of the source in the realization.
+evaluation alone.  An inclusion certificate stores its evidence by reference:
+each trace holds a label and an expected normal form, and the checker
+re-derives the word from the relators of the source in the realization.
+``check_certificate`` shares no state with generation beyond the labelled
+relator lists that each ``RelatorSet`` memoizes.
 """
 
 from __future__ import annotations
