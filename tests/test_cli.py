@@ -317,9 +317,10 @@ class TestMalformedInput:
         (lambda r: with_relators_field(r, "w", "schemes", [5]), "schemes"),
         (lambda r: with_relators_field(r, "u", "rank", "4"), "rank"),
         (lambda r: with_marking_image(r, "u", "1", 5), "1"),
+        (lambda r: with_marking_image(r, "w", "3", {"leaf": "0", "value": "lamp"}), "leaf"),
     ], ids=["list", "vertices-list", "step-index-list", "short-edge",
             "marking-list", "relators-string", "finite-string", "scheme-int",
-            "relators-rank-string", "marking-image-int"])
+            "relators-rank-string", "marking-image-int", "marking-leaf-string"])
     def test_verify(self, tmp_path, capsys, mutate, field):
         bad = tmp_path / "bad.json"
         write_json(bad, mutate(realized_chain(tmp_path)))

@@ -126,6 +126,45 @@ class TestSchemeMember:
                 s.member(i)
 
 
+class TestLabelledRelators:
+    """RelatorSet.labelled and by_length: the lists inclusion and separation
+    certificates walk, memoized per bound."""
+
+    def relators(self):
+        schemes = (CommutatorScheme(w("x1"), w("x2")), CommutatorScheme(w("x3 x3"), w("x4")))
+        return RelatorSet(4, (w("x2 x3 x4"), w("x4"), w("x2"), w("x4")), schemes)
+
+    def test_labelled_order(self):
+        r = self.relators()
+        for bound in (2, 3, 2, 1):
+            want = [(f"finite[{k}]", x, True) for k, x in enumerate(r.finite_part)]
+            for si, s in enumerate(r.schemes):
+                want += [(f"scheme[{si}].a", s.a, False), (f"scheme[{si}].t", s.t, False)]
+                want += [(f"scheme[{si}].member[{i}]",
+                          commutator(s.a, conjugate(s.a, power(s.t, i))), True)
+                         for i in range(1, bound + 1)]
+            assert list(r.labelled(bound)) == want
+
+    def test_by_length_is_shortest_first(self):
+        r = self.relators()
+        for bound in (3, 1, 3):
+            cands = [(x, f"finite[{k}]") for k, x in enumerate(r.finite_part)]
+            for si, s in enumerate(r.schemes):
+                cands += [(s.member(i), f"scheme[{si}].member[{i}]") for i in range(1, bound + 1)]
+            cands.sort(key=lambda c: (len(c[0]), c[0].letters))
+            assert list(r.by_length(bound)) == [(label, x) for x, label in cands]
+        # ties: by letters, then in labelled order
+        assert [label for label, _ in r.by_length(1)[:3]] == ["finite[2]", "finite[1]", "finite[3]"]
+
+    def test_memo_is_invisible(self):
+        r = self.relators()
+        r.labelled(2)
+        r.by_length(2)
+        fresh = self.relators()
+        assert r == fresh and hash(r) == hash(fresh)
+        assert repr(r) == repr(fresh)
+
+
 class TestLamplighter:
     def test_generator_image(self):
         assert lamplighter_eval(w("x1", 2)) == (0, {0: 1})
