@@ -333,7 +333,7 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             return
         # the traces name, in order, every word certify_inclusion evaluates
         u, v = c.subject
-        rel = r.assignment[u].relators
+        rel, qv = r.assignment[u].relators, r.assignment[v]
         labelled = rel.labelled(c.bound)
         labels = [t.label for t in c.traces]
         if labels != [label for label, _, _ in labelled]:
@@ -341,7 +341,6 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
                 f"trace labels {labels} are not the relators of {u} up to bound {c.bound}"
             )
         else:
-            qv = r.assignment[v]
             for t, (_, w, relator) in zip(c.traces, labelled):
                 if t.word is not None:
                     problems.append(f"trace {t.label}: an inclusion trace must not carry a word")
@@ -353,7 +352,6 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("scheme coverage tags do not match the scheme list")
         for sc in c.scheme_coverage:
             if sc.coverage == "exact":
-                qv = r.assignment[v]
                 cov, reason = _scheme_exactness(qv, rel.schemes[sc.scheme_index])
                 if cov != "exact" or reason != sc.reason:
                     problems.append(
