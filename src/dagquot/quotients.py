@@ -136,17 +136,18 @@ def expr_to_json(expr: GroupExpr):
 
 
 def expr_from_json(data) -> GroupExpr:
-    kind = data["kind"]
+    kind = json_field(data, "kind", str, "expr")
     if kind == "trivial":
         return TrivialGroup()
     if kind == "z":
         return InfiniteCyclic()
     if kind == "free":
-        return FreeOfRank(int(data["rank"]))
+        return FreeOfRank(json_field(data, "rank", int, "expr"))
     if kind == "lamplighter":
         return Lamplighter()
     if kind == "product":
-        return FreeProduct(tuple(expr_from_json(p) for p in data["parts"]))
+        parts = json_field(data, "parts", list, "expr")
+        return FreeProduct(tuple(expr_from_json(p) for p in parts))
     raise QuotientModelError(f"unknown group expression kind {kind!r}")
 
 
@@ -180,9 +181,6 @@ class CommutatorScheme:
             w = self._members[i] = commutator(self.a, conjugate(self.a, power(self.t, i)))
         return w
 
-    def promoted(self, rank: int) -> "CommutatorScheme":
-        return CommutatorScheme(self.a.promoted(rank), self.t.promoted(rank))
-
 
 # (label, word, is_relator): "finite[k]", "scheme[i].a", "scheme[i].t" or
 # "scheme[i].member[j]"; the scheme words a and t are not relators
@@ -208,16 +206,6 @@ class RelatorSet:
         for s in self.schemes:
             if s.rank != self.rank:
                 raise RankMismatchError(f"scheme rank {s.rank} != {self.rank}")
-
-    def promoted(self, rank: int) -> "RelatorSet":
-        return RelatorSet(
-            rank,
-            tuple(w.promoted(rank) for w in self.finite_part),
-            tuple(s.promoted(rank) for s in self.schemes),
-        )
-
-    def extended(self, extra) -> "RelatorSet":
-        return RelatorSet(self.rank, self.finite_part + tuple(extra), self.schemes)
 
     def labelled(self, bound: int) -> tuple[Labelled, ...]:
         """Every finite relator, then per scheme its words a and t and its
@@ -493,12 +481,19 @@ def _payload_to_json(payload):
     return {"letters": [[i, s] for i, s in payload]}
 
 
+def _int_pairs(data, key: str) -> tuple[tuple[int, int], ...]:
+    pairs = json_field(data, key, list, "syllable", item=list)
+    if not all(len(p) == 2 and _is_json(p[0], int) and _is_json(p[1], int) for p in pairs):
+        raise ValueError(f"syllable field {key!r} must hold pairs of JSON integers")
+    return tuple((p[0], p[1]) for p in pairs)
+
+
 def _payload_from_json(data):
     if "z" in data:
-        return int(data["z"])
+        return json_field(data, "z", int, "syllable")
     if "shift" in data:
-        return (int(data["shift"]), tuple((int(p), int(v)) for p, v in data["lamps"]))
-    return tuple((int(i), int(s)) for i, s in data["letters"])
+        return (json_field(data, "shift", int, "syllable"), _int_pairs(data, "lamps"))
+    return _int_pairs(data, "letters")
 
 
 def nf_to_json(nf: NormalForm) -> list:
@@ -509,9 +504,12 @@ def nf_to_json(nf: NormalForm) -> list:
 
 
 def nf_from_json(data) -> NormalForm:
-    return NormalForm(
-        tuple((int(entry["leaf"]), _payload_from_json(entry)) for entry in data)
-    )
+    if not isinstance(data, list):
+        raise ValueError(f"normal form must be a JSON array, not {type(data).__name__}")
+    return NormalForm(tuple(
+        (json_field(entry, "leaf", int, "syllable"), _payload_from_json(entry))
+        for entry in data
+    ))
 
 
 def marking_to_json(marking) -> dict:
@@ -528,6 +526,8 @@ def marking_to_json(marking) -> dict:
 def marking_from_json(data) -> dict[int, MarkImage]:
     out: dict[int, MarkImage] = {}
     for key, val in data.items():
+        if not (key.isdecimal() and key == str(int(key))):
+            raise ValueError(f"marking field {key!r} must be a generator index")
         if val == "identity":
             out[int(key)] = IdentityImage()
         else:

@@ -15,7 +15,10 @@ normal subgroup built so far:
     commutator scheme whose normal closure is the kernel onto the
     lamplighter group Z wr Z (color 1: quotient not finitely presented).
 
-The final ambient rank is exactly twice the number of vertices.
+The final ambient rank is exactly twice the number of vertices.  The
+induction defines the quotients; ``realize`` does not replay it, but writes
+each vertex's final quotient directly from the build order and the closed
+DAG.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .quotients import (
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
+    MarkImage,
     MarkedQuotient,
     RelatorSet,
     check_soundness,
@@ -100,63 +104,50 @@ def removal_order(d: ColoredDag) -> list[str]:
 
 
 def realize(d: ColoredDag) -> Realization:
+    """The vertex of step j kills x1..x_{2j-2}, then carries x_{2j-1} (color 0)
+    or the scheme on (x_{2j-1}, x_{2j}) (color 1).  The pair of each later
+    step is a new F2 leaf when that step's vertex lies above it, and two more
+    relators otherwise."""
     dagmod.validate(d)
     closed = dagmod.transitive_closure(d)
     build = list(reversed(removal_order(closed)))
-    step = {w: j for j, w in enumerate(build, start=1)}
+    rank = 2 * len(build)
+    gens = [generator(rank, i) for i in range(1, rank + 1)]  # x_i is gens[i - 1]
+    dead = IdentityImage()
 
     quotients: dict[str, MarkedQuotient] = {}
-    for j, w in enumerate(build, start=1):
-        rank = 2 * j
-        lo, hi = 2 * j - 1, 2 * j
-        for u in build[: j - 1]:
-            old = quotients[u]
-            marking = {
-                idx: img for idx, img in old.marking.items()
-            }
-            if closed.has_edge(u, w):
-                # u below the new vertex: relators survive, quotient gains F2
-                expr = free_product([old.expr, FreeOfRank(2)])
-                new_leaf = len(old.leaf_list)
-                marking[lo] = LeafImage(new_leaf, 1)
-                marking[hi] = LeafImage(new_leaf, 2)
-                quotients[u] = MarkedQuotient(
-                    rank, old.relators.promoted(rank), expr, marking
-                )
-            else:
-                marking[lo] = IdentityImage()
-                marking[hi] = IdentityImage()
-                quotients[u] = MarkedQuotient(
-                    rank,
-                    old.relators.promoted(rank).extended(
-                        [generator(rank, lo), generator(rank, hi)]
-                    ),
-                    old.expr,
-                    marking,
-                )
-        kill = [generator(rank, i) for i in range(1, rank - 1)]
-        marking = {i: IdentityImage() for i in range(1, rank - 1)}
+    for j, w in enumerate(build):
+        lo, hi = 2 * j + 1, 2 * j + 2  # the pair of step j + 1
+        finite = gens[: lo - 1]
+        marking: dict[int, MarkImage] = dict.fromkeys(range(1, lo), dead)
         if closed.color[w] == 0:
-            relators = RelatorSet(rank, tuple(kill) + (generator(rank, lo),))
-            expr: GroupExpr = InfiniteCyclic()
-            marking[lo] = IdentityImage()
-            marking[hi] = LeafImage(0, 1)
+            finite.append(gens[lo - 1])
+            schemes: tuple[CommutatorScheme, ...] = ()
+            parts: list[GroupExpr] = [InfiniteCyclic()]
+            marking[lo], marking[hi] = dead, LeafImage(0, 1)
         else:
-            scheme = CommutatorScheme(generator(rank, lo), generator(rank, hi))
-            relators = RelatorSet(rank, tuple(kill), (scheme,))
-            expr = Lamplighter()
-            marking[lo] = LeafImage(0, "lamp")
-            marking[hi] = LeafImage(0, "shift")
-        quotients[w] = MarkedQuotient(rank, relators, expr, marking)
-
-    for q in quotients.values():
+            schemes = (CommutatorScheme(gens[lo - 1], gens[hi - 1]),)
+            parts = [Lamplighter()]
+            marking[lo], marking[hi] = LeafImage(0, "lamp"), LeafImage(0, "shift")
+        for k in range(j + 1, len(build)):
+            if closed.has_edge(w, build[k]):
+                leaf = len(parts)
+                parts.append(FreeOfRank(2))
+                marking[2 * k + 1], marking[2 * k + 2] = LeafImage(leaf, 1), LeafImage(leaf, 2)
+            else:
+                finite += gens[2 * k : 2 * k + 2]
+                marking[2 * k + 1] = marking[2 * k + 2] = dead
+        q = MarkedQuotient(
+            rank, RelatorSet(rank, tuple(finite), schemes), free_product(parts), marking
+        )
         check_soundness(q, probe_bound=3)
+        quotients[w] = q
 
     return Realization(
         dag=closed,
-        ambient_rank=2 * len(build),
+        ambient_rank=rank,
         assignment={v: quotients[v] for v in sorted(quotients)},
-        step_index=dict(sorted(step.items())),
+        step_index=dict(sorted((w, j) for j, w in enumerate(build, start=1))),
     )
 
 

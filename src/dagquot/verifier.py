@@ -28,7 +28,6 @@ relator lists that each ``RelatorSet`` memoizes.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 
@@ -268,23 +267,6 @@ def certify_color(r: Realization, v: str) -> Certificate:
 # independent re-checking
 
 
-_PROV_FINITE = re.compile(r"^finite\[(\d+)\]$")
-_PROV_SCHEME = re.compile(r"^scheme\[(\d+)\]\.member\[(\d+)\]$")
-
-
-def _witness_is_generator(r: Realization, source: str, w: WitnessEvidence) -> bool:
-    rel = r.assignment[source].relators
-    m = _PROV_FINITE.match(w.provenance)
-    if m:
-        k = int(m.group(1))
-        return k < len(rel.finite_part) and rel.finite_part[k] == w.word
-    m = _PROV_SCHEME.match(w.provenance)
-    if m:
-        si, i = int(m.group(1)), int(m.group(2))
-        return si < len(rel.schemes) and rel.schemes[si].member(i) == w.word
-    return False
-
-
 def _check_trace(t: EvalTrace, q: MarkedQuotient, w: Word, problems: list[str]) -> None:
     try:
         nf = eval_word(q, w)
@@ -364,7 +346,9 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("separation certificate carries no witness")
         elif r is not None:
             u, v = c.subject
-            if not _witness_is_generator(r, u, c.witness):
+            # the witness must be a candidate certify_separation draws from
+            candidates = r.assignment[u].relators.by_length(c.bound)
+            if (c.witness.provenance, c.witness.word) not in candidates:
                 problems.append(
                     f"witness provenance {c.witness.provenance!r} does not "
                     f"match the relators of {u}"

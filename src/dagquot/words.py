@@ -4,8 +4,8 @@ Generators are 1-indexed integers; a word is a reduced sequence of signed
 letters carrying the rank of its ambient free group.  Text syntax is
 whitespace-separated atoms, ``x1 x3^-1`` (the empty string is the identity).
 
-Ranks are explicit everywhere: moving a word into a larger ambient group is
-an explicit promotion, never an implicit coercion.
+Ranks are explicit everywhere: operands of different rank are an error,
+never an implicit coercion.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return invert(self)
-
-    def promoted(self, rank: int) -> "Word":
-        """The same letters inside a free group of larger rank."""
-        if rank < self.rank:
-            raise RankMismatchError(
-                f"cannot demote word of rank {self.rank} to rank {rank}"
-            )
-        return Word(rank, self.letters)
 
 
 def identity(rank: int) -> Word:

@@ -105,6 +105,38 @@ class TestRealizationBytes:
         data = (out / "realization.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # sha256 of realization.json for the edge cases of the closed-form
+    # construction and seeded random DAGs from empty to complete, taken from
+    # the step-by-step construction it replaced
+    SHAPE_PINS = [
+        ({"vertices": [], "edges": []},
+         "05b99680599f55eb28bf4c5e70a13a5da72c646414f744424bdf1988dd1bc844"),
+        ({"vertices": [{"id": "v", "color": 1}], "edges": []},
+         "8161622111ed08455eb8afcceb359cad21fdb665874f37aa3b769b5114f4f5e7"),
+        ({"vertices": [{"id": v, "color": c} for v, c in zip("abcde", (0, 1, 1, 0, 1))],
+          "edges": []},
+         "13284206e90682ef56457e93128c1134def34d04772489d73db9fcb432c2f15f"),
+        (dagmod.to_json(dagmod.random_colored_dag(8, random.Random(5), 0.0)),
+         "787348b09820e4ef94ed13995ec1a5b5f80431b95b9f45c4b41a7ced5da1fbd7"),
+        (dagmod.to_json(dagmod.random_colored_dag(8, random.Random(6), 1.0)),
+         "1ecb7380c93fd1aa87bbd903686b848a7c873019c1870c95ee347f262cb47872"),
+        (dagmod.to_json(dagmod.random_colored_dag(12, random.Random(7), 0.3)),
+         "2fd35ecf81113c824fda679965c0a061546a109d48e5f71174faf19c33b996c2"),
+        (dagmod.to_json(dagmod.random_colored_dag(20, random.Random(8), 0.5)),
+         "4a8a4787ec585d5cbf29d49eea3a7da5af949ab0f796731584c1684a9a6a83f0"),
+    ]
+
+    @pytest.mark.parametrize("dag,digest", SHAPE_PINS, ids=[
+        "empty", "single-color-1", "antichain-5", "random-8-p0", "random-8-p1",
+        "random-12-p03", "random-20-p05"])
+    def test_shape_sha256_pinned(self, tmp_path, dag, digest):
+        inp = tmp_path / "dag.json"
+        write_json(inp, dag)
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        data = (out / "realization.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     # sha256 of report.json without elapsed_seconds, re-encoded as report.json
     # is written, for the DAGs of PINS: the report format must not drift.
     # Equal to the earlier format's content once the words and quotient
@@ -278,6 +310,19 @@ def with_marking_image(realization, vertex, generator, value):
     return with_vertex_field(realization, vertex, "marking", marking)
 
 
+def with_marking_key(realization, vertex, old, new):
+    marking = {new if k == old else k: img
+               for k, img in realization["vertices"][vertex]["marking"].items()}
+    return with_vertex_field(realization, vertex, "marking", marking)
+
+
+def with_free_leaf_rank(realization, vertex, value):
+    # the free leaf is the last part of the vertex's free product
+    expr = realization["vertices"][vertex]["expr"]
+    parts = expr["parts"][:-1] + [dict(expr["parts"][-1], rank=value)]
+    return with_vertex_field(realization, vertex, "expr", dict(expr, parts=parts))
+
+
 IDENTITY_EMBEDDING = {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", "x3", "x4"]}
 
 
@@ -318,9 +363,13 @@ class TestMalformedInput:
         (lambda r: with_relators_field(r, "u", "rank", "4"), "rank"),
         (lambda r: with_marking_image(r, "u", "1", 5), "1"),
         (lambda r: with_marking_image(r, "w", "3", {"leaf": "0", "value": "lamp"}), "leaf"),
+        (lambda r: with_free_leaf_rank(r, "u", "2"), "rank"),
+        (lambda r: with_free_leaf_rank(r, "u", 2.5), "rank"),
+        (lambda r: with_marking_key(r, "u", "1", "01"), "01"),
     ], ids=["list", "vertices-list", "step-index-list", "short-edge",
             "marking-list", "relators-string", "finite-string", "scheme-int",
-            "relators-rank-string", "marking-image-int", "marking-leaf-string"])
+            "relators-rank-string", "marking-image-int", "marking-leaf-string",
+            "free-rank-string", "free-rank-float", "marking-key-leading-zero"])
     def test_verify(self, tmp_path, capsys, mutate, field):
         bad = tmp_path / "bad.json"
         write_json(bad, mutate(realized_chain(tmp_path)))

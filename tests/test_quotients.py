@@ -116,7 +116,6 @@ class TestSchemeMember:
         assert repr(s) == repr(fresh)
         other = CommutatorScheme(w("x4"), w("x3"))
         assert other.member(2) != s.member(2)
-        assert s.promoted(5).member(2) == s.member(2).promoted(5)
 
     def test_member_zero_still_raises_after_use(self):
         s = CommutatorScheme(w("x3"), w("x4"))
@@ -355,6 +354,19 @@ class TestSerialization:
             nf = eval_word(q, random_word(rng, 4, 10))
             data = json.loads(json.dumps(nf_to_json(nf)))
             assert nf_from_json(data) == nf
+
+    @pytest.mark.parametrize("data", [
+        {"leaf": 0, "z": 1},
+        [{"leaf": "0", "z": 1}],
+        [{"leaf": 0, "z": 1.0}],
+        [{"leaf": 0, "shift": "1", "lamps": []}],
+        [{"leaf": 0, "shift": 1, "lamps": [[0]]}],
+        [{"leaf": 0, "letters": [[1, "1"]]}],
+        [{"leaf": 0, "letters": [1, 1]}],
+    ])
+    def test_nf_from_json_does_not_coerce(self, data):
+        with pytest.raises(ValueError):
+            nf_from_json(data)
 
     def test_nontrivial_relator_enforced(self):
         with pytest.raises(QuotientModelError):

@@ -12,6 +12,7 @@ from dagquot.quotients import (
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
+    MarkedQuotient,
     RelatorSet,
     check_soundness,
 )
@@ -196,6 +197,20 @@ class TestStructuralInvariants:
         blob1 = json.dumps(realization_to_json(realize(d)), sort_keys=True)
         blob2 = json.dumps(realization_to_json(realize(d)), sort_keys=True)
         assert blob1 == blob2
+
+    @pytest.mark.parametrize("order,seed,edge_prob", [(6, 2, 0.0), (12, 7, 0.3), (16, 3, 1.0)])
+    def test_one_quotient_per_vertex(self, monkeypatch, order, seed, edge_prob):
+        built = []
+        post_init = MarkedQuotient.__post_init__
+
+        def counting(q):
+            built.append(q)
+            post_init(q)
+
+        monkeypatch.setattr(MarkedQuotient, "__post_init__", counting)
+        r = realize(random_colored_dag(order, random.Random(seed), edge_prob))
+        assert len(built) == order
+        assert sorted(map(id, built)) == sorted(map(id, r.assignment.values()))
 
     def test_all_quotients_sound(self):
         d = colored_dag(

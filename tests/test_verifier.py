@@ -109,9 +109,10 @@ class TestInclusion:
     def test_trace_failure_surfaces(self):
         r = chain()
         # inject a relator that genuinely survives in the target quotient
+        rel = r.assignment["u"].relators
         broken = replace_quotient(
             r, "u",
-            relators=r.assignment["u"].relators.extended([generator(4, 4)]),
+            relators=RelatorSet(4, rel.finite_part + (generator(4, 4),), rel.schemes),
         )
         with pytest.raises(TraceFailedError):
             certify_inclusion(broken, "u", "w")
@@ -335,6 +336,30 @@ class TestCheckCertificate:
         )
         assert not check_certificate(r, forged)
 
+    def test_non_canonical_provenance_rejected(self):
+        # u (color 1) beside w (color 0): x1, the relator finite[0] of w, is the lamp of u
+        r = realize(colored_dag(["u", "w"], [], {"u": 1, "w": 0}))
+        cert = certify_separation(r, "w", "u")
+        assert cert.witness.provenance == "finite[0]"
+        forged = dataclasses.replace(
+            cert, witness=dataclasses.replace(cert.witness, provenance="finite[00]"))
+        ok, problems = check_certificate_detailed(r, forged)
+        assert problems == ["witness provenance 'finite[00]' does not match the relators of w"]
+
+    def test_scheme_member_above_bound_rejected(self):
+        r = scheme_below()
+        member = r.assignment["u"].relators.schemes[0].member(4)
+        forged = Certificate(
+            kind="separation",
+            subject=("u", "z"),
+            bound=3,
+            witness=WitnessEvidence(member, "scheme[0].member[4]",
+                                    eval_word(r.assignment["z"], member)),
+        )
+        ok, problems = check_certificate_detailed(r, forged)
+        assert ("witness provenance 'scheme[0].member[4]' does not match the relators of u"
+                in problems)
+
     def test_unknown_vertex_is_false_not_crash(self):
         r = antichain()
         cert = certify_separation(r, "u", "w")
@@ -423,9 +448,10 @@ class TestInclusionByReference:
     def test_surviving_relator_rejected(self):
         # the forged traces hold the true forms of a relator that survives
         r = chain()
+        rel = r.assignment["u"].relators
         broken = replace_quotient(
             r, "u",
-            relators=r.assignment["u"].relators.extended([generator(4, 4)]),
+            relators=RelatorSet(4, rel.finite_part + (generator(4, 4),), rel.schemes),
         )
         qw = broken.assignment["w"]
         forged = Certificate("inclusion", ("u", "w"), 5, tuple(

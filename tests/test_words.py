@@ -197,13 +197,6 @@ class TestHelpers:
     def test_exponent_vector(self):
         assert exponent_vector(w("x1 x2^-1 x1 x3", 4)) == [2, -1, 1, 0]
 
-    def test_promotion_is_explicit(self):
-        a = w("x1 x2", 2)
-        up = a.promoted(4)
-        assert up.rank == 4 and up.letters == a.letters
-        with pytest.raises(RankMismatchError):
-            up.promoted(2)
-
     def test_generator(self):
         assert generator(3, 2) == w("x2", 3)
         assert generator(3, 2, -1) == w("x2^-1", 3)
