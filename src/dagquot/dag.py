@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .quotients import json_field
+
 
 class DagError(ValueError):
     pass
@@ -200,14 +202,14 @@ def to_json(d: ColoredDag) -> dict:
 
 
 def from_json(data) -> ColoredDag:
-    try:
-        vertices = [str(entry["id"]) for entry in data["vertices"]]
-        color = {str(entry["id"]): entry["color"] for entry in data["vertices"]}
-        raw_edges = [tuple(str(x) for x in e) for e in data["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise DagError(f"malformed DAG JSON: {exc}") from exc
+    entries = json_field(data, "vertices", list, "DAG", item=dict)
+    vertices = [json_field(entry, "id", str, "vertex") for entry in entries]
+    color = {v: json_field(entry, "color", int, "vertex") for v, entry in zip(vertices, entries)}
+    raw_edges = [tuple(e) for e in json_field(data, "edges", list, "DAG", item=list)]
     if any(len(e) != 2 for e in raw_edges):
         raise DagError("malformed DAG JSON: every edge needs exactly two endpoints")
+    if not all(isinstance(x, str) for e in raw_edges for x in e):
+        raise DagError("DAG field 'edges' must hold pairs of JSON strings")
     if len(set(raw_edges)) != len(raw_edges):
         seen = set()
         for e in raw_edges:

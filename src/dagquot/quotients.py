@@ -182,9 +182,8 @@ class CommutatorScheme:
         return w
 
 
-# (label, word, is_relator): "finite[k]", "scheme[i].a", "scheme[i].t" or
-# "scheme[i].member[j]"; the scheme words a and t are not relators
-Labelled = tuple[str, Word, bool]
+# (label, word): "finite[k]" or "scheme[i].member[j]"
+Labelled = tuple[str, Word]
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ class RelatorSet:
     schemes: tuple[CommutatorScheme, ...] = ()
     _labelled: dict[int, tuple[Labelled, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _by_length: dict[int, tuple[tuple[str, Word], ...]] = field(
+    _by_length: dict[int, tuple[Labelled, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -208,27 +207,24 @@ class RelatorSet:
                 raise RankMismatchError(f"scheme rank {s.rank} != {self.rank}")
 
     def labelled(self, bound: int) -> tuple[Labelled, ...]:
-        """Every finite relator, then per scheme its words a and t and its
-        members 1..bound; memoized per bound."""
+        """Every finite relator, then per scheme its members 1..bound;
+        memoized per bound."""
         out = self._labelled.get(bound)
         if out is None:
-            items = [(f"finite[{k}]", w, True) for k, w in enumerate(self.finite_part)]
+            items = [(f"finite[{k}]", w) for k, w in enumerate(self.finite_part)]
             for si, s in enumerate(self.schemes):
-                items.append((f"scheme[{si}].a", s.a, False))
-                items.append((f"scheme[{si}].t", s.t, False))
-                items.extend((f"scheme[{si}].member[{i}]", s.member(i), True)
+                items.extend((f"scheme[{si}].member[{i}]", s.member(i))
                              for i in range(1, bound + 1))
             out = self._labelled[bound] = tuple(items)
         return out
 
-    def by_length(self, bound: int) -> tuple[tuple[str, Word], ...]:
-        """(label, word) of every relator of ``labelled(bound)``, shortest
-        first, then by letters, then in ``labelled`` order; memoized per bound."""
+    def by_length(self, bound: int) -> tuple[Labelled, ...]:
+        """``labelled(bound)`` shortest first, then by letters, then in
+        ``labelled`` order; memoized per bound."""
         out = self._by_length.get(bound)
         if out is None:
-            relators = [(label, w) for label, w, rel in self.labelled(bound) if rel]
-            relators.sort(key=lambda c: (len(c[1]), c[1].letters))
-            out = self._by_length[bound] = tuple(relators)
+            out = self._by_length[bound] = tuple(
+                sorted(self.labelled(bound), key=lambda c: (len(c[1]), c[1].letters)))
         return out
 
 
@@ -546,11 +542,13 @@ def quotient_to_json(q: MarkedQuotient) -> dict:
     }
 
 
-_JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
+_JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string",
+                    bool: "boolean"}
 
 
 def _is_json(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    # a JSON boolean is a Python bool, which is also an int
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 def json_field(data, key: str, kind: type, owner: str, item: type | None = None,

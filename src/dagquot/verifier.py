@@ -19,11 +19,16 @@ Three certificate kinds cover the realization conditions:
     product with a non-finitely-presented factor is not.)
 
 Certificates store enough evidence to be re-checked from scratch by
-evaluation alone.  An inclusion certificate stores its evidence by reference:
-each trace holds a label and an expected normal form, and the checker
-re-derives the word from the relators of the source in the realization.
-``check_certificate`` shares no state with generation beyond the labelled
-relator lists that each ``RelatorSet`` memoizes.
+evaluation alone.  An inclusion certificate stores no evaluations: the checker
+rebuilds the relators of the source up to the certificate's bound from the
+realization and evaluates each in the target quotient.  A trace, where a
+certificate carries one, is a word, the quotient it is evaluated in and the
+expected normal form.  ``check_certificate`` shares no state with generation
+beyond the labelled relator lists that each ``RelatorSet`` memoizes.
+
+``verify_all`` also rebuilds the realization of the stored DAG with
+``realize`` and fails every vertex whose stored quotient or step differs
+from it, since every certificate evaluates words in the stored markings.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .quotients import (
     abelianization,
     eval_word,
     has_lamplighter,
+    json_field,
     nf_from_json,
     nf_to_json,
     predicted_invariants,
@@ -46,7 +52,7 @@ from .quotients import (
     word_from_json,
     word_to_json,
 )
-from .realizer import Realization
+from .realizer import Realization, realize
 from .words import Word, Hom, apply_hom, format_word
 from .dag import leq
 
@@ -76,14 +82,12 @@ class StructureMismatchError(VerifierError):
 
 @dataclass(frozen=True)
 class EvalTrace:
-    """``expected`` is the normal form of ``word`` in ``quotient``.  A trace
-    of an inclusion certificate carries neither: its label names a relator
-    of the source, evaluated in the quotient of the target."""
+    """``expected`` is the normal form of ``word`` in ``quotient``."""
 
     label: str
     expected: NormalForm
-    quotient: MarkedQuotient | None = None
-    word: Word | None = None
+    quotient: MarkedQuotient
+    word: Word
 
 
 @dataclass(frozen=True)
@@ -167,17 +171,13 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
         raise NotComparableError(f"no path {u} -> {v}")
     qv = r.assignment[v]
     rel_u = r.assignment[u].relators
-    traces: list[EvalTrace] = []
-    for label, w, relator in rel_u.labelled(bound):
-        nf = eval_word(qv, w)
-        if relator and not nf.is_identity:
+    for label, w in rel_u.labelled(bound):
+        if not eval_word(qv, w).is_identity:
             raise TraceFailedError(f"relator {label} of {u} survives in quotient of {v}")
-        traces.append(EvalTrace(label, nf))
     return Certificate(
         kind="inclusion",
         subject=(u, v),
         bound=bound,
-        traces=tuple(traces),
         scheme_coverage=tuple(
             SchemeCoverage(si, *_scheme_exactness(qv, s))
             for si, s in enumerate(rel_u.schemes)
@@ -267,30 +267,19 @@ def certify_color(r: Realization, v: str) -> Certificate:
 # independent re-checking
 
 
-def _check_trace(t: EvalTrace, q: MarkedQuotient, w: Word, problems: list[str]) -> None:
-    try:
-        nf = eval_word(q, w)
-    except Exception as exc:  # malformed trace counts as a failure
-        problems.append(f"trace {t.label}: {exc}")
-        return
-    if nf != t.expected:
-        problems.append(
-            f"trace {t.label}: recomputed normal form differs for {format_word(w) or '1'}"
-        )
-
-
 def check_certificate_detailed(
     r: Realization | None, c: Certificate
 ) -> tuple[bool, list[str]]:
     """Re-run every piece of evidence from scratch; list all mismatches."""
     problems: list[str] = []
 
-    if c.kind != "inclusion":  # inclusion traces are checked by reference below
-        for t in c.traces:
-            if t.word is None:
-                problems.append(f"trace {t.label}: carries no word, and only inclusion traces may")
-            else:
-                _check_trace(t, t.quotient, t.word, problems)
+    for t in c.traces:
+        try:
+            if eval_word(t.quotient, t.word) != t.expected:
+                problems.append(f"trace {t.label}: recomputed normal form differs "
+                                f"for {format_word(t.word) or '1'}")
+        except Exception as exc:  # malformed trace counts as a failure
+            problems.append(f"trace {t.label}: {exc}")
 
     try:
         _check_kind_specific(r, c, problems)
@@ -311,24 +300,13 @@ def check_certificate_detailed(
 def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str]) -> None:
     if c.kind == "inclusion":
         if r is None:
-            problems.append("inclusion traces name relators of a realization, and none is given")
+            problems.append("an inclusion is checked against a realization, and none is given")
             return
-        # the traces name, in order, every word certify_inclusion evaluates
         u, v = c.subject
         rel, qv = r.assignment[u].relators, r.assignment[v]
-        labelled = rel.labelled(c.bound)
-        labels = [t.label for t in c.traces]
-        if labels != [label for label, _, _ in labelled]:
-            problems.append(
-                f"trace labels {labels} are not the relators of {u} up to bound {c.bound}"
-            )
-        else:
-            for t, (_, w, relator) in zip(c.traces, labelled):
-                if t.word is not None:
-                    problems.append(f"trace {t.label}: an inclusion trace must not carry a word")
-                _check_trace(t, qv, w, problems)
-                if relator and not t.expected.is_identity:
-                    problems.append(f"trace {t.label}: expected form is not the identity")
+        for label, w in rel.labelled(c.bound):
+            if not eval_word(qv, w).is_identity:
+                problems.append(f"relator {label} of {u} survives in quotient of {v}")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
         if covered != set(range(len(rel.schemes))):
             problems.append("scheme coverage tags do not match the scheme list")
@@ -414,13 +392,34 @@ class Report:
         return sum(1 for e in self.entries if e.status == "inconclusive")
 
 
+def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
+    """A fail entry per subject for the parts of ``r`` that differ from
+    ``realize(r.dag)``: the whole realization, then each vertex."""
+    canon = realize(r.dag)
+    parts = {(): [("ambient_rank", r.ambient_rank, canon.ambient_rank),
+                  ("step_index keys", sorted(r.step_index), sorted(canon.step_index))]}
+    for v in ids:
+        q, c = r.assignment[v], canon.assignment[v]
+        parts[(v,)] = [("step_index", r.step_index.get(v), canon.step_index[v]),
+                       ("relators", q.relators, c.relators),
+                       ("expr", q.expr, c.expr),
+                       ("marking", q.marking, c.marking)]
+    entries = []
+    for subject, pairs in parts.items():
+        differ = [name for name, mine, theirs in pairs if mine != theirs]
+        if differ:
+            entries.append(ReportEntry("canonical", subject, "fail",
+                                       f"{', '.join(differ)} differ from realize(dag)"))
+    return entries
+
+
 def verify_all(r: Realization, bound: int = 5) -> Report:
-    """Certify every pair and vertex, re-check each certificate, and
-    cross-check every vertex's abelianization against its structural
-    expression."""
+    """Compare the realization with ``realize(r.dag)``, certify every pair
+    and vertex, re-check each certificate, and cross-check every vertex's
+    abelianization against its structural expression."""
     start = time.perf_counter()
-    entries: list[ReportEntry] = []
     ids = sorted(r.assignment)
+    entries = _canonical_entries(r, ids)
 
     def run(check: str, subject: tuple[str, ...], make) -> Certificate | None:
         try:
@@ -480,22 +479,21 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
 
 
 def _trace_to_json(t: EvalTrace) -> dict:
-    out = {"label": t.label, "expected": nf_to_json(t.expected)}
-    if t.word is not None:  # otherwise the label implies the word
-        out["quotient"] = {"inline": quotient_to_json(t.quotient)}
-        out["word"] = word_to_json(t.word)
-    return out
+    return {
+        "label": t.label,
+        "expected": nf_to_json(t.expected),
+        "quotient": {"inline": quotient_to_json(t.quotient)},
+        "word": word_to_json(t.word),
+    }
 
 
 def _trace_from_json(data) -> EvalTrace:
-    expected = nf_from_json(data["expected"])
-    if "word" not in data:
-        return EvalTrace(data["label"], expected)
+    quotient = json_field(data, "quotient", dict, "trace")
     return EvalTrace(
-        data["label"],
-        expected,
-        quotient_from_json(data["quotient"]["inline"]),
-        word_from_json(data["word"]),
+        json_field(data, "label", str, "trace"),
+        nf_from_json(data["expected"]),
+        quotient_from_json(json_field(quotient, "inline", dict, "trace quotient")),
+        word_from_json(json_field(data, "word", dict, "trace")),
     )
 
 
@@ -544,16 +542,19 @@ def certificate_from_json(data) -> Certificate:
     if data.get("color_facts"):
         cf = data["color_facts"]
         color_facts = ColorFacts(
-            int(cf["color"]), bool(cf["scheme_free"]),
-            bool(cf["lamplighter_free"]), cf["justification"],
+            json_field(cf, "color", int, "color_facts"),
+            json_field(cf, "scheme_free", bool, "color_facts"),
+            json_field(cf, "lamplighter_free", bool, "color_facts"),
+            cf["justification"],
         )
     return Certificate(
         kind=data["kind"],
         subject=tuple(data["subject"]),
-        bound=int(data.get("bound", 0)),
+        bound=json_field(data, "bound", int, "certificate", optional=True),
         traces=tuple(_trace_from_json(t) for t in data.get("traces", ())),
         scheme_coverage=tuple(
-            SchemeCoverage(int(sc["scheme"]), sc["coverage"], sc["reason"])
+            SchemeCoverage(json_field(sc, "scheme", int, "scheme_coverage"),
+                           sc["coverage"], sc["reason"])
             for sc in data.get("scheme_coverage", ())
         ),
         witness=witness,

@@ -121,11 +121,8 @@ def commutator(g: Word, h: Word) -> Word:
 
 
 def power(a: Word, n: int) -> Word:
-    result = identity(a.rank)
     base = a if n >= 0 else invert(a)
-    for _ in range(abs(n)):
-        result = multiply(result, base)
-    return result
+    return Word(a.rank, _reduce_letters(base.letters * abs(n)))
 
 
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:

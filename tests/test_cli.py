@@ -139,12 +139,12 @@ class TestRealizationBytes:
 
     # sha256 of report.json without elapsed_seconds, re-encoded as report.json
     # is written, for the DAGs of PINS: the report format must not drift.
-    # Equal to the earlier format's content once the words and quotient
-    # references of the inclusion traces are dropped.
+    # Equal to the earlier format's content once every inclusion
+    # certificate's traces are emptied.
     REPORT_PINS = [
-        (5, 1, 0.5, "04405b9347963447857cb870a244bfe882592350b573b961630e191a4c829e47"),
-        (11, 3, 0.2, "789c999623f244c59b99eb99ae188830edd068d53dbbbad1e17ec15b57680fb6"),
-        (14, 4, 0.5, "ee149df6b616ba95fbc816c582363d8834ef19db77549bc8b46b8d0718e99fb3"),
+        (5, 1, 0.5, "4923cfe217bd62ac950f65b813cbd146dc3bef0515c1d57972b480727bf69b27"),
+        (11, 3, 0.2, "9e59e54a9b7dba6dff7300c0abe867c3b24459ce5a6ed21deba3dda2ce923fa5"),
+        (14, 4, 0.5, "cb6a671418e5454e02046d35c3d53f3944dd3e6f2152d048d2c53c3343e7d643"),
     ]
 
     @pytest.mark.parametrize("order,seed,edge_prob,digest", REPORT_PINS)
@@ -187,6 +187,27 @@ class TestVerifyCommand:
         write_json(tampered, data)
         code = main(["verify", "--input", str(tampered), "--out", str(tmp_path / "o3")])
         assert code == 1
+
+    def test_stored_marking_is_compared_with_realize(self, tmp_path):
+        # "1 -> 2" with the edge deleted: vertex 2's marking is then the
+        # only thing that still makes x1, a relator of N_2, look nontrivial
+        inp = tmp_path / "dag.json"
+        write_json(inp, {"vertices": [{"id": "1", "color": 0}, {"id": "2", "color": 0}],
+                         "edges": [["1", "2"]]})
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        data = json.loads((out / "realization.json").read_text())
+        data["dag"]["edges"] = []
+        data["vertices"]["2"]["marking"]["1"] = {"leaf": 0, "value": 1}
+        tampered = tmp_path / "tampered.json"
+        write_json(tampered, data)
+        out2 = tmp_path / "out2"
+        assert main(["verify", "--input", str(tampered), "--out", str(out2)]) == 1
+        report = json.loads((out2 / "report.json").read_text())
+        assert report["verdict"] == "fail"
+        canonical = {e["subject"][0]: e for e in report["entries"] if e["check"] == "canonical"}
+        assert canonical["2"]["status"] == "fail"
+        assert "marking" in canonical["2"]["detail"]
 
     def test_garbage_input_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -337,18 +358,24 @@ class TestMalformedInput:
         if field is not None:
             assert repr(field) in err
 
-    @pytest.mark.parametrize("data", [
-        [],
-        {"vertices": {"a": 0}, "edges": []},
-        {"vertices": [{"id": "a", "color": 0}], "edges": [["a"]]},
-        {"vertices": [{"id": "a", "color": 0}, {"id": "b", "color": 0}],
-         "edges": [["a", "b", "c"]]},
-    ])
-    def test_realize(self, tmp_path, capsys, data):
+    @pytest.mark.parametrize("data,field", [
+        ([], None),
+        ({"vertices": {"a": 0}, "edges": []}, "vertices"),
+        ({"vertices": [{"id": "a", "color": 0}], "edges": [["a"]]}, None),
+        ({"vertices": [{"id": "a", "color": 0}, {"id": "b", "color": 0}],
+          "edges": [["a", "b", "c"]]}, None),
+        ({"vertices": [{"id": "a", "color": True}], "edges": []}, "color"),
+        ({"vertices": [{"id": "a", "color": 1.0}], "edges": []}, "color"),
+        ({"vertices": [{"id": 1, "color": 0}], "edges": []}, "id"),
+        ({"vertices": [{"id": "1", "color": 0}, {"id": "2", "color": 0}],
+          "edges": [[1, "2"]]}, "edges"),
+    ], ids=["data0", "data1", "data2", "data3", "color-bool", "color-float",
+            "id-int", "endpoint-int"])
+    def test_realize(self, tmp_path, capsys, data, field):
         inp = tmp_path / "dag.json"
         write_json(inp, data)
         self.assert_input_error(
-            ["realize", "--input", str(inp), "--out", str(tmp_path / "o")], capsys)
+            ["realize", "--input", str(inp), "--out", str(tmp_path / "o")], capsys, field)
 
     # field: the name the error line must quote, for a field of the wrong shape
     @pytest.mark.parametrize("mutate,field", [

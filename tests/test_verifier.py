@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,9 @@ from dagquot.dag import (
 )
 from dagquot.quotients import (
     CommutatorScheme,
+    FreeProduct,
     IdentityImage,
+    LeafImage,
     eval_word,
     NormalForm,
     RelatorSet,
@@ -66,9 +69,6 @@ class TestInclusion:
         r = chain()
         cert = certify_inclusion(r, "u", "w")
         assert cert.kind == "inclusion"
-        labels = {t.label for t in cert.traces}
-        assert labels == {"finite[0]"}
-        assert all(t.expected.is_identity for t in cert.traces)
         assert check_certificate(r, cert)
 
     def test_reflexive(self):
@@ -319,11 +319,10 @@ class TestCheckCertificate:
         data["witness"]["image"] = [{"leaf": 0, "z": 5}]
         assert not check_certificate(r, certificate_from_json(data))
 
-    def test_tampered_inclusion_trace_dropped(self):
-        r = chain()
-        cert = certify_inclusion(r, "w", "w")
-        data = certificate_to_json(cert)
-        data["traces"] = data["traces"][1:]
+    def test_tampered_inclusion_coverage_dropped(self):
+        r = scheme_below()
+        data = certificate_to_json(certify_inclusion(r, "u", "w"))
+        data["scheme_coverage"] = []
         assert not check_certificate(r, certificate_from_json(data))
 
     def test_forged_witness_provenance(self):
@@ -360,6 +359,27 @@ class TestCheckCertificate:
         assert ("witness provenance 'scheme[0].member[4]' does not match the relators of u"
                 in problems)
 
+    # (certificate, path to the object holding the field, field, value)
+    @pytest.mark.parametrize("make,path,field,value", [
+        (lambda: certify_separation(antichain(), "u", "w"), (), "bound", "5"),
+        (lambda: certify_separation(antichain(), "u", "w"), (), "bound", 5.9),
+        (lambda: certify_separation(antichain(), "u", "w"), (), "bound", True),
+        (lambda: certify_inclusion(scheme_below(), "u", "w"), ("scheme_coverage", 0),
+         "scheme", "0"),
+        (lambda: certify_color(chain(), "u"), ("color_facts",), "color", "0"),
+        (lambda: certify_color(chain(), "u"), ("color_facts",), "scheme_free", 1),
+        (lambda: certify_color(chain(), "u"), ("color_facts",), "lamplighter_free", 1),
+    ], ids=["bound-string", "bound-float", "bound-bool", "scheme-string",
+            "color-string", "scheme-free-int", "lamplighter-free-int"])
+    def test_loader_does_not_coerce(self, make, path, field, value):
+        data = certificate_to_json(make())
+        holder = data
+        for key in path:
+            holder = holder[key]
+        holder[field] = value
+        with pytest.raises(ValueError, match=re.escape(repr(field))):
+            certificate_from_json(data)
+
     def test_unknown_vertex_is_false_not_crash(self):
         r = antichain()
         cert = certify_separation(r, "u", "w")
@@ -375,104 +395,85 @@ def scheme_below():
     return realize(colored_dag(["u", "w", "z"], [("u", "w")], {"u": 1, "w": 0, "z": 0}))
 
 
-NONTRIVIAL = [{"leaf": 0, "z": 1}]
-
-
-def drop(traces, i):
-    del traces[i]
-
-
-def swap(traces, i, j):
-    traces[i], traces[j] = traces[j], traces[i]
-
-
-def relabel(traces, i, label):
-    traces[i]["label"] = label
-
-
-def set_expected(traces, i, nf):
-    traces[i]["expected"] = nf
+def set_coverage(data, **changes):
+    data["scheme_coverage"][0].update(changes)
 
 
 class TestInclusionByReference:
-    """An inclusion trace holds a label and an expected normal form; the
-    checker re-derives its word from the relators of the source."""
+    """An inclusion certificate carries its bound and scheme coverage; the
+    checker rebuilds the relators of the source from the realization and
+    evaluates each in the target quotient."""
 
-    def test_traces_are_labels_and_forms(self):
+    def test_inclusion_carries_no_traces(self):
         r = scheme_below()
         data = certificate_to_json(certify_inclusion(r, "u", "w"))
-        assert [t["label"] for t in data["traces"]] == [
-            "finite[0]", "finite[1]", "scheme[0].a", "scheme[0].t",
-            *(f"scheme[0].member[{i}]" for i in range(1, 6)),
-        ]
-        assert all(set(t) == {"label", "expected"} for t in data["traces"])
+        assert data == {
+            "kind": "inclusion", "subject": ["u", "w"], "bound": 5, "traces": [],
+            "scheme_coverage": [{"scheme": 0, "coverage": "exact", "reason": "a-image-trivial"}],
+            "word_facts": [], "notes": [],
+        }
         assert check_certificate(r, certificate_from_json(data))
 
-    # (source, target, tamper of the trace list)
-    @pytest.mark.parametrize("u,v,tamper", [
-        ("u", "w", lambda t: relabel(t, 0, "finite[99]")),
-        ("u", "w", lambda t: relabel(t, 2, "scheme[3].a")),
-        ("u", "w", lambda t: t.append({"label": "finite[99]", "expected": []})),
-        ("u", "w", lambda t: t.append({"label": "scheme[3].a", "expected": []})),
-        ("u", "w", lambda t: t.__setitem__(1, dict(t[0]))),
-        ("u", "w", lambda t: t.append(dict(t[-1]))),
-        ("u", "w", lambda t: swap(t, 0, 1)),
-        ("u", "w", lambda t: swap(t, 4, 5)),
-        ("u", "w", lambda t: drop(t, -1)),
-        ("u", "w", lambda t: set_expected(t, 0, NONTRIVIAL)),
-        ("u", "w", lambda t: set_expected(t, 8, NONTRIVIAL)),
-        ("u", "w", lambda t: set_expected(t, 2, NONTRIVIAL)),
-        ("u", "u", lambda t: set_expected(t, 2, [{"leaf": 0, "shift": 1, "lamps": []}])),
-        ("u", "u", lambda t: set_expected(t, 3, [])),
-    ], ids=["finite-99", "scheme-3-a", "extra-finite-99", "extra-scheme-3-a",
-            "duplicated", "duplicated-appended", "finite-out-of-order",
-            "members-out-of-order", "member-dropped", "finite-nonempty",
-            "member-nonempty", "scheme-a-changed", "scheme-a-changed-reflexive",
-            "scheme-t-emptied"])
-    def test_tampered_trace_rejected(self, u, v, tamper):
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d.update(scheme_coverage=[]),
+        lambda d: d["scheme_coverage"].append(
+            {"scheme": 1, "coverage": "exact", "reason": "a-image-trivial"}),
+        lambda d: set_coverage(d, scheme=3),
+        lambda d: set_coverage(d, reason="t-image-trivial"),
+        lambda d: set_coverage(d, reason="abelian-base-zero-shift"),
+        lambda d: d.update(subject=["w", "u"]),
+    ], ids=["coverage-dropped", "coverage-extra-scheme", "coverage-index-changed",
+            "reason-changed", "reason-of-another-vertex", "subject-reversed"])
+    def test_tampered_certificate_rejected(self, tamper):
         r = scheme_below()
-        data = json.loads(json.dumps(certificate_to_json(certify_inclusion(r, u, v))))
-        assert check_certificate(r, certificate_from_json(data))
-        tamper(data["traces"])
+        data = json.loads(json.dumps(certificate_to_json(certify_inclusion(r, "u", "w"))))
+        tamper(data)
         ok, problems = check_certificate_detailed(r, certificate_from_json(data))
         assert not ok and problems
 
-    def test_word_carried_by_an_inclusion_trace_rejected(self):
-        r = scheme_below()
-        cert = certify_inclusion(r, "u", "w")
-        first = dataclasses.replace(
-            cert.traces[0], quotient=r.assignment["w"], word=w("x5", 6))
-        forged = dataclasses.replace(cert, traces=(first,) + cert.traces[1:])
-        assert not check_certificate(r, forged)
-
     def test_surviving_relator_rejected(self):
-        # the forged traces hold the true forms of a relator that survives
+        # a forged certificate over a realization whose source carries a
+        # relator that survives in the target
         r = chain()
         rel = r.assignment["u"].relators
         broken = replace_quotient(
             r, "u",
             relators=RelatorSet(4, rel.finite_part + (generator(4, 4),), rel.schemes),
         )
-        qw = broken.assignment["w"]
-        forged = Certificate("inclusion", ("u", "w"), 5, tuple(
-            EvalTrace(label, eval_word(qw, word))
-            for label, word, _ in broken.assignment["u"].relators.labelled(5)
-        ))
-        ok, problems = check_certificate_detailed(broken, forged)
+        ok, problems = check_certificate_detailed(broken, Certificate("inclusion", ("u", "w"), 5))
         assert not ok
-        assert problems == ["trace finite[1]: expected form is not the identity"]
+        assert problems == ["relator finite[1] of u survives in quotient of w"]
+
+    def test_surviving_members_up_to_the_bound(self):
+        # u (color 1) above b: in the quotient of b the pair of u spans a free
+        # leaf, where every member of the scheme of u survives
+        r = realize(colored_dag(["b", "u"], [("b", "u")], {"b": 0, "u": 1}))
+        ok, problems = check_certificate_detailed(r, Certificate("inclusion", ("u", "b"), 3))
+        members = [p for p in problems if "member" in p]
+        assert members == [f"relator scheme[0].member[{i}] of u survives in quotient of b"
+                           for i in (1, 2, 3)]
 
     def test_needs_the_realization(self):
         cert = certify_inclusion(chain(), "u", "w")
         ok, problems = check_certificate_detailed(None, cert)
         assert not ok and problems
 
-    def test_wordless_trace_outside_inclusion_rejected(self):
-        r = antichain()
-        cert = certify_separation(r, "u", "w")
-        forged = dataclasses.replace(
-            cert, traces=certify_inclusion(r, "u", "u").traces)
-        assert not check_certificate(r, forged)
+    def test_wordless_trace_rejected(self):
+        data = certificate_to_json(certify_separation(antichain(), "u", "w"))
+        data["traces"] = [{"label": "finite[0]", "expected": []}]
+        with pytest.raises(KeyError, match="quotient"):
+            certificate_from_json(data)
+
+    def test_inline_trace_checked_in_any_certificate(self):
+        r = scheme_below()
+        cert = certify_inclusion(r, "u", "w")
+        trace = EvalTrace("x4 in w", NormalForm(), r.assignment["w"], w("x4", 6))
+        assert not eval_word(r.assignment["w"], trace.word).is_identity
+        forged = dataclasses.replace(cert, traces=(trace,))
+        ok, problems = check_certificate_detailed(r, forged)
+        assert problems == ["trace x4 in w: recomputed normal form differs for x4"]
+        data = json.loads(json.dumps(certificate_to_json(forged)))
+        assert certificate_from_json(data) == forged
 
     @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
     def test_every_certificate_survives_json(self, edge_prob):
@@ -542,6 +543,37 @@ class TestVerifyAll:
             assert abelianization(q.rank, q.relators) == predicted_invariants(q.expr)
         report = verify_all(r)
         assert report.count("abelianization", "pass") == 3
+
+    def test_canonical_realization_adds_no_entry(self):
+        for seed in range(5):
+            r = realize(random_colored_dag(8, random.Random(seed), 0.3))
+            assert verify_all(r, 3).count("canonical") == 0
+
+    @pytest.mark.parametrize("mutate,subject,parts", [
+        (lambda r: replace_quotient(r, "w", marking={**r.assignment["w"].marking,
+                                                     1: LeafImage(0, 1)}),
+         ("w",), "marking"),
+        (lambda r: replace_quotient(r, "w", relators=RelatorSet(
+            4, r.assignment["w"].relators.finite_part[1:])), ("w",), "relators"),
+        (lambda r: replace_quotient(r, "u", expr=FreeProduct(
+            tuple(reversed(r.assignment["u"].expr.parts)))), ("u",), "expr"),
+        (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
+                               {"u": 2, "w": 1}), ("u",), "step_index"),
+        (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
+                               {**r.step_index, "ghost": 3}), (), "step_index keys"),
+    ], ids=["marking", "relators", "expr", "step-index", "step-index-keys"])
+    def test_each_differing_part_fails(self, mutate, subject, parts):
+        report = verify_all(mutate(chain()))
+        assert not report.verdict
+        canonical = {e.subject: e for e in report.entries if e.check == "canonical"}
+        assert canonical[subject].status == "fail"
+        assert canonical[subject].detail == f"{parts} differ from realize(dag)"
+
+    def test_ambient_rank_fails(self):
+        empty = colored_dag([], [], {})
+        report = verify_all(Realization(empty, 2, {}, {}))
+        assert [(e.check, e.subject, e.status, e.detail) for e in report.entries] == [
+            ("canonical", (), "fail", "ambient_rank differ from realize(dag)")]
 
     def test_report_json(self):
         report = verify_all(chain())

@@ -190,6 +190,16 @@ class TestHelpers:
         assert power(w("x1", 2), -2) == w("x1^-1 x1^-1", 2)
         assert power(w("x1", 2), 0).is_identity
 
+    @pytest.mark.parametrize("text", ["x1", "x1 x2^-1", "x2 x1 x3 x2^-1", "x3^-1 x1 x3"])
+    def test_power_equals_iterated_multiply(self, text):
+        # the last two words are not cyclically reduced: their powers cancel inside
+        a = w(text)
+        for n in range(-7, 8):
+            want = identity(a.rank)
+            for _ in range(abs(n)):
+                want = multiply(want, a if n >= 0 else invert(a))
+            assert power(a, n) == want
+
     def test_commutator_expansion(self):
         g, h = w("x1", 2), w("x2", 2)
         assert commutator(g, h) == w("x1^-1 x2^-1 x1 x2", 2)
