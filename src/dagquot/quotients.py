@@ -195,6 +195,8 @@ class RelatorSet:
         default_factory=dict, init=False, repr=False, compare=False)
     _by_length: dict[int, tuple[Labelled, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _labelled_set: dict[int, frozenset[Labelled]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.finite_part:
@@ -225,6 +227,35 @@ class RelatorSet:
         if out is None:
             out = self._by_length[bound] = tuple(
                 sorted(self.labelled(bound), key=lambda c: (len(c[1]), c[1].letters)))
+        return out
+
+    def labelled_set(self, bound: int) -> frozenset[Labelled]:
+        """``labelled(bound)`` as a set, for membership tests; memoized per
+        bound."""
+        out = self._labelled_set.get(bound)
+        if out is None:
+            out = self._labelled_set[bound] = frozenset(self.labelled(bound))
+        return out
+
+    @cached_property
+    def generator_mask(self) -> int | None:
+        """Bit i set when x_i is a finite relator; ``None`` when some finite
+        relator is not a single positive generator."""
+        mask = 0
+        for w in self.finite_part:
+            if len(w.letters) != 1 or w.letters[0][1] != 1:
+                return None
+            mask |= 1 << w.letters[0][0]
+        return mask
+
+    @cached_property
+    def generator_position(self) -> dict[int, int]:
+        """The first k with ``finite_part[k] == x_i``, per generator index i
+        of a single-letter finite relator."""
+        out: dict[int, int] = {}
+        for k, w in enumerate(self.finite_part):
+            if len(w.letters) == 1:
+                out.setdefault(w.letters[0][0], k)
         return out
 
 
@@ -403,6 +434,18 @@ class MarkedQuotient:
     def leaf_list(self) -> tuple[LeafExpr, ...]:
         return leaves(self.expr)
 
+    @cached_property
+    def dead_mask(self) -> int:
+        """Bit i set when x_i evaluates to the identity: its image is
+        ``IdentityImage`` or 0 in a Z leaf."""
+        lvs = self.leaf_list
+        mask = 0
+        for idx, img in self.marking.items():
+            if isinstance(img, IdentityImage) or (
+                    isinstance(lvs[img.leaf], InfiniteCyclic) and img.value == 0):
+                mask |= 1 << idx
+        return mask
+
 
 def _push_syllable(syls, lvs, leaf_idx: int, payload) -> None:
     if _leaf_is_identity(lvs[leaf_idx], payload):
@@ -430,14 +473,6 @@ def eval_word(q: MarkedQuotient, w: Word) -> NormalForm:
     return NormalForm(tuple(syls))
 
 
-def nf_mul(q: MarkedQuotient, n1: NormalForm, n2: NormalForm) -> NormalForm:
-    lvs = q.leaf_list
-    syls = list(n1.syllables)
-    for leaf_idx, payload in n2.syllables:
-        _push_syllable(syls, lvs, leaf_idx, payload)
-    return NormalForm(tuple(syls))
-
-
 def is_trivial(q: MarkedQuotient, w: Word) -> bool:
     return eval_word(q, w).is_identity
 
@@ -457,10 +492,13 @@ def abelianization(rank: int, r: RelatorSet) -> AbelianInvariants:
     """Invariants of Z^rank modulo the relator exponent vectors.
 
     Scheme members are commutators, hence have zero exponent vector and are
-    skipped exactly (no truncation is involved).
+    skipped exactly (no truncation is involved). A single-letter relator
+    kills its generator, whose column is then dropped from the other rows.
     """
-    rows = [exponent_vector(w) for w in r.finite_part]
-    return invariants_from_rows(rank, rows)
+    killed = {w.letters[0][0] - 1 for w in r.finite_part if len(w.letters) == 1}
+    rows = [[x for c, x in enumerate(exponent_vector(w)) if c not in killed]
+            for w in r.finite_part if len(w.letters) != 1]
+    return invariants_from_rows(rank - len(killed), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,50 +7,12 @@ point anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
 
 def mat_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return []
-    assert len(a[0]) == len(b), "inner dimensions must agree"
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def mat_det(a: IntMatrix) -> int:
-    """Exact determinant by Gaussian elimination over ``Fraction``."""
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in a), "determinant needs a square matrix"
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -168,12 +130,29 @@ class AbelianInvariants:
 
 
 def invariants_from_rows(rank: int, rows: list[list[int]]) -> AbelianInvariants:
-    """Invariants of Z^rank modulo the subgroup spanned by the given rows."""
+    """Invariants of Z^rank modulo the subgroup spanned by the given rows.
+
+    A row whose only nonzero entry is +-1 kills its column: the quotient is
+    Z^(rank-1) modulo the other rows with that column deleted. Such rows are
+    eliminated first, repeatedly; ``smith_normal_form`` runs on what is left.
+    """
     for row in rows:
         assert len(row) == rank
+    rows = [row for row in rows if any(row)]
+    while True:
+        killed = set()
+        for row in rows:
+            nonzero = [c for c, x in enumerate(row) if x]
+            if len(nonzero) == 1 and abs(row[nonzero[0]]) == 1:
+                killed.add(nonzero[0])
+        if not killed:
+            break
+        keep = [c for c in range(rank) if c not in killed]
+        rank = len(keep)
+        rows = [kept for kept in ([row[c] for c in keep] for row in rows) if any(kept)]
     if not rows:
         return AbelianInvariants(rank, ())
-    _, d, _ = smith_normal_form([list(r) for r in rows])
+    _, d, _ = smith_normal_form(rows)
     diag = [d[i][i] for i in range(min(len(d), rank)) if d[i][i] != 0]
     torsion = tuple(x for x in diag if x > 1)
     return AbelianInvariants(rank - len(diag), torsion)

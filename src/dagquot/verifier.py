@@ -21,10 +21,22 @@ Three certificate kinds cover the realization conditions:
 Certificates store enough evidence to be re-checked from scratch by
 evaluation alone.  An inclusion certificate stores no evaluations: the checker
 rebuilds the relators of the source up to the certificate's bound from the
-realization and evaluates each in the target quotient.  A trace, where a
-certificate carries one, is a word, the quotient it is evaluated in and the
-expected normal form.  ``check_certificate`` shares no state with generation
-beyond the labelled relator lists that each ``RelatorSet`` memoizes.
+realization and checks that each dies in the target quotient.  A trace,
+where a certificate carries one, is a word, the quotient it is evaluated in
+and the expected normal form.  ``check_certificate`` shares no state with
+generation beyond what each ``RelatorSet`` and ``MarkedQuotient`` caches:
+labelled relator lists per bound and the two masks below.
+
+Every finite relator the construction writes is one positive generator, and
+a marking kills x_i exactly when its image is the identity or 0 in a Z leaf.
+``RelatorSet.generator_mask`` and ``MarkedQuotient.dead_mask`` hold these
+facts as bits, so the finite part of an inclusion is one test,
+``gens_u & ~dead_v == 0``, and the separation witness is the lowest set bit
+of ``gens_u & ~dead_v``: the witness the shortest-first search over
+``by_length`` finds.  An "exact" scheme is dead for every member, so it
+replaces the member probes; only "probed" schemes evaluate members up to
+the bound.  A relator set with any other finite relator, and an inclusion
+with a survivor, take the evaluation path, which names every survivor.
 
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
@@ -38,8 +50,10 @@ from dataclasses import dataclass
 
 from .quotients import (
     Lamplighter,
+    Labelled,
     MarkedQuotient,
     NormalForm,
+    RelatorSet,
     abelianization,
     eval_word,
     has_lamplighter,
@@ -166,30 +180,59 @@ def _scheme_exactness(qv: MarkedQuotient, scheme) -> tuple[str, str]:
     return "probed", f"members checked for i <= bound only"
 
 
+def _surviving_relators(
+    rel: RelatorSet, qv: MarkedQuotient, bound: int, exactness: tuple[tuple[str, str], ...]
+) -> list[str]:
+    """The label of every relator in ``rel.labelled(bound)`` that survives in
+    ``qv``, in that order; ``exactness`` is ``_scheme_exactness`` of each
+    scheme of ``rel`` in ``qv``.
+
+    When every finite relator is a single generator, they all die exactly
+    when none is outside ``qv.dead_mask``; an exact scheme is not evaluated,
+    and a probed one is evaluated up to the bound. Only a survivor, or a
+    relator set without a generator mask, takes the labelled loop."""
+    mask = rel.generator_mask
+    if mask is not None and not mask & ~qv.dead_mask and all(
+        coverage == "exact"
+        or all(eval_word(qv, s.member(i)).is_identity for i in range(1, bound + 1))
+        for s, (coverage, _) in zip(rel.schemes, exactness)
+    ):
+        return []
+    return [label for label, w in rel.labelled(bound) if not eval_word(qv, w).is_identity]
+
+
 def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     if not leq(r.dag, u, v):
         raise NotComparableError(f"no path {u} -> {v}")
     qv = r.assignment[v]
     rel_u = r.assignment[u].relators
-    for label, w in rel_u.labelled(bound):
-        if not eval_word(qv, w).is_identity:
-            raise TraceFailedError(f"relator {label} of {u} survives in quotient of {v}")
+    exactness = tuple(_scheme_exactness(qv, s) for s in rel_u.schemes)
+    survivors = _surviving_relators(rel_u, qv, bound, exactness)
+    if survivors:
+        raise TraceFailedError(f"relator {survivors[0]} of {u} survives in quotient of {v}")
     return Certificate(
         kind="inclusion",
         subject=(u, v),
         bound=bound,
-        scheme_coverage=tuple(
-            SchemeCoverage(si, *_scheme_exactness(qv, s))
-            for si, s in enumerate(rel_u.schemes)
-        ),
+        scheme_coverage=tuple(SchemeCoverage(si, *e) for si, e in enumerate(exactness)),
     )
 
 
 def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
+    """The first relator of ``u`` in ``by_length`` order that survives in
+    ``v``. With a generator mask that is the lowest generator of ``u`` not
+    dead in ``v``; scheme members are searched only when there is none."""
     if leq(r.dag, u, v):
         raise NotComparableError(f"path {u} -> {v} exists; nothing to separate")
     qv = r.assignment[v]
-    for provenance, w in r.assignment[u].relators.by_length(bound):
+    rel = r.assignment[u].relators
+    alive = 0 if rel.generator_mask is None else rel.generator_mask & ~qv.dead_mask
+    if alive:
+        k = rel.generator_position[(alive & -alive).bit_length() - 1]
+        candidates: tuple[Labelled, ...] = ((f"finite[{k}]", rel.finite_part[k]),)
+    else:
+        candidates = rel.by_length(bound)
+    for provenance, w in candidates:
         nf = eval_word(qv, w)
         if not nf.is_identity:
             return Certificate(
@@ -304,15 +347,15 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             return
         u, v = c.subject
         rel, qv = r.assignment[u].relators, r.assignment[v]
-        for label, w in rel.labelled(c.bound):
-            if not eval_word(qv, w).is_identity:
-                problems.append(f"relator {label} of {u} survives in quotient of {v}")
+        exactness = tuple(_scheme_exactness(qv, s) for s in rel.schemes)
+        for label in _surviving_relators(rel, qv, c.bound, exactness):
+            problems.append(f"relator {label} of {u} survives in quotient of {v}")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
         if covered != set(range(len(rel.schemes))):
             problems.append("scheme coverage tags do not match the scheme list")
         for sc in c.scheme_coverage:
             if sc.coverage == "exact":
-                cov, reason = _scheme_exactness(qv, rel.schemes[sc.scheme_index])
+                cov, reason = exactness[sc.scheme_index]
                 if cov != "exact" or reason != sc.reason:
                     problems.append(
                         f"scheme[{sc.scheme_index}]: exactness reason "
@@ -325,7 +368,7 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
         elif r is not None:
             u, v = c.subject
             # the witness must be a candidate certify_separation draws from
-            candidates = r.assignment[u].relators.by_length(c.bound)
+            candidates = r.assignment[u].relators.labelled_set(c.bound)
             if (c.witness.provenance, c.witness.word) not in candidates:
                 problems.append(
                     f"witness provenance {c.witness.provenance!r} does not "
@@ -532,43 +575,46 @@ def certificate_to_json(c: Certificate) -> dict:
 
 def certificate_from_json(data) -> Certificate:
     witness = None
-    if data.get("witness"):
+    wd = json_field(data, "witness", dict, "certificate", optional=True)
+    if wd:
         witness = WitnessEvidence(
-            word_from_json(data["witness"]["word"]),
-            data["witness"]["provenance"],
-            nf_from_json(data["witness"]["image"]),
+            word_from_json(json_field(wd, "word", dict, "witness")),
+            json_field(wd, "provenance", str, "witness"),
+            nf_from_json(wd["image"]),
         )
     color_facts = None
-    if data.get("color_facts"):
-        cf = data["color_facts"]
+    cf = json_field(data, "color_facts", dict, "certificate", optional=True)
+    if cf:
         color_facts = ColorFacts(
             json_field(cf, "color", int, "color_facts"),
             json_field(cf, "scheme_free", bool, "color_facts"),
             json_field(cf, "lamplighter_free", bool, "color_facts"),
-            cf["justification"],
+            json_field(cf, "justification", str, "color_facts"),
         )
     return Certificate(
-        kind=data["kind"],
-        subject=tuple(data["subject"]),
+        kind=json_field(data, "kind", str, "certificate"),
+        subject=tuple(json_field(data, "subject", list, "certificate", item=str)),
         bound=json_field(data, "bound", int, "certificate", optional=True),
-        traces=tuple(_trace_from_json(t) for t in data.get("traces", ())),
+        traces=tuple(_trace_from_json(t) for t in json_field(
+            data, "traces", list, "certificate", optional=True)),
         scheme_coverage=tuple(
             SchemeCoverage(json_field(sc, "scheme", int, "scheme_coverage"),
-                           sc["coverage"], sc["reason"])
-            for sc in data.get("scheme_coverage", ())
+                           json_field(sc, "coverage", str, "scheme_coverage"),
+                           json_field(sc, "reason", str, "scheme_coverage"))
+            for sc in json_field(data, "scheme_coverage", list, "certificate", optional=True)
         ),
         witness=witness,
         color_facts=color_facts,
         word_facts=tuple(
             SubstitutionFact(
-                f["label"],
-                tuple(word_from_json(w) for w in f["basis"]),
-                word_from_json(f["expression"]),
-                word_from_json(f["target"]),
+                json_field(f, "label", str, "word_facts"),
+                tuple(word_from_json(w) for w in json_field(f, "basis", list, "word_facts")),
+                word_from_json(json_field(f, "expression", dict, "word_facts")),
+                word_from_json(json_field(f, "target", dict, "word_facts")),
             )
-            for f in data.get("word_facts", ())
+            for f in json_field(data, "word_facts", list, "certificate", optional=True)
         ),
-        notes=tuple(data.get("notes", ())),
+        notes=tuple(json_field(data, "notes", list, "certificate", item=str, optional=True)),
     )
 
 

@@ -125,19 +125,6 @@ def power(a: Word, n: int) -> Word:
     return Word(a.rank, _reduce_letters(base.letters * abs(n)))
 
 
-def cyclically_reduce(w: Word) -> tuple[Word, Word]:
-    """Split w = c^-1 k c with k cyclically reduced of minimal length.
-
-    Returns (core, conjugator); the identity splits as (identity, identity).
-    """
-    core = list(w.letters)
-    conj: list[Letter] = []
-    while len(core) >= 2 and core[0][0] == core[-1][0] and core[0][1] == -core[-1][1]:
-        conj.insert(0, core[-1])
-        core = core[1:-1]
-    return Word(w.rank, tuple(core)), Word(w.rank, tuple(conj))
-
-
 def exponent_vector(w: Word) -> list[int]:
     """Signed letter counts per generator; the image in Z^rank."""
     vec = [0] * w.rank
@@ -164,10 +151,6 @@ class Hom:
                 raise RankMismatchError(
                     f"image rank {img.rank} != codomain rank {self.codomain_rank}"
                 )
-
-
-def identity_hom(rank: int) -> Hom:
-    return Hom(rank, rank, tuple(generator(rank, i) for i in range(1, rank + 1)))
 
 
 def apply_hom(f: Hom, w: Word) -> Word:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import mat_det, mat_mul
 from dagquot.ceplab import (
     a3_in_s3,
     builtin_group,
@@ -29,7 +30,7 @@ from dagquot.quotients import (
     predicted_invariants,
 )
 from dagquot.realizer import Realization, realize
-from dagquot.snf import mat_det, mat_mul, smith_normal_form
+from dagquot.snf import smith_normal_form
 from dagquot.stallings import build_subgroup_graph, contains, express, substitute_basis
 from dagquot.verifier import (
     StructureMismatchError,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import random_word
+from conftest import nf_mul, random_word
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -29,7 +29,6 @@ from dagquot.quotients import (
     lamplighter_eval,
     leaves,
     nf_from_json,
-    nf_mul,
     nf_to_json,
     predicted_invariants,
     quotient_from_json,
@@ -37,7 +36,7 @@ from dagquot.quotients import (
     relators_from_json,
     relators_to_json,
 )
-from dagquot.snf import AbelianInvariants
+from dagquot.snf import AbelianInvariants, smith_normal_form
 from dagquot.words import (
     Word,
     commutator,
@@ -300,6 +299,15 @@ class TestSoundness:
             )
 
 
+def smith_invariants(rank, rows):
+    """Invariants read off the Smith normal form of every exponent vector."""
+    if not rows:
+        return AbelianInvariants(rank, ())
+    _, d, _ = smith_normal_form(rows)
+    diag = [d[i][i] for i in range(min(len(rows), rank)) if d[i][i] != 0]
+    return AbelianInvariants(rank - len(diag), tuple(x for x in diag if x > 1))
+
+
 class TestAbelianization:
     def test_kill_one_of_four(self):
         r = RelatorSet(4, (w("x1"),))
@@ -316,6 +324,19 @@ class TestAbelianization:
 
     def test_empty_relators(self):
         assert abelianization(5, RelatorSet(5, ())) == AbelianInvariants(5, ())
+
+    def test_single_letters_among_words(self, rng):
+        # a single-letter relator, x_i or its inverse, kills x_i before any
+        # exponent vector is built; the other rows lose that column
+        for _ in range(200):
+            rank = rng.randint(1, 5)
+            words = [random_word(rng, rank, 4) for _ in range(rng.randint(0, 4))]
+            words += [generator(rank, rng.randint(1, rank), rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, 3))]
+            rng.shuffle(words)
+            finite = tuple(x for x in words if not x.is_identity)
+            rows = [exponent_vector(x) for x in finite]
+            assert abelianization(rank, RelatorSet(rank, finite)) == smith_invariants(rank, rows)
 
     def test_predictions_from_structure(self):
         assert predicted_invariants(InfiniteCyclic()) == AbelianInvariants(1, ())

@@ -4,12 +4,11 @@ from math import gcd
 
 import pytest
 
+from conftest import mat_det, mat_mul
 from dagquot.snf import (
     AbelianInvariants,
     invariants_from_rows,
-    mat_det,
     mat_identity,
-    mat_mul,
     smith_normal_form,
 )
 
@@ -172,3 +171,60 @@ class TestInvariantsAgainstDeterminantalDivisors:
         for rows in shapes:
             if rows:
                 assert invariants_from_rows(rank, rows) == determinantal_invariants(rank, rows)
+
+    def test_unit_rows_mixed_in(self):
+        # rows with a single +-1 entry among random rows, some only turning
+        # into unit rows once another unit row's column is eliminated
+        rng = random.Random(5)
+        for _ in range(300):
+            rank, nrows = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(rank)]
+                    for _ in range(nrows)]
+            for _ in range(rng.randint(1, 2)):
+                c = rng.randrange(rank)
+                rows.insert(rng.randrange(len(rows) + 1),
+                            [rng.choice((1, -1)) if j == c else 0 for j in range(rank)])
+            if rank > 1 and rng.random() < 0.5:
+                a, b = rng.sample(range(rank), 2)
+                rows.append([rng.choice((1, -1)) if j == a else
+                             rng.randint(-6, 6) if j == b else 0 for j in range(rank)])
+            assert invariants_from_rows(rank, rows) == determinantal_invariants(rank, rows)
+
+
+def snf_invariants(rank, rows):
+    """Oracle: invariants read off the Smith normal form of all the rows."""
+    if not rows:
+        return AbelianInvariants(rank, ())
+    _, d, _ = smith_normal_form(rows)
+    diag = [d[i][i] for i in range(min(len(rows), rank)) if d[i][i] != 0]
+    return AbelianInvariants(rank - len(diag), tuple(x for x in diag if x > 1))
+
+
+class TestUnitRowElimination:
+    def test_against_full_snf(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            rank, nrows = rng.randint(1, 9), rng.randint(0, 9)
+            rows = [[rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(rank)]
+                    for _ in range(nrows)]
+            for _ in range(rng.randint(0, rank)):
+                c = rng.randrange(rank)
+                rows.insert(rng.randrange(len(rows) + 1),
+                            [rng.choice((1, -1)) if j == c else 0 for j in range(rank)])
+            assert invariants_from_rows(rank, rows) == snf_invariants(rank, rows)
+
+    def test_chain_of_eliminations(self):
+        # x3 = 1 makes (0, 1, 5) a unit row, which makes (2, -1, 0) the row 2x1
+        rows = [[2, -1, 0], [0, 1, 5], [0, 0, 1]]
+        assert invariants_from_rows(3, rows) == AbelianInvariants(0, (2,))
+        assert snf_invariants(3, rows) == AbelianInvariants(0, (2,))
+
+    def test_realize_shaped_rows_need_no_snf(self, monkeypatch):
+        import dagquot.snf as snf
+
+        def refuse(a):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(snf, "smith_normal_form", refuse)
+        rows = [unit_row(6, i) for i in (0, 1, 2, 4, 2)]
+        assert snf.invariants_from_rows(6, rows) == AbelianInvariants(2, ())

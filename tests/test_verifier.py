@@ -14,9 +14,12 @@ from dagquot.dag import (
 )
 from dagquot.quotients import (
     CommutatorScheme,
+    FreeOfRank,
     FreeProduct,
     IdentityImage,
+    InfiniteCyclic,
     LeafImage,
+    MarkedQuotient,
     eval_word,
     NormalForm,
     RelatorSet,
@@ -105,6 +108,17 @@ class TestInclusion:
         assert cert.scheme_coverage[0].coverage == "exact"
         assert cert.scheme_coverage[0].reason == "abelian-base-zero-shift"
         assert check_certificate(r, cert)
+
+    def test_large_bound_builds_no_members(self):
+        # u (color 1) beside w: the scheme of u is exact in its own quotient,
+        # so neither certify_inclusion nor the check evaluates a member
+        r = realize(colored_dag(["u", "w"], [], {"u": 1, "w": 0}))
+        (scheme,) = r.assignment["u"].relators.schemes
+        built = dict(scheme._members)
+        cert = certify_inclusion(r, "u", "u", bound=1000)
+        assert cert.scheme_coverage[0].coverage == "exact"
+        assert check_certificate_detailed(r, cert) == (True, [])
+        assert scheme._members == built
 
     def test_trace_failure_surfaces(self):
         r = chain()
@@ -369,8 +383,21 @@ class TestCheckCertificate:
         (lambda: certify_color(chain(), "u"), ("color_facts",), "color", "0"),
         (lambda: certify_color(chain(), "u"), ("color_facts",), "scheme_free", 1),
         (lambda: certify_color(chain(), "u"), ("color_facts",), "lamplighter_free", 1),
+        (lambda: certify_separation(antichain(), "u", "w"), (), "kind", ["separation"]),
+        (lambda: certify_separation(antichain(), "u", "w"), (), "subject", "uw"),
+        (lambda: certify_separation(antichain(), "u", "w"), (), "subject", ["u", 2]),
+        (lambda: certify_inclusion(scheme_below(), "u", "w"), ("scheme_coverage", 0),
+         "coverage", ["exact"]),
+        (lambda: certify_inclusion(scheme_below(), "u", "w"), ("scheme_coverage", 0),
+         "reason", ["a-image-trivial"]),
+        (lambda: certify_separation(antichain(), "u", "w"), ("witness",), "provenance",
+         ["finite[2]"]),
+        (lambda: certify_color(chain(), "u"), ("color_facts",), "justification", 0),
+        (lambda: certify_distinctness(chain(), "u", "w"), (), "notes", "distinctness"),
     ], ids=["bound-string", "bound-float", "bound-bool", "scheme-string",
-            "color-string", "scheme-free-int", "lamplighter-free-int"])
+            "color-string", "scheme-free-int", "lamplighter-free-int", "kind-list",
+            "subject-string", "subject-int-item", "coverage-list", "reason-list",
+            "provenance-list", "justification-int", "notes-string"])
     def test_loader_does_not_coerce(self, make, path, field, value):
         data = certificate_to_json(make())
         holder = data
@@ -492,6 +519,146 @@ class TestInclusionByReference:
                     assert cert == e.certificate
                     ok, problems = check_certificate_detailed(stored, cert)
                     assert ok, (order, seed, e.check, e.subject, problems)
+
+
+def by_length_witness(r, u, v, bound):
+    """Reference separation search: the first relator of u in by_length
+    order whose image in v is nontrivial, evaluating every candidate."""
+    qv = r.assignment[v]
+    for provenance, word in r.assignment[u].relators.by_length(bound):
+        nf = eval_word(qv, word)
+        if not nf.is_identity:
+            return word, provenance, nf
+    return None
+
+
+def labelled_survivors(r, u, v, bound):
+    """Reference inclusion check: every labelled relator of u, evaluated in v."""
+    qv = r.assignment[v]
+    return [label for label, word in r.assignment[u].relators.labelled(bound)
+            if not eval_word(qv, word).is_identity]
+
+
+def tampered(r, rng):
+    """One vertex loses its finite relators (its witnesses, if any, are scheme
+    members), another gains a relator that is not a generator (no generator
+    mask), a third sends every generator to the identity."""
+    ids = sorted(r.assignment)
+    a, b, c = rng.sample(ids, 3)
+    rank = r.ambient_rank
+    r = replace_quotient(r, a, relators=RelatorSet(rank, (), r.assignment[a].relators.schemes))
+    rel = r.assignment[b].relators
+    extra = w(f"x{rng.randint(1, rank)} x{rng.randint(1, rank)}^-1 x1", rank)
+    r = replace_quotient(r, b, relators=RelatorSet(rank, rel.finite_part + (extra,), rel.schemes))
+    return all_identity(r, c)
+
+
+class TestGeneratorMasks:
+    """Inclusion and separation read the finite relators off two bit masks:
+    the generators a relator set holds and the generators a marking kills."""
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    def test_masks_match_eval_word(self, edge_prob):
+        for seed in range(6):
+            r = realize(random_colored_dag(9, random.Random(seed), edge_prob))
+            rank = r.ambient_rank
+            for q in r.assignment.values():
+                gens = [generator(rank, i) for i in range(1, rank + 1)]
+                dead = {i for i, x in enumerate(gens, 1) if eval_word(q, x).is_identity}
+                assert q.dead_mask == sum(1 << i for i in dead)
+                rel = q.relators
+                held = {i for i, x in enumerate(gens, 1) if x in rel.finite_part}
+                assert rel.generator_mask == sum(1 << i for i in held)
+                assert rel.generator_position == {
+                    i: rel.finite_part.index(gens[i - 1]) for i in held}
+
+    def test_zero_in_a_z_leaf_is_dead(self):
+        q = MarkedQuotient(3, RelatorSet(3, ()), FreeProduct((InfiniteCyclic(), FreeOfRank(1))),
+                           {1: LeafImage(0, 0), 2: LeafImage(0, 2), 3: LeafImage(1, 1)})
+        assert eval_word(q, generator(3, 1)).is_identity
+        assert q.dead_mask == 1 << 1
+
+    def test_non_generator_relator_takes_the_eval_path(self):
+        r = chain()
+        rel_u, rel_w = r.assignment["u"].relators, r.assignment["w"].relators
+        assert None not in (rel_u.generator_mask, rel_w.generator_mask)
+        assert check_certificate(r, certify_inclusion(r, "u", "w"))
+        assert certify_separation(r, "w", "u").witness.provenance == "finite[1]"
+        assert not rel_u._labelled and not rel_w._by_length
+        # a square of a generator is no generator: both sets lose their mask
+        for v, square in (("u", "x1 x1"), ("w", "x2 x2")):
+            rel = r.assignment[v].relators
+            r = replace_quotient(r, v, relators=RelatorSet(4, rel.finite_part + (w(square, 4),)))
+        rel_u, rel_w = r.assignment["u"].relators, r.assignment["w"].relators
+        assert rel_u.generator_mask is None and rel_w.generator_mask is None
+        assert check_certificate(r, certify_inclusion(r, "u", "w"))
+        assert rel_u._labelled
+        cert = certify_separation(r, "w", "u")
+        assert rel_w._by_length
+        assert cert.witness.provenance == "finite[1]" and check_certificate(r, cert)
+
+    @pytest.mark.parametrize("extra,provenance", [
+        ("x2", "finite[1]"),
+        ("x2^-1", "finite[3]"),
+    ], ids=["repeated-generator", "inverse-generator"])
+    def test_witness_among_repeated_letters(self, extra, provenance):
+        # w's relators x1 x2 x3 plus one more letter on x2, which survives in
+        # u: a repeat keeps the first position, an inverse (first in
+        # by_length order) leaves the set without a generator mask
+        r = chain()
+        rel = r.assignment["w"].relators
+        r = replace_quotient(r, "w", relators=RelatorSet(4, rel.finite_part + (w(extra, 4),)))
+        cert = certify_separation(r, "w", "u")
+        assert cert.witness.provenance == provenance
+        assert (cert.witness.word, provenance, cert.witness.image) == by_length_witness(
+            r, "w", "u", 5)
+        assert check_certificate(r, cert)
+
+    def test_probed_scheme_members_are_evaluated(self):
+        # b below u (color 1), u stripped of its finite relators: the pair of
+        # u spans a free leaf of b, so the scheme of u is probed there and
+        # every member up to the bound survives
+        r = realize(colored_dag(["b", "u"], [("b", "u")], {"b": 0, "u": 1}))
+        schemes = r.assignment["u"].relators.schemes
+        r = replace_quotient(r, "u", relators=RelatorSet(4, (), schemes))
+        ok, problems = check_certificate_detailed(r, Certificate("inclusion", ("u", "b"), 3))
+        assert problems[:3] == [f"relator scheme[0].member[{i}] of u survives in quotient of b"
+                                for i in (1, 2, 3)]
+
+    @pytest.mark.parametrize("tamper", [False, True], ids=["canonical", "tampered"])
+    def test_every_pair_against_evaluation(self, tamper):
+        bound = 3
+        for seed in range(8):
+            rng = random.Random(seed)
+            r = realize(random_colored_dag(6 + seed % 4, rng, (0.05, 0.3, 0.6)[seed % 3]))
+            if tamper:
+                r = tampered(r, rng)
+            for u in r.assignment:
+                for v in r.assignment:
+                    if u == v:
+                        continue
+                    if leq(r.dag, u, v):
+                        survivors = labelled_survivors(r, u, v, bound)
+                        ok, problems = check_certificate_detailed(
+                            r, Certificate("inclusion", (u, v), bound))
+                        assert [p for p in problems if "survives" in p] == [
+                            f"relator {label} of {u} survives in quotient of {v}"
+                            for label in survivors]
+                        if survivors:
+                            with pytest.raises(TraceFailedError, match=re.escape(survivors[0])):
+                                certify_inclusion(r, u, v, bound)
+                        else:
+                            assert check_certificate(r, certify_inclusion(r, u, v, bound))
+                        continue
+                    expected = by_length_witness(r, u, v, bound)
+                    if expected is None:
+                        with pytest.raises(WitnessNotFoundError):
+                            certify_separation(r, u, v, bound)
+                        continue
+                    cert = certify_separation(r, u, v, bound)
+                    witness = cert.witness
+                    assert (witness.word, witness.provenance, witness.image) == expected
+                    assert check_certificate(r, cert)
 
 
 class TestVerifyAll:

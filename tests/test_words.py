@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_raw_letters, random_word
+from conftest import cyclically_reduce, identity_hom, random_raw_letters, random_word
 from dagquot.words import (
     GeneratorRangeError,
     Hom,
@@ -10,12 +10,10 @@ from dagquot.words import (
     apply_hom,
     commutator,
     conjugate,
-    cyclically_reduce,
     exponent_vector,
     format_word,
     generator,
     identity,
-    identity_hom,
     invert,
     multiply,
     parse_word,
