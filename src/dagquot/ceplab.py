@@ -38,6 +38,7 @@ from .quotients import (
     MarkedQuotient,
     RelatorSet,
     eval_word,
+    json_field,
 )
 from .verifier import Certificate, EvalTrace, SubstitutionFact
 from .words import Word, conjugate, generator
@@ -259,24 +260,23 @@ class CepViolation:
     intersection: frozenset[int]  # H meet the ambient closure of N
 
 
-def _cep_violation(
-    g: FiniteGroup, ambient: frozenset[int], sub: frozenset[int]
-) -> CepViolation | None:
+def _cep_failures(g: FiniteGroup, ambient: frozenset[int], sub: frozenset[int]):
+    """Every normal subgroup of ``sub`` whose two closure sides disagree, in
+    lattice order; lazily, so the first costs only the subgroups before it."""
     for n in normal_subgroups_within(g, sub):
         meet = normal_closure_in(g, ambient, n) & sub
         if meet != n:
-            return CepViolation(n, meet)
-    return None
+            yield CepViolation(n, meet)
 
 
 def is_cep_pair(g: FiniteGroup, ambient: frozenset[int], sub: frozenset[int]) -> bool:
     if not sub <= ambient:
         raise GroupTableError("chain is not nested")
-    return _cep_violation(g, ambient, sub) is None
+    return next(_cep_failures(g, ambient, sub), None) is None
 
 
 def is_cep_finite(g: FiniteGroup, h: Subgroup) -> tuple[bool, CepViolation | None]:
-    violation = _cep_violation(g, frozenset(range(g.order)), h.elements)
+    violation = next(_cep_failures(g, frozenset(range(g.order)), h.elements), None)
     return violation is None, violation
 
 
@@ -285,11 +285,7 @@ def is_almost_cep_finite(
 ) -> frozenset[int] | None:
     """Smallest S in H minus the identity (|S| <= max_s) such that every
     normal subgroup of H missing S satisfies the closure equation."""
-    ambient = frozenset(range(g.order))
-    failing = [
-        n for n in normal_subgroups_within(g, h.elements)
-        if normal_closure_in(g, ambient, n) & h.elements != n
-    ]
+    failing = [v.seed_normal for v in _cep_failures(g, frozenset(range(g.order)), h.elements)]
     pool = sorted(h.elements - {0})
     for size in range(max_s + 1):
         for combo in itertools.combinations(pool, size):
@@ -346,13 +342,6 @@ Perm = tuple[int, ...]
 def _perm_mul(p: Perm, q: Perm) -> Perm:
     # apply p first, then q
     return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _perm_inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -511,12 +500,20 @@ def _table_entry(x) -> int:
 
 def group_from_json(data) -> FiniteGroup:
     if "table" in data:
-        order = int(data["order"])
-        table = tuple(tuple(_table_entry(x) for x in row) for row in data["table"])
-        names = tuple(str(n) for n in data.get("names", range(order)))
+        order = json_field(data, "order", int, "group")
+        rows = json_field(data, "table", list, "group", item=list)
+        table = tuple(tuple(_table_entry(x) for x in row) for row in rows)
+        if "names" in data:
+            names = tuple(json_field(data, "names", list, "group", item=str))
+        else:
+            names = tuple(str(n) for n in range(order))
         return FiniteGroup(order, table, names)
     if "generators" in data:
-        return group_from_permutations(int(data["degree"]), data["generators"])[0]
+        degree = json_field(data, "degree", int, "group")
+        if degree < 1:
+            raise GroupTableError("group field 'degree' must be a positive integer")
+        gens = json_field(data, "generators", list, "group", item=str)
+        return group_from_permutations(degree, gens)[0]
     raise GroupTableError("group JSON needs either a table or permutation generators")
 
 

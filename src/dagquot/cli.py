@@ -42,16 +42,14 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _write_json(path: Path, data) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, data) -> None:
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_report(path: Path, report) -> None:
@@ -158,10 +156,7 @@ def cmd_cep(args) -> int:
         result["subgroup"] = g.name_set(h.elements)
         result["is_cep"] = is_cep
         if violation is not None:
-            result["violation"] = {
-                "normal_subgroup": g.name_set(violation.seed_normal),
-                "intersection_with_ambient_closure": g.name_set(violation.intersection),
-            }
+            result["violation"] = _violation_json(g, violation)
         if args.max_s is not None:
             witness = ceplab.is_almost_cep_finite(g, h, args.max_s)
             result["almost_cep_witness"] = (
@@ -169,9 +164,18 @@ def cmd_cep(args) -> int:
             )
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
-        _write_json(_outdir(args) / "cep.json", result)
+        _write_text(_outdir(args) / "cep.json", text + "\n")
     print(text)
     return code
+
+
+def _violation_json(g, violation: ceplab.CepViolation | None) -> dict | None:
+    if violation is None:
+        return None
+    return {
+        "normal_subgroup": g.name_set(violation.seed_normal),
+        "intersection_with_ambient_closure": g.name_set(violation.intersection),
+    }
 
 
 def cmd_demo(args) -> int:
@@ -212,12 +216,7 @@ def _demo_s4_d4(args) -> int:
         "group": "s4",
         "subgroup": g.name_set(h.elements),
         "is_cep": is_cep,
-        "violation": None
-        if violation is None
-        else {
-            "normal_subgroup": g.name_set(violation.seed_normal),
-            "intersection_with_ambient_closure": g.name_set(violation.intersection),
-        },
+        "violation": _violation_json(g, violation),
         "recheck": verified,
     }
     _write_json(out / "cep_violation.json", result)

@@ -67,21 +67,8 @@ class ColoredDag:
         it reaches. One BFS per source, so a cyclic (unvalidated) instance
         gets exact answers too."""
         succ = self.successor_map
-        sources = set(self.vertices).union(*self.edges)
-        out = {}
-        for u in sources:
-            seen: set[str] = set()
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for s in frontier:
-                    for t in succ.get(s, ()):
-                        if t not in seen:
-                            seen.add(t)
-                            nxt.append(t)
-                frontier = nxt
-            out[u] = frozenset(seen)
-        return out
+        return {u: frozenset(_bfs_parents(succ, u))
+                for u in set(self.vertices).union(*self.edges)}
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
@@ -115,31 +102,32 @@ def validate(d: ColoredDag) -> None:
     _check_acyclic(d)
 
 
+def _bfs_parents(succ: dict[str, tuple[str, ...]], root: str) -> dict[str, str]:
+    """Every vertex a path of length >= 1 from ``root`` reaches -> the vertex
+    the breadth-first search reached it from."""
+    parent: dict[str, str] = {}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in succ.get(s, ()):
+                if t not in parent:
+                    parent[t] = s
+                    nxt.append(t)
+        frontier = nxt
+    return parent
+
+
 def _check_acyclic(d: ColoredDag) -> None:
-    # iterative DFS with a path stack so a cycle witness can be reported
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = {v: WHITE for v in d.vertices}
+    # a vertex that reaches itself lies on a cycle; the witness follows the
+    # BFS parents from its first return back to it
     for root in d.vertices:
-        if state[root] != WHITE:
-            continue
-        stack: list[tuple[str, list[str]]] = [(root, d.successors(root))]
-        state[root] = GRAY
-        path = [root]
-        while stack:
-            v, succs = stack[-1]
-            if succs:
-                nxt = succs.pop(0)
-                if state[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise CycleFoundError(cycle)
-                if state[nxt] == WHITE:
-                    state[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, d.successors(nxt)))
-            else:
-                state[v] = BLACK
-                path.pop()
-                stack.pop()
+        if root in d.reach[root]:
+            parent = _bfs_parents(d.successor_map, root)
+            cycle = [root, parent[root]]
+            while cycle[-1] != root:
+                cycle.append(parent[cycle[-1]])
+            raise CycleFoundError(cycle[::-1])
 
 
 def leq(d: ColoredDag, u: str, v: str) -> bool:

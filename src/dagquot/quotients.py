@@ -11,6 +11,19 @@ Infinite relator families appear only as commutator schemes: the family
 [a, t^-i a t^i] for i >= 1, which generates the kernel of the free group on
 (a, t) onto Z wr Z.  Membership questions never truncate the scheme; they go
 through exact evaluation in the marked quotient.
+
+Whether a relator of one quotient dies in another is answered here, once,
+for ``check_soundness`` and for the verifier's inclusion and separation
+certificates.  Every finite relator the construction writes is one positive
+generator, and a marking kills x_i exactly when its image is the identity or
+0 in a Z leaf.  ``RelatorSet.generator_mask`` and ``MarkedQuotient.dead_mask``
+hold these facts as bits, so the finite part of an inclusion is one test,
+``gens_u & ~dead_v == 0``, and the first survivor is the lowest set bit of
+``gens_u & ~dead_v``: the relator the shortest-first search over
+``by_length`` finds.  An "exact" scheme is dead for every member, so it
+replaces the member probes; only "probed" schemes evaluate members up to the
+bound.  A relator set with any other finite relator, and a set with a
+survivor, take the evaluation path, which names every survivor.
 """
 
 from __future__ import annotations
@@ -473,19 +486,74 @@ def eval_word(q: MarkedQuotient, w: Word) -> NormalForm:
     return NormalForm(tuple(syls))
 
 
-def is_trivial(q: MarkedQuotient, w: Word) -> bool:
-    return eval_word(q, w).is_identity
+def scheme_exactness(q: MarkedQuotient, scheme: CommutatorScheme) -> tuple[str, str]:
+    """Decide whether all scheme members die in q at once: ("exact", reason)
+    when a structural reason kills every member, else ("probed", ...)."""
+    img_a = eval_word(q, scheme.a)
+    img_t = eval_word(q, scheme.t)
+    if img_a.is_identity:
+        return "exact", "a-image-trivial"
+    if img_t.is_identity:
+        return "exact", "t-image-trivial"
+    if (
+        len(img_a) == 1
+        and len(img_t) == 1
+        and img_a.syllables[0][0] == img_t.syllables[0][0]
+        and isinstance(q.leaf_list[img_a.syllables[0][0]], Lamplighter)
+        and img_a.syllables[0][1][0] == 0
+    ):
+        # conjugation preserves the zero shift and the base group of the
+        # lamplighter leaf is abelian, so a commutes with all its conjugates
+        return "exact", "abelian-base-zero-shift"
+    return "probed", "members checked for i <= bound only"
+
+
+def surviving_relators(rel: RelatorSet, q: MarkedQuotient, bound: int,
+                       exactness: tuple[tuple[str, str], ...]) -> list[str]:
+    """The label of every relator in ``rel.labelled(bound)`` that survives in
+    ``q``, in that order; ``exactness`` is ``scheme_exactness`` of each
+    scheme of ``rel`` in ``q``.
+
+    When every finite relator is a single generator, they all die exactly
+    when none is outside ``q.dead_mask``; an exact scheme is not evaluated,
+    and a probed one is evaluated up to the bound. Only a survivor, or a
+    relator set without a generator mask, takes the labelled loop."""
+    mask = rel.generator_mask
+    if mask is not None and not mask & ~q.dead_mask and all(
+        coverage == "exact"
+        or all(eval_word(q, s.member(i)).is_identity for i in range(1, bound + 1))
+        for s, (coverage, _) in zip(rel.schemes, exactness)
+    ):
+        return []
+    return [label for label, w in rel.labelled(bound) if not eval_word(q, w).is_identity]
+
+
+def first_survivor(rel: RelatorSet, q: MarkedQuotient,
+                   bound: int) -> tuple[str, Word, NormalForm] | None:
+    """The first relator of ``rel.by_length(bound)`` that survives in ``q``,
+    with its label and image. With a generator mask that is the lowest
+    generator of ``rel`` not dead in ``q``; scheme members are searched only
+    when there is none."""
+    alive = 0 if rel.generator_mask is None else rel.generator_mask & ~q.dead_mask
+    if alive:
+        k = rel.generator_position[(alive & -alive).bit_length() - 1]
+        candidates: tuple[Labelled, ...] = ((f"finite[{k}]", rel.finite_part[k]),)
+    else:
+        candidates = rel.by_length(bound)
+    for label, w in candidates:
+        nf = eval_word(q, w)
+        if not nf.is_identity:
+            return label, w, nf
+    return None
 
 
 def check_soundness(q: MarkedQuotient, probe_bound: int = 3) -> None:
     """Every relator (scheme members probed up to the bound) must die in q."""
-    for w in q.relators.finite_part:
-        if not is_trivial(q, w):
-            raise QuotientModelError(f"finite relator {format_word(w)} survives in quotient")
-    for s in q.relators.schemes:
-        for i in range(1, probe_bound + 1):
-            if not is_trivial(q, s.member(i)):
-                raise QuotientModelError(f"scheme member i={i} survives in quotient")
+    rel = q.relators
+    exactness = tuple(scheme_exactness(q, s) for s in rel.schemes)
+    survivors = surviving_relators(rel, q, probe_bound, exactness)
+    if survivors:
+        raise QuotientModelError(f"relator {survivors[0]} survives in quotient")
 
 
 def abelianization(rank: int, r: RelatorSet) -> AbelianInvariants:

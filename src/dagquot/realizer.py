@@ -108,7 +108,6 @@ def realize(d: ColoredDag) -> Realization:
     or the scheme on (x_{2j-1}, x_{2j}) (color 1).  The pair of each later
     step is a new F2 leaf when that step's vertex lies above it, and two more
     relators otherwise."""
-    dagmod.validate(d)
     closed = dagmod.transitive_closure(d)
     build = list(reversed(removal_order(closed)))
     rank = 2 * len(build)

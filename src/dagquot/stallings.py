@@ -241,31 +241,3 @@ def index_in_ambient(g: SubgroupGraph) -> int | None:
             if g.step(v, lab, 1) is None or g.step(v, lab, -1) is None:
                 return None
     return g.num_vertices
-
-
-def to_json(g: SubgroupGraph) -> dict:
-    return {
-        "rank": g.rank,
-        "vertices": g.num_vertices,
-        "base": g.base,
-        "edges": [[s, lab, t] for s, lab, t in sorted(g.edges)],
-    }
-
-
-def from_json(data) -> SubgroupGraph:
-    return SubgroupGraph(
-        int(data["rank"]),
-        int(data["vertices"]),
-        frozenset((int(s), int(lab), int(t)) for s, lab, t in data["edges"]),
-    )
-
-
-def to_dot(g: SubgroupGraph) -> str:
-    lines = ["digraph subgroup_graph {"]
-    lines.append('  0 [shape=doublecircle, label="base"];')
-    for v in range(1, g.num_vertices):
-        lines.append(f"  {v} [shape=circle];")
-    for s, lab, t in sorted(g.edges):
-        lines.append(f'  {s} -> {t} [label="x{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -25,18 +25,8 @@ realization and checks that each dies in the target quotient.  A trace,
 where a certificate carries one, is a word, the quotient it is evaluated in
 and the expected normal form.  ``check_certificate`` shares no state with
 generation beyond what each ``RelatorSet`` and ``MarkedQuotient`` caches:
-labelled relator lists per bound and the two masks below.
-
-Every finite relator the construction writes is one positive generator, and
-a marking kills x_i exactly when its image is the identity or 0 in a Z leaf.
-``RelatorSet.generator_mask`` and ``MarkedQuotient.dead_mask`` hold these
-facts as bits, so the finite part of an inclusion is one test,
-``gens_u & ~dead_v == 0``, and the separation witness is the lowest set bit
-of ``gens_u & ~dead_v``: the witness the shortest-first search over
-``by_length`` finds.  An "exact" scheme is dead for every member, so it
-replaces the member probes; only "probed" schemes evaluate members up to
-the bound.  A relator set with any other finite relator, and an inclusion
-with a survivor, take the evaluation path, which names every survivor.
+labelled relator lists per bound and the bit masks that
+``quotients.surviving_relators`` and ``quotients.first_survivor`` read.
 
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
@@ -49,13 +39,11 @@ import time
 from dataclasses import dataclass
 
 from .quotients import (
-    Lamplighter,
-    Labelled,
     MarkedQuotient,
     NormalForm,
-    RelatorSet,
     abelianization,
     eval_word,
+    first_survivor,
     has_lamplighter,
     json_field,
     nf_from_json,
@@ -63,6 +51,8 @@ from .quotients import (
     predicted_invariants,
     quotient_from_json,
     quotient_to_json,
+    scheme_exactness,
+    surviving_relators,
     word_from_json,
     word_to_json,
 )
@@ -159,55 +149,13 @@ JUSTIFICATION_COLOR = (
 )
 
 
-def _scheme_exactness(qv: MarkedQuotient, scheme) -> tuple[str, str]:
-    """Decide whether all scheme members die in qv at once."""
-    img_a = eval_word(qv, scheme.a)
-    img_t = eval_word(qv, scheme.t)
-    if img_a.is_identity:
-        return "exact", "a-image-trivial"
-    if img_t.is_identity:
-        return "exact", "t-image-trivial"
-    if (
-        len(img_a) == 1
-        and len(img_t) == 1
-        and img_a.syllables[0][0] == img_t.syllables[0][0]
-        and isinstance(qv.leaf_list[img_a.syllables[0][0]], Lamplighter)
-        and img_a.syllables[0][1][0] == 0
-    ):
-        # conjugation preserves the zero shift and the base group of the
-        # lamplighter leaf is abelian, so a commutes with all its conjugates
-        return "exact", "abelian-base-zero-shift"
-    return "probed", f"members checked for i <= bound only"
-
-
-def _surviving_relators(
-    rel: RelatorSet, qv: MarkedQuotient, bound: int, exactness: tuple[tuple[str, str], ...]
-) -> list[str]:
-    """The label of every relator in ``rel.labelled(bound)`` that survives in
-    ``qv``, in that order; ``exactness`` is ``_scheme_exactness`` of each
-    scheme of ``rel`` in ``qv``.
-
-    When every finite relator is a single generator, they all die exactly
-    when none is outside ``qv.dead_mask``; an exact scheme is not evaluated,
-    and a probed one is evaluated up to the bound. Only a survivor, or a
-    relator set without a generator mask, takes the labelled loop."""
-    mask = rel.generator_mask
-    if mask is not None and not mask & ~qv.dead_mask and all(
-        coverage == "exact"
-        or all(eval_word(qv, s.member(i)).is_identity for i in range(1, bound + 1))
-        for s, (coverage, _) in zip(rel.schemes, exactness)
-    ):
-        return []
-    return [label for label, w in rel.labelled(bound) if not eval_word(qv, w).is_identity]
-
-
 def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     if not leq(r.dag, u, v):
         raise NotComparableError(f"no path {u} -> {v}")
     qv = r.assignment[v]
     rel_u = r.assignment[u].relators
-    exactness = tuple(_scheme_exactness(qv, s) for s in rel_u.schemes)
-    survivors = _surviving_relators(rel_u, qv, bound, exactness)
+    exactness = tuple(scheme_exactness(qv, s) for s in rel_u.schemes)
+    survivors = surviving_relators(rel_u, qv, bound, exactness)
     if survivors:
         raise TraceFailedError(f"relator {survivors[0]} of {u} survives in quotient of {v}")
     return Certificate(
@@ -220,28 +168,19 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
 
 def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     """The first relator of ``u`` in ``by_length`` order that survives in
-    ``v``. With a generator mask that is the lowest generator of ``u`` not
-    dead in ``v``; scheme members are searched only when there is none."""
+    ``v``, as ``first_survivor`` finds it."""
     if leq(r.dag, u, v):
         raise NotComparableError(f"path {u} -> {v} exists; nothing to separate")
-    qv = r.assignment[v]
-    rel = r.assignment[u].relators
-    alive = 0 if rel.generator_mask is None else rel.generator_mask & ~qv.dead_mask
-    if alive:
-        k = rel.generator_position[(alive & -alive).bit_length() - 1]
-        candidates: tuple[Labelled, ...] = ((f"finite[{k}]", rel.finite_part[k]),)
-    else:
-        candidates = rel.by_length(bound)
-    for provenance, w in candidates:
-        nf = eval_word(qv, w)
-        if not nf.is_identity:
-            return Certificate(
-                kind="separation",
-                subject=(u, v),
-                bound=bound,
-                witness=WitnessEvidence(w, provenance, nf),
-            )
-    raise WitnessNotFoundError(bound)
+    survivor = first_survivor(r.assignment[u].relators, r.assignment[v], bound)
+    if survivor is None:
+        raise WitnessNotFoundError(bound)
+    provenance, w, nf = survivor
+    return Certificate(
+        kind="separation",
+        subject=(u, v),
+        bound=bound,
+        witness=WitnessEvidence(w, provenance, nf),
+    )
 
 
 def certify_distinctness(
@@ -347,8 +286,8 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             return
         u, v = c.subject
         rel, qv = r.assignment[u].relators, r.assignment[v]
-        exactness = tuple(_scheme_exactness(qv, s) for s in rel.schemes)
-        for label in _surviving_relators(rel, qv, c.bound, exactness):
+        exactness = tuple(scheme_exactness(qv, s) for s in rel.schemes)
+        for label in surviving_relators(rel, qv, c.bound, exactness):
             problems.append(f"relator {label} of {u} survives in quotient of {v}")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
         if covered != set(range(len(rel.schemes))):

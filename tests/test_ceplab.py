@@ -20,6 +20,7 @@ from dagquot.ceplab import (
     group_from_permutations,
     is_almost_cep_finite,
     is_cep_finite,
+    is_cep_pair,
     normal_closure_finite,
     normal_closure_in,
     normal_subgroups_within,
@@ -375,6 +376,51 @@ class TestAlmostCep:
         # violating normal subgroup of the dihedral group
         assert len(singletons) == 1
         assert g.name_set(found) == ["(1 3)(2 4)"]
+
+
+def old_almost_cep(g, h, max_s):
+    """Reference for ``is_almost_cep_finite``: the failing normal subgroups
+    of H by a comprehension of its own, not through ``_cep_failures``."""
+    ambient = frozenset(range(g.order))
+    failing = [
+        n for n in normal_subgroups_within(g, h.elements)
+        if normal_closure_in(g, ambient, n) & h.elements != n
+    ]
+    pool = sorted(h.elements - {0})
+    for size in range(max_s + 1):
+        for combo in itertools.combinations(pool, size):
+            s = frozenset(combo)
+            if all(s & n for n in failing):
+                return s
+    return None
+
+
+class TestCepFailures:
+    """``is_cep_finite``, ``is_cep_pair`` and ``is_almost_cep_finite`` read
+    one generator of failing normal subgroups."""
+
+    @pytest.mark.parametrize("name", ["a4", "s4"])
+    def test_almost_cep_matches_the_old_comprehension(self, name):
+        g = builtin_group(name)
+        for sub in all_subgroups(g):
+            h = Subgroup(g, sub)
+            for max_s in range(3):
+                assert is_almost_cep_finite(g, h, max_s) == old_almost_cep(g, h, max_s)
+
+    @pytest.mark.parametrize("name", ["a4", "s4"])
+    def test_first_violation_is_the_first_failing_normal_subgroup(self, name):
+        g = builtin_group(name)
+        whole = frozenset(range(g.order))
+        for sub in all_subgroups(g):
+            failing = [n for n in normal_subgroups_within(g, sub)
+                       if normal_closure_in(g, whole, n) & sub != n]
+            ok, violation = is_cep_finite(g, Subgroup(g, sub))
+            assert ok == (not failing) == is_cep_pair(g, whole, sub)
+            if failing:
+                assert violation.seed_normal == failing[0]
+                assert violation.intersection == normal_closure_in(g, whole, failing[0]) & sub
+            else:
+                assert violation is None
 
 
 class TestTransitivityScan:

@@ -443,6 +443,22 @@ class TestMalformedInput:
         write_json(inp, group)
         self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys)
 
+    KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+    @pytest.mark.parametrize("group,field", [
+        ({"order": "4", "table": KLEIN}, "order"),
+        ({"order": 4.9, "table": KLEIN}, "order"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": [0, 1]}, "names"),
+        ({"degree": "3", "generators": ["(1 2)", "(1 2 3)"]}, "degree"),
+        ({"degree": 3.5, "generators": ["(1 2)", "(1 2 3)"]}, "degree"),
+        ({"degree": -1, "generators": []}, "degree"),
+    ], ids=["order-string", "order-float", "names-ints", "degree-string",
+            "degree-float", "degree-negative"])
+    def test_cep_group_fields_not_coerced(self, tmp_path, capsys, group, field):
+        inp = tmp_path / "g.json"
+        write_json(inp, group)
+        self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys, field)
+
 
 class TestCepCommand:
     def test_s4_d4_query(self, tmp_path, capsys):

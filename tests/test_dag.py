@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -187,6 +188,48 @@ class TestReachabilityAgainstBfs:
         d.successors("1").pop()
         assert d.successors("1") == ["2"]
         assert leq(d, "1", "3")
+
+
+def has_cycle_by_orderings(vertices, edges):
+    """Brute force: a digraph is acyclic iff some ordering of its vertices
+    sends every edge forward."""
+    for order in itertools.permutations(vertices):
+        pos = {v: i for i, v in enumerate(order)}
+        if all(pos[a] < pos[b] for a, b in edges):
+            return False
+    return True
+
+
+class TestCycleWitness:
+    """Acyclicity is read off ``reach``; the witness is a closed walk."""
+
+    def test_random_digraphs_with_back_edges(self):
+        rng = random.Random(7)
+        cycles = 0
+        for _ in range(150):
+            order = rng.randint(2, 6)
+            ids = [str(i) for i in range(1, order + 1)]
+            edges = {(u, v) for u in ids for v in ids if u != v and rng.random() < 0.25}
+            d = ColoredDag(tuple(ids), frozenset(edges), dict.fromkeys(ids, 0))
+            expected = has_cycle_by_orderings(ids, edges)
+            try:
+                validate(d)
+            except CycleFoundError as exc:
+                cycles += 1
+                assert expected
+                walk = exc.cycle
+                assert len(walk) >= 3 and walk[0] == walk[-1]
+                assert all((a, b) in edges for a, b in zip(walk, walk[1:]))
+            else:
+                assert not expected
+        assert 20 < cycles < 130
+
+    def test_witness_of_a_triangle(self):
+        d = ColoredDag(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}),
+                       dict.fromkeys("abc", 0))
+        with pytest.raises(CycleFoundError) as err:
+            validate(d)
+        assert err.value.cycle == ["a", "b", "c", "a"]
 
 
 class TestEnumeration:

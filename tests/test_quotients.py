@@ -23,7 +23,6 @@ from dagquot.quotients import (
     expr_to_json,
     free_product,
     has_lamplighter,
-    is_trivial,
     lamp_inv,
     lamp_mul,
     lamplighter_eval,
@@ -35,6 +34,8 @@ from dagquot.quotients import (
     quotient_to_json,
     relators_from_json,
     relators_to_json,
+    scheme_exactness,
+    surviving_relators,
 )
 from dagquot.snf import AbelianInvariants, smith_normal_form
 from dagquot.words import (
@@ -232,13 +233,13 @@ class TestEval:
 
     def test_cancellation(self):
         q = z_quotient_killing_first(2)
-        assert is_trivial(q, w("x2 x2 x2 x2^-1 x2^-1 x2^-1", 2))
+        assert eval_word(q, w("x2 x2 x2 x2^-1 x2^-1 x2^-1", 2)).is_identity
 
     def test_scheme_members_die_in_lamplighter(self):
         q = lamplighter_quotient()
         s = q.relators.schemes[0]
         for i in range(1, 6):
-            assert is_trivial(q, s.member(i))
+            assert eval_word(q, s.member(i)).is_identity
 
     def test_homomorphism_random_pairs(self, rng):
         q = MarkedQuotient(
@@ -287,6 +288,42 @@ class TestSoundness:
         )
         with pytest.raises(QuotientModelError):
             check_soundness(q)
+
+    def test_mask_path_names_the_survivor(self):
+        q = MarkedQuotient(3, RelatorSet(3, (generator(3, 1), generator(3, 3))),
+                           InfiniteCyclic(),
+                           {1: IdentityImage(), 2: IdentityImage(), 3: LeafImage(0, 1)})
+        assert q.relators.generator_mask == 0b1010
+        with pytest.raises(QuotientModelError, match=r"^relator finite\[1\] survives in quotient$"):
+            check_soundness(q)
+
+    def test_eval_path_names_the_survivor(self):
+        # x1 x2^-1 dies and x1 x2 survives in Z with x1, x2 -> 1; neither is
+        # a single generator, so the set has no generator mask
+        q = MarkedQuotient(2, RelatorSet(2, (w("x1 x2^-1", 2), w("x1 x2", 2))),
+                           InfiniteCyclic(), {1: LeafImage(0, 1), 2: LeafImage(0, 1)})
+        assert q.relators.generator_mask is None
+        with pytest.raises(QuotientModelError, match=r"^relator finite\[1\] survives in quotient$"):
+            check_soundness(q)
+
+    def test_probed_scheme_member_names_the_survivor(self):
+        scheme = CommutatorScheme(generator(2, 1), generator(2, 2))
+        q = MarkedQuotient(2, RelatorSet(2, (), (scheme,)), FreeOfRank(2),
+                           {1: LeafImage(0, 1), 2: LeafImage(0, 2)})
+        exactness = scheme_exactness(q, scheme)
+        assert exactness[0] == "probed"
+        assert surviving_relators(q.relators, q, 2, (exactness,)) == [
+            "scheme[0].member[1]", "scheme[0].member[2]"]
+        with pytest.raises(QuotientModelError,
+                           match=r"^relator scheme\[0\]\.member\[1\] survives in quotient$"):
+            check_soundness(q)
+
+    def test_exact_scheme_builds_no_members(self):
+        q = lamplighter_quotient()
+        (scheme,) = q.relators.schemes
+        assert scheme_exactness(q, scheme) == ("exact", "abelian-base-zero-shift")
+        check_soundness(q, probe_bound=5)
+        assert not scheme._members
 
     def test_marking_must_cover_generators(self):
         with pytest.raises(QuotientModelError):

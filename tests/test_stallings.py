@@ -11,11 +11,8 @@ from dagquot.stallings import (
     build_subgroup_graph,
     contains,
     express,
-    from_json,
     index_in_ambient,
     substitute_basis,
-    to_dot,
-    to_json,
 )
 from dagquot.words import (
     RankMismatchError,
@@ -188,16 +185,6 @@ class TestIndex:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, rng):
-        for _ in range(10):
-            gens = [random_word(rng, 2, 5) for _ in range(2)]
-            g = build_subgroup_graph([x for x in gens if x], rank=2)
-            assert from_json(to_json(g)) == g
-
     def test_unfolded_rejected(self):
         with pytest.raises(StallingsError):
             SubgroupGraph(2, 3, frozenset({(0, 1, 1), (0, 1, 2)}))
-
-    def test_dot_smoke(self):
-        dot = to_dot(build_subgroup_graph([w("x1")]))
-        assert dot.startswith("digraph") and "x1" in dot
