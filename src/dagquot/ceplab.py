@@ -195,10 +195,6 @@ def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozense
     return closure
 
 
-def normal_closure_finite(g: FiniteGroup, seed) -> Subgroup:
-    return Subgroup(g, normal_closure_in(g, frozenset(range(g.order)), seed))
-
-
 def all_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
     """Every subgroup of the given subgroup, ordered by size, then by sorted
     elements.  Once the whole group's lattice is known, any other ambient's
@@ -484,11 +480,6 @@ def subgroup_from_generator_names(g: FiniteGroup, gen_names) -> Subgroup:
 def d4_in_s4() -> tuple[FiniteGroup, Subgroup]:
     g = builtin_group("s4")
     return g, subgroup_from_generator_names(g, ["(1 2 3 4)", "(1 3)"])
-
-
-def a3_in_s3() -> tuple[FiniteGroup, Subgroup]:
-    g = builtin_group("s3")
-    return g, subgroup_from_generator_names(g, ["(1 2 3)"])
 
 
 def _table_entry(x) -> int:

@@ -22,7 +22,7 @@ from .realizer import (
     realization_to_json,
     realize,
 )
-from .verifier import certificate_to_json, check_certificate_detailed, report_to_json, verify_all
+from .verifier import certificate_to_json, check_certificate_detailed, report_to_text, verify_all
 
 # What reading an input file can raise: an unreadable file, bad JSON or a
 # domain error (each a ValueError), a missing key, or JSON of the wrong shape
@@ -53,10 +53,7 @@ def _write_json(path: Path, data) -> None:
 
 
 def _write_report(path: Path, report) -> None:
-    # One line of sorted-key JSON: without indent, json.dumps runs CPython's
-    # C encoder.
-    text = json.dumps(report_to_json(report), sort_keys=True, separators=(",", ":"))
-    _write_text(path, text + "\n")
+    _write_text(path, report_to_text(report) + "\n")
 
 
 def _outdir(args) -> Path:

@@ -6,7 +6,6 @@ dense indices only where it matters for speed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -141,30 +140,6 @@ def transitive_closure(d: ColoredDag) -> ColoredDag:
     validate(d)
     closed = frozenset((u, v) for u in d.vertices for v in d.reach[u])
     return ColoredDag(d.vertices, closed, dict(d.color))
-
-
-def maximal_vertices(d: ColoredDag) -> list[str]:
-    """Vertices with no outgoing edges, sorted by id; nonempty when d is."""
-    if not d.vertices:
-        raise DagError("empty DAG has no maximal vertex")
-    return sorted(v for v in d.vertices if d.out_degree(v) == 0)
-
-
-def enumerate_colored_dags(order: int, cap: int = 3):
-    """Every labeled simple DAG on vertices '1'..'<order>' with every coloring."""
-    if order > cap:
-        raise DagError(f"order {order} exceeds enumeration cap {cap}")
-    ids = [str(i) for i in range(1, order + 1)]
-    pairs = [(u, v) for u in ids for v in ids if u != v]
-    for mask in range(1 << len(pairs)):
-        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        d = ColoredDag(tuple(ids), edges, {v: 0 for v in ids})
-        try:
-            _check_acyclic(d)
-        except CycleFoundError:
-            continue
-        for colors in itertools.product((0, 1), repeat=order):
-            yield ColoredDag(tuple(ids), edges, dict(zip(ids, colors)))
 
 
 def random_colored_dag(order: int, rng: random.Random, edge_prob: float = 0.5) -> ColoredDag:

@@ -28,6 +28,8 @@ survivor, take the evaluation path, which names every survivor.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -198,6 +200,8 @@ class CommutatorScheme:
 # (label, word): "finite[k]" or "scheme[i].member[j]"
 Labelled = tuple[str, Word]
 
+_LABEL = re.compile(r"finite\[(0|[1-9][0-9]*)\]|scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]")
+
 
 @dataclass(frozen=True)
 class RelatorSet:
@@ -207,8 +211,6 @@ class RelatorSet:
     _labelled: dict[int, tuple[Labelled, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _by_length: dict[int, tuple[Labelled, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _labelled_set: dict[int, frozenset[Labelled]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -242,13 +244,18 @@ class RelatorSet:
                 sorted(self.labelled(bound), key=lambda c: (len(c[1]), c[1].letters)))
         return out
 
-    def labelled_set(self, bound: int) -> frozenset[Labelled]:
-        """``labelled(bound)`` as a set, for membership tests; memoized per
-        bound."""
-        out = self._labelled_set.get(bound)
-        if out is None:
-            out = self._labelled_set[bound] = frozenset(self.labelled(bound))
-        return out
+    def relator(self, label: str, bound: int) -> Word | None:
+        """The word ``labelled(bound)`` gives ``label``; ``None`` when no
+        relator has that label, read digit for digit."""
+        m = _LABEL.fullmatch(label)
+        if m is None:
+            return None
+        k, si, j = m.groups()
+        if k is not None:
+            return self.finite_part[int(k)] if int(k) < len(self.finite_part) else None
+        if int(si) < len(self.schemes) and int(j) <= bound:
+            return self.schemes[int(si)].member(int(j))
+        return None
 
     @cached_property
     def generator_mask(self) -> int | None:
@@ -320,24 +327,6 @@ def lamp_mul(x: LampElem, y: LampElem) -> LampElem:
     for pos, val in f2:
         acc[pos + s1] = acc.get(pos + s1, 0) + val
     return (s1 + s2, _lamps_from_dict(acc))
-
-
-def lamp_inv(x: LampElem) -> LampElem:
-    s, f = x
-    return (-s, _lamps_from_dict({p - s: -v for p, v in f}))
-
-
-def lamplighter_eval(w: Word) -> tuple[int, dict[int, int]]:
-    """Image of a rank-2 word under lamp = x1 -> (delta_0, 0), shift = x2 -> (0, +1)."""
-    if w.rank != 2:
-        raise RankMismatchError("lamplighter_eval expects a rank-2 word")
-    lamp: LampElem = (0, ((0, 1),))
-    shift: LampElem = (1, ())
-    acc = LAMP_IDENTITY
-    for idx, sign in w.letters:
-        img = lamp if idx == 1 else shift
-        acc = lamp_mul(acc, img if sign > 0 else lamp_inv(img))
-    return acc[0], dict(acc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +562,16 @@ def abelianization(rank: int, r: RelatorSet) -> AbelianInvariants:
 # serialization
 
 
-def _payload_to_json(payload):
+def _syllable_text(leaf: int, payload) -> str:
     # payload shapes are disjoint: int (Z leaf), tuple of letter pairs
     # (free leaf), (shift, lamps) pair (lamplighter leaf)
     if isinstance(payload, int):
-        return {"z": payload}
+        return f'{{"leaf":{leaf},"z":{payload}}}'
     if len(payload) == 2 and isinstance(payload[0], int):
-        return {"shift": payload[0], "lamps": [[p, v] for p, v in payload[1]]}
-    return {"letters": [[i, s] for i, s in payload]}
+        lamps = ",".join(f"[{p},{v}]" for p, v in payload[1])
+        return f'{{"lamps":[{lamps}],"leaf":{leaf},"shift":{payload[0]}}}'
+    letters = ",".join(f"[{i},{s}]" for i, s in payload)
+    return f'{{"leaf":{leaf},"letters":[{letters}]}}'
 
 
 def _int_pairs(data, key: str) -> tuple[tuple[int, int], ...]:
@@ -598,11 +589,13 @@ def _payload_from_json(data):
     return _int_pairs(data, "letters")
 
 
+def nf_to_text(nf: NormalForm) -> str:
+    """The normal form as sorted-key compact JSON."""
+    return f"[{','.join(_syllable_text(leaf, p) for leaf, p in nf.syllables)}]"
+
+
 def nf_to_json(nf: NormalForm) -> list:
-    return [
-        {"leaf": leaf_idx, **_payload_to_json(payload)}
-        for leaf_idx, payload in nf.syllables
-    ]
+    return json.loads(nf_to_text(nf))
 
 
 def nf_from_json(data) -> NormalForm:
@@ -648,6 +641,9 @@ def quotient_to_json(q: MarkedQuotient) -> dict:
     }
 
 
+# A JSON string literal, escaped exactly as ``json.dumps`` writes it.
+json_str = json.encoder.encode_basestring_ascii
+
 _JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string",
                     bool: "boolean"}
 
@@ -682,8 +678,9 @@ def json_field(data, key: str, kind: type, owner: str, item: type | None = None,
     return value
 
 
-def word_to_json(w: Word) -> dict:
-    return {"rank": w.rank, "word": format_word(w)}
+def word_to_text(w: Word) -> str:
+    """The word as sorted-key compact JSON."""
+    return f'{{"rank":{w.rank},"word":{json_str(format_word(w))}}}'
 
 
 def word_from_json(data) -> Word:

@@ -264,15 +264,6 @@ def realization_from_json(data) -> Realization:
     )
 
 
-def embedding_to_json(e: CepEmbedding) -> dict:
-    return {
-        "alphabet_rank": e.alphabet_rank,
-        "relators": [format_word(w) for w in e.ambient_relators],
-        "basis": [format_word(w) for w in e.basis_words],
-        "note": e.note,
-    }
-
-
 def embedding_from_json(data) -> CepEmbedding:
     rank = json_field(data, "alphabet_rank", int, "embedding")
 

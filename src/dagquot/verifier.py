@@ -31,10 +31,20 @@ labelled relator lists per bound and the bit masks that
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
 from it, since every certificate evaluates words in the stored markings.
+
+Reports and certificates are written by one template encoder,
+``report_to_text``: each template lists its keys in sorted order, strings go
+through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
+``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.  A
+witness that a separation and a distinctness entry share is encoded once.
+``report_to_json`` and ``certificate_to_json`` decode that text; only the
+quotient of a trace goes through ``quotient_to_json``, as in
+``realization.json``.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -46,15 +56,16 @@ from .quotients import (
     first_survivor,
     has_lamplighter,
     json_field,
+    json_str,
     nf_from_json,
-    nf_to_json,
+    nf_to_text,
     predicted_invariants,
     quotient_from_json,
     quotient_to_json,
     scheme_exactness,
     surviving_relators,
     word_from_json,
-    word_to_json,
+    word_to_text,
 )
 from .realizer import Realization, realize
 from .words import Word, Hom, apply_hom, format_word
@@ -307,8 +318,7 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
         elif r is not None:
             u, v = c.subject
             # the witness must be a candidate certify_separation draws from
-            candidates = r.assignment[u].relators.labelled_set(c.bound)
-            if (c.witness.provenance, c.witness.word) not in candidates:
+            if r.assignment[u].relators.relator(c.witness.provenance, c.bound) != c.witness.word:
                 problems.append(
                     f"witness provenance {c.witness.provenance!r} does not "
                     f"match the relators of {u}"
@@ -460,13 +470,49 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
 # serialization
 
 
-def _trace_to_json(t: EvalTrace) -> dict:
-    return {
-        "label": t.label,
-        "expected": nf_to_json(t.expected),
-        "quotient": {"inline": quotient_to_json(t.quotient)},
-        "word": word_to_json(t.word),
-    }
+def _trace_text(t: EvalTrace) -> str:
+    quotient = json.dumps(quotient_to_json(t.quotient), sort_keys=True, separators=(",", ":"))
+    return (f'{{"expected":{nf_to_text(t.expected)},"label":{json_str(t.label)},'
+            f'"quotient":{{"inline":{quotient}}},"word":{word_to_text(t.word)}}}')
+
+
+def _word_fact_text(f: SubstitutionFact) -> str:
+    basis = ",".join(map(word_to_text, f.basis))
+    return (f'{{"basis":[{basis}],"expression":{word_to_text(f.expression)},'
+            f'"label":{json_str(f.label)},"target":{word_to_text(f.target)}}}')
+
+
+def _strings(items) -> str:
+    return ",".join(map(json_str, items))
+
+
+_BOOL = {True: "true", False: "false"}
+
+
+def _certificate_text(c: Certificate, witnesses: dict[int, str]) -> str:
+    """``witnesses`` maps ``id`` of a ``WitnessEvidence`` to its text, so a
+    witness that two entries share is encoded once."""
+    color = witness = ""
+    if c.color_facts is not None:
+        f = c.color_facts
+        color = (f',"color_facts":{{"color":{f.color},"justification":{json_str(f.justification)},'
+                 f'"lamplighter_free":{_BOOL[f.lamplighter_free]},'
+                 f'"scheme_free":{_BOOL[f.scheme_free]}}}')
+    if c.witness is not None:
+        witness = witnesses.get(id(c.witness))
+        if witness is None:
+            wt = c.witness
+            witness = witnesses[id(wt)] = (
+                f',"witness":{{"image":{nf_to_text(wt.image)},'
+                f'"provenance":{json_str(wt.provenance)},"word":{word_to_text(wt.word)}}}')
+    coverage = ",".join(
+        f'{{"coverage":{json_str(sc.coverage)},"reason":{json_str(sc.reason)},'
+        f'"scheme":{sc.scheme_index}}}'
+        for sc in c.scheme_coverage)
+    return (f'{{"bound":{c.bound}{color},"kind":{json_str(c.kind)},"notes":[{_strings(c.notes)}],'
+            f'"scheme_coverage":[{coverage}],"subject":[{_strings(c.subject)}],'
+            f'"traces":[{",".join(map(_trace_text, c.traces))}]{witness},'
+            f'"word_facts":[{",".join(map(_word_fact_text, c.word_facts))}]}}')
 
 
 def _trace_from_json(data) -> EvalTrace:
@@ -480,36 +526,7 @@ def _trace_from_json(data) -> EvalTrace:
 
 
 def certificate_to_json(c: Certificate) -> dict:
-    out: dict = {"kind": c.kind, "subject": list(c.subject), "bound": c.bound}
-    out["traces"] = [_trace_to_json(t) for t in c.traces]
-    out["scheme_coverage"] = [
-        {"scheme": sc.scheme_index, "coverage": sc.coverage, "reason": sc.reason}
-        for sc in c.scheme_coverage
-    ]
-    if c.witness is not None:
-        out["witness"] = {
-            "word": word_to_json(c.witness.word),
-            "provenance": c.witness.provenance,
-            "image": nf_to_json(c.witness.image),
-        }
-    if c.color_facts is not None:
-        out["color_facts"] = {
-            "color": c.color_facts.color,
-            "scheme_free": c.color_facts.scheme_free,
-            "lamplighter_free": c.color_facts.lamplighter_free,
-            "justification": c.color_facts.justification,
-        }
-    out["word_facts"] = [
-        {
-            "label": f.label,
-            "basis": [word_to_json(w) for w in f.basis],
-            "expression": word_to_json(f.expression),
-            "target": word_to_json(f.target),
-        }
-        for f in c.word_facts
-    ]
-    out["notes"] = list(c.notes)
-    return out
+    return json.loads(_certificate_text(c, {}))
 
 
 def certificate_from_json(data) -> Certificate:
@@ -557,26 +574,26 @@ def certificate_from_json(data) -> Certificate:
     )
 
 
+def report_to_text(rep: Report) -> str:
+    """The report as one line of JSON, byte for byte what ``json.dumps``
+    with ``sort_keys=True`` and ``separators=(",", ":")`` writes for the
+    same report as dicts and lists: each template lists its keys in sorted
+    order."""
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+    witnesses: dict[int, str] = {}
+    entries = []
+    for e in rep.entries:
+        if e.status in counts:
+            counts[e.status] += 1
+        cert = "null" if e.certificate is None else _certificate_text(e.certificate, witnesses)
+        entries.append(f'{{"certificate":{cert},"check":{json_str(e.check)},'
+                       f'"detail":{json_str(e.detail)},"status":{json_str(e.status)},'
+                       f'"subject":[{_strings(e.subject)}]}}')
+    return (f'{{"bound":{rep.bound},"counts":{{"fail":{counts["fail"]},'
+            f'"inconclusive":{counts["inconclusive"]},"pass":{counts["pass"]}}},'
+            f'"elapsed_seconds":{round(rep.elapsed, 6)!r},"entries":[{",".join(entries)}],'
+            f'"verdict":"{"pass" if rep.verdict else "fail"}"}}')
+
+
 def report_to_json(rep: Report) -> dict:
-    return {
-        "verdict": "pass" if rep.verdict else "fail",
-        "bound": rep.bound,
-        "elapsed_seconds": round(rep.elapsed, 6),
-        "counts": {
-            "pass": sum(1 for e in rep.entries if e.status == "pass"),
-            "fail": sum(1 for e in rep.entries if e.status == "fail"),
-            "inconclusive": rep.inconclusive,
-        },
-        "entries": [
-            {
-                "check": e.check,
-                "subject": list(e.subject),
-                "status": e.status,
-                "detail": e.detail,
-                "certificate": (
-                    certificate_to_json(e.certificate) if e.certificate else None
-                ),
-            }
-            for e in rep.entries
-        ],
-    }
+    return json.loads(report_to_text(rep))

@@ -11,9 +11,8 @@ import time
 
 import pytest
 
-from conftest import mat_det, mat_mul
+from conftest import a3_in_s3, enumerate_colored_dags, mat_det, mat_mul
 from dagquot.ceplab import (
-    a3_in_s3,
     builtin_group,
     cep_transitivity_scan,
     d4_in_s4,
@@ -21,7 +20,7 @@ from dagquot.ceplab import (
     is_cep_finite,
     normal_closure_in,
 )
-from dagquot.dag import colored_dag, enumerate_colored_dags, leq, random_colored_dag
+from dagquot.dag import colored_dag, leq, random_colored_dag
 from dagquot.quotients import (
     CommutatorScheme,
     RelatorSet,
@@ -79,6 +78,21 @@ def test_criterion_1_exhaustive_realization_order_le_3():
     assert inconclusive == 0
     assert elapsed < 60.0, f"exhaustive run took {elapsed:.1f}s"
     report(f"1 exhaustive order<=3: PASS ({count} DAGs, {elapsed:.2f}s, 0 inconclusive)")
+
+
+def test_exhaustive_realization_order_4():
+    # every labelled colored DAG of order 4: 543 DAGs, 16 colorings each
+    start = time.perf_counter()
+    count = fails = inconclusive = 0
+    for d in enumerate_colored_dags(4, cap=4):
+        rep = verify_all(realize(d), bound=5)
+        fails += sum(1 for e in rep.entries if e.status == "fail")
+        inconclusive += rep.inconclusive
+        count += 1
+    elapsed = time.perf_counter() - start
+    assert count == 8688, f"expected 543 * 16 = 8688 DAGs, got {count}"
+    assert (fails, inconclusive) == (0, 0)
+    report(f"exhaustive order 4: PASS ({count} DAGs, {elapsed:.2f}s, 0 fail, 0 inconclusive)")
 
 
 def test_criterion_2_sampled_orders_4_and_5():

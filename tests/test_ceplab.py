@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from conftest import a3_in_s3, normal_closure_finite
 from dagquot.ceplab import (
     FiniteGroup,
     GroupTableError,
     Subgroup,
-    a3_in_s3,
     all_subgroups,
     all_subgroups_within,
     builtin_group,
@@ -21,7 +21,6 @@ from dagquot.ceplab import (
     is_almost_cep_finite,
     is_cep_finite,
     is_cep_pair,
-    normal_closure_finite,
     normal_closure_in,
     normal_subgroups_within,
     parse_permutation,

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from conftest import reference_certificate_to_json
 from dagquot import ceplab, dag as dagmod
 from dagquot.cli import main
 from dagquot.realizer import realize
-from dagquot.verifier import report_to_json, verify_all
+from dagquot.verifier import report_to_json, report_to_text, verify_all
 
 
 def write_json(path, data):
@@ -222,6 +224,14 @@ def report_content(data):
     return data
 
 
+def without_elapsed(text: str) -> str:
+    """report.json text without its elapsed_seconds member, the only key of
+    that name: a vertex id holding it has its quotes escaped."""
+    out, n = re.subn(r'"elapsed_seconds":[^,]*,', "", text, count=1)
+    assert n == 1
+    return out
+
+
 class TestReportJson:
     """report.json is one line of sorted-key JSON holding report_to_json."""
 
@@ -248,6 +258,13 @@ class TestReportJson:
             data = json.loads(text)
             assert list(data) == sorted(data)
             assert report_content(data) == want
+
+    def test_file_is_report_to_text(self, tmp_path):
+        d = dagmod.random_colored_dag(7, random.Random(4), 0.3)
+        out, out2 = self.realize_and_verify(tmp_path, d, 4)
+        want = report_to_text(verify_all(realize(d), 4)) + "\n"
+        for path in (out / "report.json", out2 / "report.json"):
+            assert without_elapsed(path.read_text(encoding="utf-8")) == without_elapsed(want)
 
     def test_realization_stays_indented(self, tmp_path):
         d = dagmod.random_colored_dag(5, random.Random(1), 0.5)
@@ -534,6 +551,13 @@ class TestDemoCommand:
         data = (tmp_path / "certificate.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "0d2873e59b7683b03307ed2e8cd697d1d555ad7250b28eaa6671a568d3bf6024")
+
+    def test_counterexample_certificate_matches_reference(self, tmp_path):
+        assert main(["demo", "sec3-counterexample", "--out", str(tmp_path)]) == 0
+        want = reference_certificate_to_json(ceplab.free_counterexample_demo())
+        assert want["traces"] and want["word_facts"]
+        text = (tmp_path / "certificate.json").read_text(encoding="utf-8")
+        assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_s4_d4_demo(self, tmp_path):
         code = main(["demo", "s4-d4-cep", "--out", str(tmp_path)])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import enumerate_colored_dags, maximal_vertices
 from dagquot.dag import (
     ColoredDag,
     CycleFoundError,
@@ -12,10 +13,8 @@ from dagquot.dag import (
     MissingColorError,
     UnknownVertexError,
     colored_dag,
-    enumerate_colored_dags,
     from_json,
     leq,
-    maximal_vertices,
     random_colored_dag,
     to_dot,
     to_json,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import nf_mul, random_word
+from conftest import lamp_inv, lamplighter_eval, nf_mul, random_word
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -23,9 +23,7 @@ from dagquot.quotients import (
     expr_to_json,
     free_product,
     has_lamplighter,
-    lamp_inv,
     lamp_mul,
-    lamplighter_eval,
     leaves,
     nf_from_json,
     nf_to_json,

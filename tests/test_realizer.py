@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import embedding_to_json
 from dagquot.dag import colored_dag, random_colored_dag, transitive_closure
 from dagquot.quotients import (
     CommutatorScheme,
@@ -22,7 +23,6 @@ from dagquot.realizer import (
     SchemePresentError,
     cep_transfer,
     embedding_from_json,
-    embedding_to_json,
     finite_core,
     lattice_to_dot,
     presentations_to_json,

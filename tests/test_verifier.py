@@ -2,12 +2,19 @@ import dataclasses
 import json
 import random
 import re
+import time
 
 import pytest
 
+from conftest import (
+    compact_json,
+    enumerate_colored_dags,
+    reference_certificate_to_json,
+    reference_report_to_json,
+)
+from dagquot.ceplab import free_counterexample_demo
 from dagquot.dag import (
     colored_dag,
-    enumerate_colored_dags,
     leq,
     random_colored_dag,
     transitive_closure,
@@ -31,6 +38,8 @@ from dagquot.verifier import (
     Certificate,
     EvalTrace,
     NotComparableError,
+    Report,
+    ReportEntry,
     StructureMismatchError,
     TraceFailedError,
     WitnessEvidence,
@@ -44,6 +53,7 @@ from dagquot.verifier import (
     check_certificate,
     check_certificate_detailed,
     report_to_json,
+    report_to_text,
     verify_all,
 )
 from dagquot.words import generator, parse_word
@@ -358,6 +368,52 @@ class TestCheckCertificate:
             cert, witness=dataclasses.replace(cert.witness, provenance="finite[00]"))
         ok, problems = check_certificate_detailed(r, forged)
         assert problems == ["witness provenance 'finite[00]' does not match the relators of w"]
+
+    def test_large_bound_check_reads_the_label(self):
+        # u (color 1) beside w: the witness is finite[1], so the check looks
+        # up that one relator and builds no member of u's scheme
+        r = realize(colored_dag(["u", "w", "z"], [], {"u": 1, "w": 0, "z": 0}))
+        cert = certify_separation(r, "u", "w", bound=1000)
+        assert cert.witness.provenance == "finite[1]"
+        (scheme,) = r.assignment["u"].relators.schemes
+        built = dict(scheme._members)
+        start = time.perf_counter()
+        result = check_certificate_detailed(r, cert)
+        elapsed = time.perf_counter() - start
+        assert result == (True, [])
+        assert elapsed < 0.01, f"separation check at bound 1000 took {elapsed:.3f}s"
+        assert len(scheme._members) == len(built)
+
+    # u's relators: finite x3 x4 x5 x6, scheme [x1, x2^-j x1 x2^j]; each label
+    # is paired with the word a lenient reading of it would name
+    @pytest.mark.parametrize("label,relator", [
+        ("finite[01]", ("finite", 1)),
+        ("finite[-1]", ("finite", -1)),
+        ("finite[ 1]", ("finite", 1)),
+        ("finite[+1]", ("finite", 1)),
+        ("finite[1]x", ("finite", 1)),
+        ("finite[1]\n", ("finite", 1)),
+        ("finite[4]", ("finite", 3)),
+        ("scheme[0].member[0]", ("member", 1)),
+        ("scheme[0].member[6]", ("member", 6)),
+        ("scheme[00].member[1]", ("member", 1)),
+        ("scheme[1].member[1]", ("member", 1)),
+        ("member[1]", ("member", 1)),
+    ])
+    def test_non_canonical_label_rejected(self, label, relator):
+        r = realize(colored_dag(["u", "w", "z"], [], {"u": 1, "w": 0, "z": 0}))
+        rel = r.assignment["u"].relators
+        where, index = relator
+        word = rel.finite_part[index] if where == "finite" else rel.schemes[0].member(index)
+        forged = Certificate(
+            kind="separation",
+            subject=("u", "w"),
+            bound=5,
+            witness=WitnessEvidence(word, label, eval_word(r.assignment["w"], word)),
+        )
+        ok, problems = check_certificate_detailed(r, forged)
+        assert not ok
+        assert f"witness provenance {label!r} does not match the relators of u" in problems
 
     def test_scheme_member_above_bound_rejected(self):
         r = scheme_below()
@@ -748,3 +804,60 @@ class TestVerifyAll:
         assert data["verdict"] == "pass"
         assert data["counts"]["fail"] == 0
         json.dumps(data)  # serializable
+
+
+class TestReportText:
+    """``report_to_text`` writes the bytes that ``json.dumps`` with sorted
+    keys and compact separators writes for the reference dict builders."""
+
+    def assert_same_bytes(self, report):
+        assert report_to_text(report) == compact_json(reference_report_to_json(report))
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    @pytest.mark.parametrize("bound", [1, 3, 5])
+    def test_random_dags(self, edge_prob, bound):
+        for order in (1, 2, 6, 11, 17):
+            d = random_colored_dag(order, random.Random(10 * order + bound), edge_prob)
+            self.assert_same_bytes(verify_all(realize(d), bound))
+
+    def test_failing_and_inconclusive_entries(self):
+        base = realize(colored_dag(["u", "w", "z"], [("u", "w")], {"u": 0, "w": 1, "z": 0}))
+        rel = base.assignment["u"].relators
+        dropped = replace_quotient(base, "u", relators=RelatorSet(
+            rel.rank, rel.finite_part[1:], rel.schemes))
+        emptied = replace_quotient(base, "z", relators=RelatorSet(rel.rank, ()))
+        seen = set()
+        for r in (dropped, emptied):
+            report = verify_all(r)
+            seen |= {(e.check, e.status) for e in report.entries}
+            self.assert_same_bytes(report)
+        assert {("canonical", "fail"), ("abelianization", "fail")} <= seen
+        assert any(status == "inconclusive" for _, status in seen)
+
+    def test_escaped_vertex_ids(self):
+        ids = ['quote"', "back\\slash", "caf\u00e9", "new\nline", "ctl\x01"]
+        d = colored_dag(ids, [(ids[0], ids[1]), (ids[2], ids[3]), (ids[1], ids[4])],
+                        {v: i % 2 for i, v in enumerate(ids)})
+        r = realize(d)
+        rank = r.ambient_rank
+        # every generator a relator of ids[0]: its inclusion in ids[1] fails
+        # with a detail that names both ids
+        broken = replace_quotient(r, ids[0], relators=RelatorSet(
+            rank, tuple(generator(rank, i) for i in range(1, rank + 1))))
+        for report in (verify_all(r, 3), verify_all(broken, 3)):
+            text = report_to_text(report)
+            assert text.isascii() and "\n" not in text and "\x01" not in text
+            self.assert_same_bytes(report)
+        details = [e.detail for e in report.entries if e.status == "fail"]
+        assert any(ids[0] in t and ids[1] in t for t in details)
+
+    @pytest.mark.parametrize("elapsed", [0, 0.0, 1e-7, 0.1234567, 3.0, 123456.7891234])
+    def test_traces_word_facts_and_elapsed(self, elapsed):
+        cert = free_counterexample_demo()
+        assert cert.traces and cert.word_facts
+        assert compact_json(certificate_to_json(cert)) == compact_json(
+            reference_certificate_to_json(cert))
+        report = Report([ReportEntry("demo", (), "pass", "", cert),
+                         ReportEntry("other", ("x",), "unknown", "no certificate")],
+                        True, elapsed, 5)
+        self.assert_same_bytes(report)
