@@ -11,12 +11,20 @@ of R).
 Finite groups ingest as multiplication tables or as permutation generators
 (the table is computed by orbit closure, capped at order 10080); every table
 is checked exactly, associativity by Light's test on a generating set.  One
-primitive does the subgroup work: the subgroup generated by a set is a
-breadth-first search from the identity by right multiplication by the set.
-The subgroup lattice is built once per group by cyclic extension and every
-subgroup's lattice is read off it; normality and normal closures are checked
-by conjugating with generators only.  The builtins are s3, s4, s5, a4, a5,
-d4, q8, c2xc2 and s4xc2.
+primitive does the subgroup work: the join of a subgroup with one element,
+a breadth-first search over right cosets of the subgroup.
+
+The subgroup lattice is built once per group by cyclic extension over zuppos
+(Neubüser 1960), the cyclic subgroups of prime-power order, extending one
+representative per conjugacy class.  It is complete because every subgroup
+is generated by its elements of prime-power order, and because the subgroups
+found always form whole conjugacy classes: a join <K, z> with K = U^a is
+<U, z^(a^-1)>^a, in the class of a join made from the representative U.
+Every other subgroup's lattice is read off the whole one.  Normality and
+normal closures are checked by conjugating generators by generators only.
+Each subgroup's generating set, each subgroup's normal subgroups and each
+normal closure asked for are computed once and kept on the group.  The
+builtins are s3, s4, s5, a4, a5, d4, q8, c2xc2 and s4xc2.
 
 The module also reproduces, with a machine-checkable certificate, the
 classical free-group counterexample: H generated by a and its conjugate a^b
@@ -65,7 +73,11 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     _inv: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    # per-group memos, keyed by subgroups (frozensets of elements)
     _subgroups: dict = field(default_factory=dict, repr=False, compare=False)
+    _generating_sets: dict = field(default_factory=dict, repr=False, compare=False)
+    _normal_subgroups: dict = field(default_factory=dict, repr=False, compare=False)
+    _normal_closures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -78,8 +90,9 @@ class FiniteGroup:
         and element 0 an identity.  Associativity is Light's test: the
         elements s with (a*s)*c == a*(s*c) for all a, c are closed under
         products, so it suffices to check s over a set whose products reach
-        every element, picked by the same search as subgroup closure.  That
-        is exact at every order and costs O(n^2 k) for k generators instead
+        every element, picked by the same search as subgroup closure (each
+        element it reaches is a product of the picks, whether or not the
+        table is associative).  That is exact at every order and costs O(n^2 k) for k generators instead
         of O(n^3).  An associative table with an identity whose rows are
         permutations is a group, so every column is then a permutation too.
         """
@@ -99,7 +112,7 @@ class FiniteGroup:
                 raise GroupTableError(f"row {a} is not a permutation of 0..{n - 1}")
         if list(table[0]) != list(range(n)) or [row[0] for row in table] != list(range(n)):
             raise GroupTableError("element 0 is not an identity")
-        for s in _generators(self, range(n)):
+        for s in _generate(self, range(n))[0]:
             row_s = table[s]
             for a, row_a in enumerate(table):
                 left = tuple(table[row_a[s]])
@@ -142,56 +155,73 @@ class Subgroup:
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
-    return Subgroup(g, _closure(g, gens))
+    return Subgroup(g, _generate(g, gens)[1])
 
 
-def _closure(g: FiniteGroup, seed) -> frozenset[int]:
-    """The subgroup generated by ``seed``: breadth-first from the identity by
-    right multiplication by the seed elements.  In a finite group every
-    inverse is a positive power, so products alone reach every element, in
-    O(|H| |seed|) steps."""
-    gens = [s for s in set(seed) if s]
+def _join(g: FiniteGroup, sub: frozenset[int], gens, x: int) -> frozenset[int]:
+    """The subgroup generated by the subgroup ``sub`` (generated by ``gens``)
+    and ``x``: a union of right cosets of ``sub``, found breadth-first from
+    the identity by right multiplication of the coset representatives by
+    the generators.  Since (u*y)*s = u*(y*s), the union is closed once every
+    representative's products are covered; in a finite group every inverse
+    is a positive power.  O(|H| + [H : sub] |gens|) steps."""
     table = g.table
-    reached = {0}
-    queue = [0]
-    for x in queue:  # grows while iterating
-        row = table[x]
+    gens = (*gens, x)
+    reached = set(sub)
+    representatives = [0]
+    for y in representatives:  # grows while iterating
+        row = table[y]
         for s in gens:
-            y = row[s]
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
+            t = row[s]
+            if t not in reached:
+                reached.update([table[u][t] for u in sub])
+                representatives.append(t)
     return frozenset(reached)
 
 
-def _generators(g: FiniteGroup, elems) -> list[int]:
-    """A generating set of the subgroup generated by ``elems``, picked
-    greedily in ascending order: each element the earlier picks do not reach."""
+def _generate(g: FiniteGroup, elems) -> tuple[list[int], frozenset[int]]:
+    """The subgroup generated by ``elems`` and a generating set of it, picked
+    greedily in ascending order: each element the earlier picks do not
+    reach is joined."""
     gens: list[int] = []
     reached = frozenset({0})
-    for x in sorted(elems):
+    for x in sorted(set(elems)):
         if x not in reached:
+            reached = _join(g, reached, gens, x)
             gens.append(x)
-            reached = _closure(g, gens)
+    return gens, reached
+
+
+def _generating_set(g: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...]:
+    """A generating set of the subgroup ``sub``, computed once per group
+    (the lattice records the one it builds each subgroup from)."""
+    gens = g._generating_sets.get(sub)
+    if gens is None:
+        gens = g._generating_sets[sub] = tuple(_generate(g, sub)[0])
     return gens
 
 
 def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozenset[int]:
     """Smallest subgroup of ``ambient`` containing seed and closed under
-    conjugation by ambient (seed must lie inside ambient).
+    conjugation by ambient (seed must lie inside ambient); computed once per
+    group for each ambient and seed.
 
     A subgroup is closed under conjugation by ambient once the conjugates of
     its generators by the generators of ambient lie in it; each generator
     added at least doubles the subgroup."""
-    by = _generators(g, ambient)
-    gens = _generators(g, seed)
-    closure = _closure(g, gens)
-    for s in gens:  # grows while iterating
-        for x in by:
-            c = g.conj(s, x)
-            if c not in closure:
-                gens.append(c)
-                closure = _closure(g, gens)
+    seed = frozenset(seed)
+    key = (ambient, seed)
+    closure = g._normal_closures.get(key)
+    if closure is None:
+        by = _generating_set(g, ambient)
+        gens, closure = _generate(g, seed)
+        for s in gens:  # grows while iterating
+            for x in by:
+                c = g.conj(s, x)
+                if c not in closure:
+                    closure = _join(g, closure, gens, c)
+                    gens.append(c)
+        g._normal_closures[key] = closure
     return closure
 
 
@@ -209,26 +239,60 @@ def all_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[frozen
     return cache[ambient]
 
 
+def _is_prime_power(n: int) -> bool:
+    p = next(p for p in range(2, n + 1) if n % p == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
-    """Cyclic extension (Neubüser): grow from the trivial subgroup, joining
-    each subgroup found, through a generating set, with one generator of
-    every cyclic subgroup of ambient that it does not contain yet."""
-    cyclic: dict[frozenset[int], int] = {}
+    """Cyclic extension over zuppos (Neubüser 1960): grow from the trivial
+    subgroup, joining one representative of each ambient-conjugacy class
+    found, through its generating set, with one generator of every cyclic
+    subgroup of prime-power order (zuppo) of ambient that it does not
+    contain yet.  A join that is new brings in its whole class at once, by
+    conjugating with the generators of ambient (a conjugate by an element
+    outside ambient need not lie in ambient).
+
+    Complete: every subgroup K is generated by its elements of prime-power
+    order, so K is the end of a chain 1 < <z1> < <z1, z2> < ... of joins
+    with zuppo elements.  If L is on that chain and found, L = U^a for the
+    representative U of its class and some a in ambient, and
+    <L, z> = <U, z^(a^-1)>^a, where z^(a^-1) generates a zuppo joined with
+    U; its class, which holds <L, z>, was added whole."""
+    table = g.table
+    conjugations = []  # for each generator x of ambient, a -> x^-1 a x
+    for x in _generating_set(g, ambient):
+        row_inv = table[g.inv(x)]
+        conjugations.append(tuple(table[row_inv[a]][x] for a in range(g.order)))
+    zuppos: dict[frozenset[int], int] = {}
     for x in sorted(ambient):
-        cyclic.setdefault(_closure(g, (x,)), x)
+        cyclic = _generate(g, (x,))[1]
+        if len(cyclic) > 1 and _is_prime_power(len(cyclic)):
+            zuppos.setdefault(cyclic, x)
     trivial = frozenset({0})
     found = {trivial: ()}
-    worklist = [trivial]
-    while worklist:
-        current = worklist.pop()
+    representatives = [trivial]
+    for current in representatives:  # grows while iterating
         gens = found[current]
-        for x in cyclic.values():
+        for x in zuppos.values():
             if x in current:
                 continue
-            bigger = _closure(g, (*gens, x))
-            if bigger <= ambient and bigger not in found:
-                found[bigger] = (*gens, x)
-                worklist.append(bigger)
+            bigger = _join(g, current, gens, x)
+            if bigger in found:
+                continue
+            found[bigger] = (*gens, x)
+            representatives.append(bigger)
+            conjugates = [bigger]
+            for sub in conjugates:  # grows while iterating
+                for conj in conjugations:
+                    image = frozenset(map(conj.__getitem__, sub))
+                    if image not in found:
+                        found[image] = tuple(map(conj.__getitem__, found[sub]))
+                        conjugates.append(image)
+    for sub, gens in found.items():
+        g._generating_sets.setdefault(sub, gens)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -237,11 +301,17 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 
 def normal_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
-    by = _generators(g, ambient)
-    return [
-        sub for sub in all_subgroups_within(g, ambient)
-        if all(g.conj(a, x) in sub for a in sub for x in by)
-    ]
+    """The normal subgroups of ``ambient`` in lattice order, computed once per
+    group: a subgroup is normal once the conjugates of its generators by the
+    generators of ambient lie in it."""
+    normals = g._normal_subgroups.get(ambient)
+    if normals is None:
+        by = _generating_set(g, ambient)
+        normals = g._normal_subgroups[ambient] = [
+            sub for sub in all_subgroups_within(g, ambient)
+            if all(g.conj(a, x) in sub for a in _generating_set(g, sub) for x in by)
+        ]
+    return normals
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +407,7 @@ Perm = tuple[int, ...]
 
 def _perm_mul(p: Perm, q: Perm) -> Perm:
     # apply p first, then q
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -388,26 +458,31 @@ def permutation_name(p: Perm) -> str:
 
 
 def group_from_permutations(degree: int, gen_texts) -> tuple[FiniteGroup, list[Perm]]:
+    """The group generated by the permutations, elements numbered in
+    breadth-first order from the identity.  Each element b other than the
+    identity is found as c * q for an earlier c and a generator q, so
+    column b of the table is column c followed by right multiplication by
+    q, a map the search has already recorded: (a * c) * q = a * b."""
     gens = [parse_permutation(t, degree) for t in gen_texts]
     ident = tuple(range(degree))
     elems: list[Perm] = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                prod = _perm_mul(p, q)
-                if prod not in index:
-                    if len(elems) >= ORDER_CAP:
-                        raise GroupTableError(f"order cap {ORDER_CAP} exceeded")
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    table = tuple(
-        tuple(index[_perm_mul(a, b)] for b in elems) for a in elems
-    )
+    found_as: list[tuple[int, int]] = []  # elems[b] = elems[c] * gens[k] as (c, k)
+    right: list[list[int]] = [[] for _ in gens]  # right[k][a]: elems[a] * gens[k]
+    for a, p in enumerate(elems):  # grows while iterating
+        for k, q in enumerate(gens):
+            prod = _perm_mul(p, q)
+            if prod not in index:
+                if len(elems) >= ORDER_CAP:
+                    raise GroupTableError(f"order cap {ORDER_CAP} exceeded")
+                index[prod] = len(elems)
+                elems.append(prod)
+                found_as.append((a, k))
+            right[k].append(index[prod])
+    columns = [tuple(range(len(elems)))]
+    for c, k in found_as:
+        columns.append(tuple(map(right[k].__getitem__, columns[c])))
+    table = tuple(zip(*columns))
     names = tuple(permutation_name(p) for p in elems)
     return FiniteGroup(len(elems), table, names), elems
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import ceplab, dag as dagmod
 from .realizer import (
+    BasisNotFreeError,
     cep_transfer,
     lattice_to_dot,
     load_embedding,
@@ -104,6 +105,9 @@ def cmd_transfer(args) -> int:
             r = realization_from_json(json.load(fh))
         e = load_embedding(args.embedding)
         presentations = cep_transfer(r, e)
+    except BasisNotFreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except INPUT_ERRORS as exc:
         # also covers RealizerError, rank mismatches and missing basis words
         return _input_error(exc)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import dag as dagmod
+from . import dag as dagmod, stallings
 from .dag import ColoredDag
 from .quotients import (
     CommutatorScheme,
@@ -51,6 +51,10 @@ from .words import Word, RankMismatchError, Hom, apply_hom, format_word, generat
 
 class RealizerError(ValueError):
     pass
+
+
+class BasisNotFreeError(RealizerError):
+    """The embedding's basis words do not freely generate a free group."""
 
 
 class SchemePresentError(RealizerError):
@@ -213,13 +217,24 @@ class Presentation:
 
 def cep_transfer(r: Realization, e: CepEmbedding) -> dict[str, Presentation]:
     """Rewrite each vertex's relators through the embedding and adjoin the
-    ambient relators; valid conditional on CEP of the supplied basis."""
+    ambient relators; valid conditional on CEP of the supplied basis.
+
+    That the first ``ambient_rank`` basis words form a free basis is checked
+    exactly: they do when the folded Stallings graph of the subgroup they
+    generate has rank ``ambient_rank``."""
     if len(e.basis_words) < r.ambient_rank:
         raise RealizerError(
             f"embedding supplies {len(e.basis_words)} basis words, "
             f"need {r.ambient_rank}"
         )
-    f = Hom(r.ambient_rank, e.alphabet_rank, tuple(e.basis_words[: r.ambient_rank]))
+    images = tuple(e.basis_words[: r.ambient_rank])
+    rank = len(stallings.basis(stallings.build_subgroup_graph(images, e.alphabet_rank)))
+    if rank != r.ambient_rank:
+        raise BasisNotFreeError(
+            f"the first {r.ambient_rank} basis words generate a free group of rank "
+            f"{rank}, so they are not a free basis"
+        )
+    f = Hom(r.ambient_rank, e.alphabet_rank, images)
     out: dict[str, Presentation] = {}
     for v in sorted(r.assignment):
         q = r.assignment[v]

@@ -149,6 +149,44 @@ def normal_closure_finite(g: FiniteGroup, seed) -> Subgroup:
     return Subgroup(g, normal_closure_in(g, frozenset(range(g.order)), seed))
 
 
+def reference_closure(g: FiniteGroup, seed) -> frozenset[int]:
+    """The subgroup generated by ``seed``: breadth-first from the identity by
+    right multiplication by the seed elements."""
+    gens = [s for s in set(seed) if s]
+    reached = {0}
+    queue = [0]
+    for x in queue:  # grows while iterating
+        for s in gens:
+            y = g.table[x][s]
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return frozenset(reached)
+
+
+def reference_lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
+    """Every subgroup of ``ambient`` in lattice order, by exhaustive cyclic
+    extension: each subgroup found is joined with one generator of every
+    cyclic subgroup of ambient, with no conjugation and no zuppo filter."""
+    cyclic: dict[frozenset[int], int] = {}
+    for x in sorted(ambient):
+        cyclic.setdefault(reference_closure(g, (x,)), x)
+    trivial = frozenset({0})
+    found = {trivial: ()}
+    worklist = [trivial]
+    while worklist:
+        current = worklist.pop()
+        gens = found[current]
+        for x in cyclic.values():
+            if x in current:
+                continue
+            bigger = reference_closure(g, (*gens, x))
+            if bigger <= ambient and bigger not in found:
+                found[bigger] = (*gens, x)
+                worklist.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
 def a3_in_s3() -> tuple[FiniteGroup, Subgroup]:
     g = builtin_group("s3")
     return g, subgroup_from_generator_names(g, ["(1 2 3)"])

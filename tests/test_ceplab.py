@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from conftest import a3_in_s3, normal_closure_finite
+from conftest import a3_in_s3, normal_closure_finite, reference_lattice
 from dagquot.ceplab import (
     FiniteGroup,
     GroupTableError,
@@ -231,9 +232,14 @@ class TestSubgroups:
     def test_all_subgroups_s3_count(self):
         assert len(all_subgroups(builtin_group("s3"))) == 6
 
-    @pytest.mark.parametrize("name,count", [("s5", 156), ("a5", 59), ("s4xc2", 98)])
+    @pytest.mark.parametrize("name,count", [("s5", 156), ("a5", 59), ("s4xc2", 98),
+                                            ("s6", 1455)])
     def test_classical_subgroup_counts(self, name, count):
-        assert len(all_subgroups(builtin_group(name))) == count
+        if name == "s6":
+            g, _ = group_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])
+        else:
+            g = builtin_group(name)
+        assert len(all_subgroups(g)) == count
 
     @pytest.mark.parametrize("name", ["s3", "c2xc2", "d4", "q8", "a4", "s4", "s4xc2", "a5", "s5"])
     def test_generated_matches_brute_force(self, name):
@@ -266,22 +272,68 @@ class TestSubgroups:
             assert filtered == [sub for sub in whole if sub <= k]
             assert all_subgroups_within(fresh_copy(g), k) == filtered
 
-    @pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "s4"])
+    @pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "s4", "s4xc2", "a5"])
     def test_normal_subgroups_and_closures_match_brute_force(self, name):
+        # once on a group whose memos a whole scan has filled, and once per
+        # ambient on a copy with no memos at all
         g = builtin_group(name)
+        scanned = builtin_group(name)
+        assert cep_transitivity_scan(scanned, name).ok
         for k in all_subgroups(g):
             normals = [
                 sub for sub in all_subgroups_within(g, k)
                 if all(g.conj(a, x) in sub for a in sub for x in k)
             ]
-            assert normal_subgroups_within(g, k) == normals
-            for h in all_subgroups_within(g, k):
-                assert normal_closure_in(g, k, h) == brute_force_normal_closure(g, k, h)
+            closures = {h: brute_force_normal_closure(g, k, h)
+                        for h in all_subgroups_within(g, k)}
+            for q in (scanned, fresh_copy(g)):
+                assert normal_subgroups_within(q, k) == normals
+                for h, closure in closures.items():
+                    assert normal_closure_in(q, k, h) == closure
 
     def test_lagrange(self):
         g = builtin_group("a4")
         for sub in all_subgroups(g):
             assert g.order % len(sub) == 0
+
+
+def relabelled(name: str, seed: int) -> FiniteGroup:
+    """The permutation group ``name`` with its points renamed by a seeded
+    permutation and its generators shuffled, as the benchmark builds it."""
+    degree, gens = {"s4xc2": (6, ("(1 2 3 4)", "(1 2)", "(5 6)")),
+                    "a5": (5, ("(1 2 3)", "(1 2 3 4 5)"))}[name]
+    rng = random.Random(seed)
+    points = list(range(1, degree + 1))
+    sigma = dict(zip(points, rng.sample(points, degree)))
+    renamed = [re.sub(r"\d+", lambda m: str(sigma[int(m.group())]), text) for text in gens]
+    rng.shuffle(renamed)
+    return group_from_permutations(degree, renamed)[0]
+
+
+class TestReferenceLattice:
+    """``all_subgroups`` against exhaustive cyclic extension, which joins
+    every subgroup found with every cyclic subgroup and conjugates nothing."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_builtin(self, name):
+        g = builtin_group(name)
+        assert all_subgroups(g) == reference_lattice(g, frozenset(range(g.order)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["s4xc2", "a5"])
+    def test_relabelled_points(self, name, seed):
+        g = relabelled(name, seed)
+        assert all_subgroups(g) == reference_lattice(g, frozenset(range(g.order)))
+
+    @pytest.mark.parametrize("name", ["s4", "a4", "d4"])
+    def test_every_proper_ambient(self, name):
+        # a fresh copy has no whole lattice to filter, so the lattice of k
+        # is built by extension inside k
+        g = builtin_group(name)
+        whole = frozenset(range(g.order))
+        for k in all_subgroups(g):
+            if k != whole:
+                assert all_subgroups_within(fresh_copy(g), k) == reference_lattice(g, k)
 
 
 class TestNormalClosure:

@@ -323,6 +323,49 @@ class TestTransferCommand:
                      "--embedding", str(emb), "--out", str(out)])
         assert code == 2
 
+    def test_basis_that_is_not_free_exits_one(self, tmp_path, capsys):
+        # four copies of x1 span a free group of rank 1, so the premise that
+        # they are the images of a free basis of rank 4 is false
+        inp = tmp_path / "dag.json"
+        write_json(inp, chain_dag())
+        out = tmp_path / "out"
+        main(["realize", "--input", str(inp), "--out", str(out)])
+        capsys.readouterr()
+        emb = tmp_path / "emb.json"
+        write_json(emb, {"alphabet_rank": 2, "relators": [], "basis": ["x1", "x1", "x1", "x1"]})
+        code = main(["transfer", "--input", str(out / "realization.json"),
+                     "--embedding", str(emb), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rank 1" in err
+        assert not (out / "presentations.json").exists()
+
+    @pytest.mark.parametrize("dag,embedding,digest", [
+        ({"vertices": [{"id": "v", "color": 0}], "edges": []},
+         {"alphabet_rank": 3, "relators": ["x3 x3"], "basis": ["x1", "x2"],
+          "note": "free factor of a free product"},
+         "b374b983469717f765efa35c292da6e6af0fd6dcf30f40744380d6acbf7ac351"),
+        ({"vertices": [{"id": "v", "color": 1}], "edges": []},
+         {"alphabet_rank": 3, "relators": [], "basis": ["x1 x2 x1^-1 x2^-1", "x3"]},
+         "ebafba75c7328941628e6c344f207a8f7c09a10820a37d2e5ecb0df94672402a"),
+        (chain_dag(),
+         {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", "x3", "x4"],
+          "note": "identity"},
+         "ef847396c40083551fdbd1dbe9e51516d2e9ed16826e5f36e8db3fe3f7994b46"),
+    ], ids=["free-factor", "commutator-basis", "identity"])
+    def test_free_basis_bytes_pinned(self, tmp_path, dag, embedding, digest):
+        inp = tmp_path / "dag.json"
+        write_json(inp, dag)
+        out = tmp_path / "out"
+        main(["realize", "--input", str(inp), "--out", str(out)])
+        emb = tmp_path / "emb.json"
+        write_json(emb, embedding)
+        code = main(["transfer", "--input", str(out / "realization.json"),
+                     "--embedding", str(emb), "--out", str(out)])
+        assert code == 0
+        data = (out / "presentations.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 def realized_chain(tmp_path):
     inp = tmp_path / "dag.json"

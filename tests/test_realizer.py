@@ -18,6 +18,7 @@ from dagquot.quotients import (
     check_soundness,
 )
 from dagquot.realizer import (
+    BasisNotFreeError,
     CepEmbedding,
     RealizerError,
     SchemePresentError,
@@ -274,6 +275,19 @@ class TestCepTransfer:
         e = CepEmbedding(2, (), (generator(2, 1), generator(2, 2)))
         with pytest.raises(RealizerError):
             cep_transfer(r, e)
+
+    def test_basis_must_be_free(self):
+        r = realize(chain())
+        four_x1 = CepEmbedding(2, (), (generator(2, 1),) * 4)
+        with pytest.raises(BasisNotFreeError, match="rank 1"):
+            cep_transfer(r, four_x1)
+        # x1, x2, x1 x2 and x2 x1 generate the free group of rank 2, not of rank 4
+        tangled = CepEmbedding(2, (), (w("x1", 2), w("x2", 2), w("x1 x2", 2), w("x2 x1", 2)))
+        with pytest.raises(BasisNotFreeError, match="rank 2"):
+            cep_transfer(r, tangled)
+        # only the first 2n words are the basis; later ones are ignored
+        extra = CepEmbedding(4, (), tuple(generator(4, i) for i in (1, 2, 3, 4, 1)))
+        assert set(cep_transfer(r, extra)) == {"u", "w"}
 
     def test_presentations_json(self):
         r = realize(single(0))
