@@ -7,6 +7,7 @@ Exit codes: 0 = pass, 1 = math-level failure or inconclusive verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .realizer import (
     load_embedding,
     presentations_to_json,
     realization_from_json,
-    realization_to_json,
+    realization_to_text,
     realize,
 )
 from .verifier import certificate_to_json, check_certificate_detailed, report_to_text, verify_all
@@ -71,7 +72,7 @@ def cmd_realize(args) -> int:
     r = realize(d)
     report = verify_all(r, args.bound)
     out = _outdir(args)
-    _write_json(out / "realization.json", realization_to_json(r))
+    _write_text(out / "realization.json", realization_to_text(r))
     _write_report(out / "report.json", report)
     _write_text(out / "lattice.dot", lattice_to_dot(r))
     if args.dot:
@@ -240,7 +241,9 @@ def _demo_s4_d4(args) -> int:
     return 0 if (not is_cep and verified) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dagquot",
         description="realize colored DAGs as normal-subgroup lattices of free "

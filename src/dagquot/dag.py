@@ -96,7 +96,8 @@ def validate(d: ColoredDag) -> None:
         if u == v:
             raise LoopEdgeError(f"loop edge at {u}")
     for v in d.vertices:
-        if d.color.get(v) not in (0, 1):
+        c = d.color.get(v)
+        if type(c) is not int or c not in (0, 1):  # True == 1, but is no color
             raise MissingColorError(f"vertex {v} has no 0/1 color")
     _check_acyclic(d)
 

@@ -138,16 +138,19 @@ def predicted_invariants(expr: GroupExpr) -> AbelianInvariants:
     return AbelianInvariants(free_rank, ())
 
 
-def expr_to_json(expr: GroupExpr):
-    if isinstance(expr, TrivialGroup):
-        return {"kind": "trivial"}
-    if isinstance(expr, InfiniteCyclic):
-        return {"kind": "z"}
+_LEAF_KINDS = {TrivialGroup: "trivial", InfiniteCyclic: "z", Lamplighter: "lamplighter"}
+
+
+def _expr_text(expr: GroupExpr, pad: str) -> str:
+    """The expression as ``json.dumps`` with ``indent=2`` and sorted keys
+    writes it, with the closing brace indented by ``pad``."""
+    inner = "\n" + pad + "  "
+    if isinstance(expr, FreeProduct):
+        parts = json_block("[]", [_expr_text(p, pad + "    ") for p in expr.parts], pad + "  ")
+        return f'{{{inner}"kind": "product",{inner}"parts": {parts}\n{pad}}}'
     if isinstance(expr, FreeOfRank):
-        return {"kind": "free", "rank": expr.rank}
-    if isinstance(expr, Lamplighter):
-        return {"kind": "lamplighter"}
-    return {"kind": "product", "parts": [expr_to_json(p) for p in expr.parts]}
+        return f'{{{inner}"kind": "free",{inner}"rank": {expr.rank}\n{pad}}}'
+    return f'{{{inner}"kind": "{_LEAF_KINDS[type(expr)]}"\n{pad}}}'
 
 
 def expr_from_json(data) -> GroupExpr:
@@ -279,22 +282,27 @@ class RelatorSet:
         return out
 
 
-def relators_to_json(r: RelatorSet) -> dict:
-    return {
-        "rank": r.rank,
-        "finite": [format_word(w) for w in r.finite_part],
-        "schemes": [scheme_to_json(s) for s in r.schemes],
-    }
+# (text, rank) -> the parsed word; one table per load shares each word
+WordTable = dict[tuple[str, int], Word]
 
 
-def relators_from_json(data) -> RelatorSet:
+def _table_word(words: WordTable, text: str, rank: int) -> Word:
+    """``parse_word(text, rank)``, parsed on the first request only."""
+    w = words.get((text, rank))
+    if w is None:
+        w = words[text, rank] = parse_word(text, rank)
+    return w
+
+
+def relators_from_json(data, words: WordTable | None = None) -> RelatorSet:
+    words = {} if words is None else words
     rank = json_field(data, "rank", int, "relators")
     finite = json_field(data, "finite", list, "relators", item=str, optional=True)
     schemes = json_field(data, "schemes", list, "relators", item=dict, optional=True)
     return RelatorSet(
         rank,
-        tuple(parse_word(text, rank) for text in finite),
-        tuple(scheme_from_json(s, rank) for s in schemes),
+        tuple(_table_word(words, text, rank) for text in finite),
+        tuple(scheme_from_json(s, rank, words) for s in schemes),
     )
 
 
@@ -302,10 +310,10 @@ def scheme_to_json(s: CommutatorScheme) -> dict:
     return {"a": format_word(s.a), "t": format_word(s.t)}
 
 
-def scheme_from_json(data, rank: int) -> CommutatorScheme:
+def scheme_from_json(data, rank: int, words: WordTable) -> CommutatorScheme:
     return CommutatorScheme(
-        parse_word(json_field(data, "a", str, "scheme"), rank),
-        parse_word(json_field(data, "t", str, "scheme"), rank),
+        _table_word(words, json_field(data, "a", str, "scheme"), rank),
+        _table_word(words, json_field(data, "t", str, "scheme"), rank),
     )
 
 
@@ -423,10 +431,11 @@ class MarkedQuotient:
             if not 0 <= img.leaf < len(lvs):
                 raise QuotientModelError(f"marking of x{idx} uses unknown leaf {img.leaf}")
             leaf = lvs[img.leaf]
-            if isinstance(leaf, InfiniteCyclic) and not isinstance(img.value, int):
+            # type(...) is int: a bool is an int, and True == 1
+            if isinstance(leaf, InfiniteCyclic) and type(img.value) is not int:
                 raise QuotientModelError(f"x{idx}: Z leaf image must be an integer")
             if isinstance(leaf, FreeOfRank) and not (
-                isinstance(img.value, int) and 1 <= img.value <= leaf.rank
+                type(img.value) is int and 1 <= img.value <= leaf.rank
             ):
                 raise QuotientModelError(f"x{idx}: free leaf image must be a generator index")
             if isinstance(leaf, Lamplighter) and img.value not in ("lamp", "shift"):
@@ -607,15 +616,7 @@ def nf_from_json(data) -> NormalForm:
     ))
 
 
-def marking_to_json(marking) -> dict:
-    out = {}
-    for idx in sorted(marking):
-        img = marking[idx]
-        if isinstance(img, IdentityImage):
-            out[str(idx)] = "identity"
-        else:
-            out[str(idx)] = {"leaf": img.leaf, "value": img.value}
-    return out
+_IDENTITY_IMAGE = IdentityImage()
 
 
 def marking_from_json(data) -> dict[int, MarkImage]:
@@ -624,25 +625,77 @@ def marking_from_json(data) -> dict[int, MarkImage]:
         if not (key.isdecimal() and key == str(int(key))):
             raise ValueError(f"marking field {key!r} must be a generator index")
         if val == "identity":
-            out[int(key)] = IdentityImage()
+            out[int(key)] = _IDENTITY_IMAGE
         else:
             image = json_field(data, key, dict, "marking")
-            out[int(key)] = LeafImage(json_field(image, "leaf", int, "marking image"),
-                                      image["value"])
+            value = image["value"]
+            if type(value) is not int and value not in ("lamp", "shift"):
+                raise ValueError(
+                    "marking image field 'value' must be a JSON integer, \"lamp\" or "
+                    f"\"shift\", not {type(value).__name__}")
+            out[int(key)] = LeafImage(json_field(image, "leaf", int, "marking image"), value)
     return out
 
 
+class QuotientWriter:
+    """Writes each quotient as ``json.dumps`` with ``indent=2`` and sorted
+    keys writes it as a vertex of ``realization.json``: keys indented six
+    spaces, the closing brace four. One writer builds the text of each word
+    and marking image, and the marking key order of each rank, once."""
+
+    def __init__(self):
+        self._texts: dict[Word | MarkImage, str] = {}
+        self._keys: dict[int, list[tuple[int, str]]] = {}
+
+    def _text(self, x: Word | MarkImage) -> str:
+        t = self._texts.get(x)
+        if t is None:
+            if isinstance(x, Word):
+                t = json_str(format_word(x))
+            elif isinstance(x, IdentityImage):
+                t = '"identity"'
+            else:
+                value = json_str(x.value) if isinstance(x.value, str) else x.value
+                t = f'{{\n          "leaf": {x.leaf},\n          "value": {value}\n        }}'
+            self._texts[x] = t
+        return t
+
+    def text(self, q: MarkedQuotient) -> str:
+        text = self._text
+        keys = self._keys.get(q.rank)
+        if keys is None:
+            # marking keys sort as strings: "1", "10", "11", ..., "2"
+            keys = self._keys[q.rank] = [
+                (i, f'"{i}": ') for i in sorted(range(1, q.rank + 1), key=str)]
+        rel = q.relators
+        marking = json_block("{}", [key + text(q.marking[i]) for i, key in keys], "      ")
+        finite = json_block("[]", [text(w) for w in rel.finite_part], "        ")
+        schemes = json_block("[]", [
+            f'{{\n            "a": {text(s.a)},\n            "t": {text(s.t)}\n          }}'
+            for s in rel.schemes], "        ")
+        return (f'{{\n      "expr": {_expr_text(q.expr, "      ")},\n      "marking": {marking},'
+                f'\n      "rank": {q.rank},\n      "relators": {{\n        "finite": {finite},'
+                f'\n        "rank": {rel.rank},\n        "schemes": {schemes}\n      }}\n    }}')
+
+
 def quotient_to_json(q: MarkedQuotient) -> dict:
-    return {
-        "rank": q.rank,
-        "relators": relators_to_json(q.relators),
-        "expr": expr_to_json(q.expr),
-        "marking": marking_to_json(q.marking),
-    }
+    return json.loads(QuotientWriter().text(q))
 
 
 # A JSON string literal, escaped exactly as ``json.dumps`` writes it.
 json_str = json.encoder.encode_basestring_ascii
+
+
+def json_block(brackets: str, items: list[str], pad: str) -> str:
+    """A JSON array or object of item texts as ``json.dumps`` with
+    ``indent=2`` writes it: each item on its own line, indented two spaces
+    past ``pad``, and the closing bracket indented by ``pad``; empty, just
+    the brackets."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{pad}{brackets[1]}"
+
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string",
                     bool: "boolean"}
@@ -687,10 +740,10 @@ def word_from_json(data) -> Word:
     return parse_word(json_field(data, "word", str, "word"), json_field(data, "rank", int, "word"))
 
 
-def quotient_from_json(data) -> MarkedQuotient:
+def quotient_from_json(data, words: WordTable | None = None) -> MarkedQuotient:
     return MarkedQuotient(
         rank=json_field(data, "rank", int, "quotient"),
-        relators=relators_from_json(json_field(data, "relators", dict, "quotient")),
+        relators=relators_from_json(json_field(data, "relators", dict, "quotient"), words),
         expr=expr_from_json(json_field(data, "expr", dict, "quotient")),
         marking=marking_from_json(json_field(data, "marking", dict, "quotient")),
     )

@@ -38,12 +38,15 @@ from .quotients import (
     LeafImage,
     MarkImage,
     MarkedQuotient,
+    QuotientWriter,
     RelatorSet,
+    WordTable,
     check_soundness,
     free_product,
+    json_block,
     json_field,
+    json_str,
     quotient_from_json,
-    quotient_to_json,
     scheme_to_json,
 )
 from .words import Word, RankMismatchError, Hom, apply_hom, format_word, generator, parse_word
@@ -256,19 +259,39 @@ def cep_transfer(r: Realization, e: CepEmbedding) -> dict[str, Presentation]:
 # serialization
 
 
+def realization_to_text(r: Realization) -> str:
+    """``realization.json``: byte for byte ``json.dumps(..., indent=2,
+    sort_keys=True) + "\\n"`` of the realization as dicts and lists.
+
+    Every object sits at a fixed depth, so each template writes its keys in
+    sorted order with their indent. One ``QuotientWriter`` writes every
+    vertex, so each word and marking image text is built once per call."""
+    d = r.dag
+    writer = QuotientWriter()
+    vertices = [f"{json_str(v)}: {writer.text(q)}" for v, q in sorted(r.assignment.items())]
+    edges = [f'[\n        {json_str(u)},\n        {json_str(t)}\n      ]'
+             for u, t in sorted(d.edges)]
+    dag_vertices = [f'{{\n        "color": {d.color[v]},\n        "id": {json_str(v)}\n      }}'
+                    for v in d.vertices]
+    step_index = [f"{json_str(v)}: {r.step_index[v]}" for v in sorted(r.step_index)]
+    return (f'{{\n  "ambient_rank": {r.ambient_rank},\n  "dag": {{'
+            f'\n    "edges": {json_block("[]", edges, "    ")},'
+            f'\n    "vertices": {json_block("[]", dag_vertices, "    ")}\n  }},'
+            f'\n  "step_index": {json_block("{}", step_index, "  ")},'
+            f'\n  "vertices": {json_block("{}", vertices, "  ")}\n}}\n')
+
+
 def realization_to_json(r: Realization) -> dict:
-    return {
-        "ambient_rank": r.ambient_rank,
-        "dag": dagmod.to_json(r.dag),
-        "step_index": {v: r.step_index[v] for v in sorted(r.step_index)},
-        "vertices": {v: quotient_to_json(q) for v, q in sorted(r.assignment.items())},
-    }
+    return json.loads(realization_to_text(r))
 
 
 def realization_from_json(data) -> Realization:
+    """One word table per load: each distinct word text is parsed once per
+    relator rank, and its ``Word`` is shared by every relator set using it."""
     d = dagmod.from_json(json_field(data, "dag", dict, "realization"))
     vertices = json_field(data, "vertices", dict, "realization")
-    assignment = {v: quotient_from_json(q) for v, q in vertices.items()}
+    words: WordTable = {}
+    assignment = {v: quotient_from_json(q, words) for v, q in vertices.items()}
     step_index = json_field(data, "step_index", dict, "realization")
     return Realization(
         dag=d,

@@ -38,8 +38,7 @@ through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
 ``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.  A
 witness that a separation and a distinctness entry share is encoded once.
 ``report_to_json`` and ``certificate_to_json`` decode that text; only the
-quotient of a trace goes through ``quotient_to_json``, as in
-``realization.json``.
+quotient of a trace goes through ``quotient_to_json``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dagquot import dag as dagmod
 from dagquot.ceplab import (
     FiniteGroup,
     Subgroup,
@@ -15,15 +16,21 @@ from dagquot.ceplab import (
 from dagquot.dag import ColoredDag, CycleFoundError, DagError, _check_acyclic
 from dagquot.quotients import (
     LAMP_IDENTITY,
+    FreeOfRank,
+    GroupExpr,
+    IdentityImage,
+    InfiniteCyclic,
     LampElem,
+    Lamplighter,
     MarkedQuotient,
     NormalForm,
+    RelatorSet,
+    TrivialGroup,
     _lamps_from_dict,
     _push_syllable,
     lamp_mul,
-    quotient_to_json,
 )
-from dagquot.realizer import CepEmbedding
+from dagquot.realizer import CepEmbedding, Realization
 from dagquot.snf import IntMatrix
 from dagquot.verifier import Certificate, EvalTrace, Report
 from dagquot.words import (
@@ -215,8 +222,58 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
 
 
 # ---------------------------------------------------------------------------
-# reference serialization: the report and certificate schema as dicts, which
-# json.dumps with sorted keys turns into the bytes the template encoder writes
+# reference serialization: the realization, report and certificate schemas as
+# dicts, which json.dumps with sorted keys turns into the bytes the template
+# writers produce
+
+
+def reference_expr_to_json(expr: GroupExpr) -> dict:
+    if isinstance(expr, TrivialGroup):
+        return {"kind": "trivial"}
+    if isinstance(expr, InfiniteCyclic):
+        return {"kind": "z"}
+    if isinstance(expr, FreeOfRank):
+        return {"kind": "free", "rank": expr.rank}
+    if isinstance(expr, Lamplighter):
+        return {"kind": "lamplighter"}
+    return {"kind": "product", "parts": [reference_expr_to_json(p) for p in expr.parts]}
+
+
+def reference_relators_to_json(r: RelatorSet) -> dict:
+    return {
+        "rank": r.rank,
+        "finite": [format_word(w) for w in r.finite_part],
+        "schemes": [{"a": format_word(s.a), "t": format_word(s.t)} for s in r.schemes],
+    }
+
+
+def reference_marking_to_json(marking) -> dict:
+    out = {}
+    for idx in sorted(marking):
+        img = marking[idx]
+        if isinstance(img, IdentityImage):
+            out[str(idx)] = "identity"
+        else:
+            out[str(idx)] = {"leaf": img.leaf, "value": img.value}
+    return out
+
+
+def reference_quotient_to_json(q: MarkedQuotient) -> dict:
+    return {
+        "rank": q.rank,
+        "relators": reference_relators_to_json(q.relators),
+        "expr": reference_expr_to_json(q.expr),
+        "marking": reference_marking_to_json(q.marking),
+    }
+
+
+def reference_realization_to_json(r: Realization) -> dict:
+    return {
+        "ambient_rank": r.ambient_rank,
+        "dag": dagmod.to_json(r.dag),
+        "step_index": {v: r.step_index[v] for v in sorted(r.step_index)},
+        "vertices": {v: reference_quotient_to_json(q) for v, q in sorted(r.assignment.items())},
+    }
 
 
 def reference_word_to_json(w: Word) -> dict:
@@ -240,7 +297,7 @@ def reference_trace_to_json(t: EvalTrace) -> dict:
     return {
         "label": t.label,
         "expected": reference_nf_to_json(t.expected),
-        "quotient": {"inline": quotient_to_json(t.quotient)},
+        "quotient": {"inline": reference_quotient_to_json(t.quotient)},
         "word": reference_word_to_json(t.word),
     }
 

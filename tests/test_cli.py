@@ -7,7 +7,7 @@ import pytest
 
 from conftest import reference_certificate_to_json
 from dagquot import ceplab, dag as dagmod
-from dagquot.cli import main
+from dagquot.cli import build_parser, main
 from dagquot.realizer import realize
 from dagquot.verifier import report_to_json, report_to_text, verify_all
 
@@ -453,10 +453,21 @@ class TestMalformedInput:
         (lambda r: with_free_leaf_rank(r, "u", "2"), "rank"),
         (lambda r: with_free_leaf_rank(r, "u", 2.5), "rank"),
         (lambda r: with_marking_key(r, "u", "1", "01"), "01"),
+        # a boolean is not an integer, though True == 1: x3 of u is value 1
+        # of its free leaf, x4 value 2, x2 value 1 of its Z leaf
+        (lambda r: with_marking_image(r, "u", "3", {"leaf": 1, "value": True}), "value"),
+        (lambda r: with_marking_image(r, "u", "4", {"leaf": 1, "value": True}), "value"),
+        (lambda r: with_marking_image(r, "u", "2", {"leaf": 0, "value": False}), "value"),
+        (lambda r: with_marking_image(r, "w", "3", {"leaf": 0, "value": True}), "value"),
+        (lambda r: with_marking_image(r, "u", "3", {"leaf": 1, "value": "1"}), "value"),
+        (lambda r: with_marking_image(r, "u", "3", {"leaf": 1, "value": 1.0}), "value"),
     ], ids=["list", "vertices-list", "step-index-list", "short-edge",
             "marking-list", "relators-string", "finite-string", "scheme-int",
             "relators-rank-string", "marking-image-int", "marking-leaf-string",
-            "free-rank-string", "free-rank-float", "marking-key-leading-zero"])
+            "free-rank-string", "free-rank-float", "marking-key-leading-zero",
+            "marking-value-true-for-1", "marking-value-true-for-2",
+            "marking-value-false-for-z-1", "marking-value-true-on-lamplighter",
+            "marking-value-string", "marking-value-float"])
     def test_verify(self, tmp_path, capsys, mutate, field):
         bad = tmp_path / "bad.json"
         write_json(bad, mutate(realized_chain(tmp_path)))
@@ -481,6 +492,25 @@ class TestMalformedInput:
         capsys.readouterr()
         self.assert_input_error(["transfer", "--input", str(inp), "--embedding", str(emb),
                                  "--out", str(tmp_path / "o")], capsys, field)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("x1 x", "error: cannot parse word atom 'x'\n"),
+        ("x9", "error: generator x9 out of range for rank 4\n"),
+    ])
+    def test_malformed_word_at_any_occurrence(self, tmp_path, capsys, bad, message):
+        # the relators of u are [x1], those of w [x1, x2]: the bad text first
+        # in u, first in w, and in both, where the one in w comes later
+        base = realized_chain(tmp_path)
+        bad_file = tmp_path / "bad.json"
+        for vertices in (("u",), ("w",), ("u", "w")):
+            data = base
+            for v in vertices:
+                data = with_relators_field(data, v, "finite",
+                                           [bad] + data["vertices"][v]["relators"]["finite"][1:])
+            write_json(bad_file, data)
+            capsys.readouterr()
+            assert main(["verify", "--input", str(bad_file), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == message
 
     def test_cep_table_not_a_list(self, tmp_path, capsys):
         inp = tmp_path / "g.json"
@@ -610,6 +640,31 @@ class TestDemoCommand:
 
     def test_unknown_demo_name(self, tmp_path, capsys):
         assert main(["demo", "no-such-demo", "--out", str(tmp_path)]) == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        inp = tmp_path / "dag.json"
+        write_json(inp, chain_dag())
+        assert main(["realize", "--input", str(inp), "--out", str(tmp_path / "a"), "--dot"]) == 0
+        assert main(["realize", "--input", str(inp), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "dag.dot").is_file()
+        assert not (tmp_path / "b" / "dag.dot").exists()
+        query = ["cep", "--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)"]
+        capsys.readouterr()
+        assert main(query + ["--max-s", "1"]) == 0
+        assert "almost_cep_witness" in json.loads(capsys.readouterr().out)
+        assert main(query) == 0
+        assert "almost_cep_witness" not in json.loads(capsys.readouterr().out)
+        for _ in range(2):
+            assert main(["realize", "--input", str(inp)]) == 2
+            assert main(["verify", "--input", str(inp), "--out", str(tmp_path / "c"),
+                         "--bound", "x"]) == 2
+            assert main(["cep", "--group", "nope"]) == 2
+        assert main(["cep", "--group", "s3", "--scan"]) == 0
 
 
 def test_dot_output_parses_as_graph(tmp_path):

@@ -44,6 +44,11 @@ class TestValidate:
         with pytest.raises(MissingColorError):
             colored_dag(["1"], [], {"1": 2})
 
+    def test_boolean_color(self):
+        # realization.json would carry the boolean where the color belongs
+        with pytest.raises(MissingColorError):
+            colored_dag(["1"], [], {"1": True})
+
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
             colored_dag(["1"], [("1", "9")], {"1": 0})

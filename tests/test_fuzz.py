@@ -7,6 +7,10 @@ whole document included) with null, a boolean, an integer, a float, a
 string, an array or an object, or deletes one key or array item. Whatever
 the input, the run must exit 0, 1 or 2 without an exception, and exit 2
 must print exactly one ``error:`` line.
+
+A deterministic pass swaps the type of every integer field of a realization
+(a boolean, the same number as a float or as a decimal string). Each swap
+must exit 2 with one ``error:`` line: no loader may take it for the number.
 """
 
 import json
@@ -126,6 +130,26 @@ def test_transfer_embedding(tmp_path, capsys, seed):
     run_mutants(tmp_path, capsys, seed, {"r.json": realization, "e.json": EMBEDDING},
                 ["transfer", "--input", str(tmp_path / "r.json"),
                  "--embedding", str(tmp_path / "e.json"), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("dag", [CHAIN, DAG], ids=["chain", "dag"])
+def test_realization_integer_type_swaps(tmp_path, capsys, dag):
+    realization = realization_of(tmp_path, dag)
+    text = json.dumps(realization)
+    ints = [p for p in locations(realization) if type(value_at(realization, p)) is int]
+    assert ints
+    path = tmp_path / "r.json"
+    for loc in ints:
+        n = value_at(realization, loc)
+        for swap in (True, False, float(n), str(n)):
+            doc = json.loads(text)
+            value_at(doc, loc[:-1])[loc[-1]] = swap
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            capsys.readouterr()
+            code = main(["verify", "--input", str(path), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            where = f"{'.'.join(map(str, loc))} = {json.dumps(swap)}: exit {code}\n{err}"
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, where
 
 
 @pytest.mark.parametrize("group", [TABLE_GROUP, PERMUTATION_GROUP], ids=["table", "permutations"])

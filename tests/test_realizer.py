@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import embedding_to_json
+from conftest import embedding_to_json, reference_realization_to_json
+from dagquot import quotients
 from dagquot.dag import colored_dag, random_colored_dag, transitive_closure
 from dagquot.quotients import (
     CommutatorScheme,
@@ -16,6 +17,7 @@ from dagquot.quotients import (
     MarkedQuotient,
     RelatorSet,
     check_soundness,
+    relators_from_json,
 )
 from dagquot.realizer import (
     BasisNotFreeError,
@@ -29,10 +31,11 @@ from dagquot.realizer import (
     presentations_to_json,
     realization_from_json,
     realization_to_json,
+    realization_to_text,
     realize,
     removal_order,
 )
-from dagquot.words import generator, parse_word
+from dagquot.words import GeneratorRangeError, generator, parse_word
 
 
 def w(text, rank):
@@ -316,3 +319,112 @@ class TestSerialization:
     def test_lattice_dot_smoke(self):
         dot = lattice_to_dot(realize(chain()))
         assert dot.startswith("digraph") and '"u" -> "w"' in dot
+
+
+def reference_text(r) -> str:
+    return json.dumps(reference_realization_to_json(r), indent=2, sort_keys=True) + "\n"
+
+
+class TestRealizationText:
+    """``realization_to_text`` writes the bytes of the dict builders in
+    conftest, encoded as ``realization.json`` always was."""
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    @pytest.mark.parametrize("order", [0, 1, 12, 40])
+    def test_seeded_dags(self, order, edge_prob):
+        for seed in range(3):
+            r = realize(random_colored_dag(order, random.Random(seed), edge_prob))
+            assert realization_to_text(r) == reference_text(r)
+
+    def test_ids_that_need_escaping(self):
+        ids = ['"', "\\", "\u00e9", "a\nb", "\x01"]
+        d = colored_dag(ids, [('"', "\\"), ("\u00e9", "a\nb"), ('"', "\x01")],
+                        {v: i % 2 for i, v in enumerate(ids)})
+        r = realize(d)
+        assert realization_to_text(r) == reference_text(r)
+
+    def test_string_order_differs_from_numeric_order(self):
+        # ids "9" and "10", and marking keys "1", "10", ..., "2" at rank 22
+        ids = [str(i) for i in range(1, 12)]
+        d = random_colored_dag(11, random.Random(4), 0.3)
+        r = realize(d)
+        assert r.ambient_rank == 22 and set(ids) == set(r.assignment)
+        text = realization_to_text(r)
+        assert text == reference_text(r)
+        assert text.index('"10": {') < text.index('"9": {')
+
+    def test_color_one_images(self):
+        d = colored_dag(["a", "b", "c"], [("a", "b"), ("b", "c")], {v: 1 for v in "abc"})
+        r = realize(d)
+        text = realization_to_text(r)
+        assert '"lamp"' in text and '"shift"' in text
+        assert text == reference_text(r)
+
+    def test_loaded_realization(self):
+        r = realize(random_colored_dag(12, random.Random(9), 0.3))
+        text = realization_to_text(r)
+        loaded = realization_from_json(json.loads(text))
+        assert realization_to_text(loaded) == text == reference_text(loaded)
+
+    def test_nested_product_from_json(self):
+        # a stored expression may nest products and hold trivial factors;
+        # the leaves, and so the marking, are those of the flat product
+        data = realization_to_json(realize(chain()))
+        data["vertices"]["u"]["expr"] = {"kind": "product", "parts": [
+            {"kind": "product", "parts": [{"kind": "z"}, {"kind": "trivial"}]},
+            {"kind": "free", "rank": 2}]}
+        r = realization_from_json(data)
+        assert realization_to_text(r) == reference_text(r)
+
+    def test_json_is_the_decoded_text(self):
+        r = realize(diamond())
+        assert realization_to_json(r) == reference_realization_to_json(r)
+
+
+class TestRealizationReader:
+    """``realization_from_json`` parses each distinct (text, rank) once."""
+
+    def count_parses(self, monkeypatch, data):
+        calls = []
+
+        def counting(text, rank):
+            calls.append((text, rank))
+            return parse_word(text, rank)
+
+        monkeypatch.setattr(quotients, "parse_word", counting)
+        return realization_from_json(data), calls
+
+    @pytest.mark.parametrize("edge_prob", [0.05, 0.5])
+    def test_each_word_parsed_once(self, monkeypatch, edge_prob):
+        data = json.loads(realization_to_text(realize(
+            random_colored_dag(40, random.Random(1), edge_prob))))
+        texts = set()
+        for q in data["vertices"].values():
+            rel = q["relators"]
+            texts.update((t, rel["rank"]) for t in rel["finite"])
+            texts.update((s[k], rel["rank"]) for s in rel["schemes"] for k in "at")
+        r, calls = self.count_parses(monkeypatch, data)
+        assert len(calls) == len(set(calls)) == len(texts) == 80
+        assert set(calls) == texts
+        assert r.assignment == realization_from_json(data).assignment
+
+    def test_words_and_identity_images_are_shared(self):
+        r = realization_from_json(realization_to_json(realize(diamond())))
+        by_text = {}
+        for q in r.assignment.values():
+            for w in q.relators.finite_part:
+                assert by_text.setdefault(w, w) is w
+        identities = {id(img) for q in r.assignment.values() for img in q.marking.values()
+                      if isinstance(img, IdentityImage)}
+        assert len(identities) == 1
+
+    def test_one_text_under_two_ranks(self):
+        words = {}
+        low = relators_from_json({"rank": 2, "finite": ["x1 x2"]}, words)
+        high = relators_from_json({"rank": 3, "finite": ["x1 x2"],
+                                   "schemes": [{"a": "x1 x2", "t": "x3"}]}, words)
+        assert low.finite_part[0].rank == 2
+        assert high.finite_part[0].rank == 3 and high.schemes[0].a is high.finite_part[0]
+        assert low.finite_part[0].letters == high.finite_part[0].letters
+        with pytest.raises(GeneratorRangeError):
+            relators_from_json({"rank": 2, "finite": ["x3"]}, {("x3", 3): generator(3, 3)})
