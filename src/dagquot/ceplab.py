@@ -363,7 +363,6 @@ def is_almost_cep_finite(
 
 @dataclass
 class TransitivityReport:
-    group_name: str
     chains_checked: int
     violations: list[tuple[str, frozenset[int], frozenset[int]]]
 
@@ -372,7 +371,7 @@ class TransitivityReport:
         return not self.violations
 
 
-def cep_transitivity_scan(g: FiniteGroup, name: str = "") -> TransitivityReport:
+def cep_transitivity_scan(g: FiniteGroup) -> TransitivityReport:
     """Check, over every chain H <= K <= G, that CEP composes and restricts:
     CEP(H,K) and CEP(K,G) imply CEP(H,G), and CEP(H,G) implies CEP(H,K).
     Both are theorems; a violation would expose an implementation bug."""
@@ -396,7 +395,7 @@ def cep_transitivity_scan(g: FiniteGroup, name: str = "") -> TransitivityReport:
                 violations.append(("transitivity", h, k))
             if hg and not hk:
                 violations.append(("restriction", h, k))
-    return TransitivityReport(name, chains, violations)
+    return TransitivityReport(chains, violations)
 
 
 # ---------------------------------------------------------------------------

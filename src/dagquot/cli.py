@@ -138,7 +138,7 @@ def cmd_cep(args) -> int:
     result: dict = {"group": label, "order": g.order}
     code = 0
     if args.scan:
-        rep = ceplab.cep_transitivity_scan(g, label)
+        rep = ceplab.cep_transitivity_scan(g)
         result["transitivity_scan"] = {
             "chains_checked": rep.chains_checked,
             "violations": [

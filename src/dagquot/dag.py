@@ -190,13 +190,20 @@ def load(path) -> ColoredDag:
         return from_json(json.load(fh))
 
 
-def to_dot(d: ColoredDag) -> str:
-    """DOT form; color-1 vertices get a doubled border."""
-    lines = ["digraph colored_dag {"]
-    for v in d.vertices:
+def dot_text(graph: str, d: ColoredDag, vertices, label) -> str:
+    """DOT digraph ``graph``: a line per vertex of ``vertices`` with text
+    ``label(v)``, color-1 vertices with a doubled border, then the sorted
+    edges of ``d``."""
+    lines = [f"digraph {graph} {{"]
+    for v in vertices:
         extra = ", peripheries=2" if d.color[v] == 1 else ""
-        lines.append(f'  "{v}" [label="{v} (c={d.color[v]})"{extra}];')
+        lines.append(f'  "{v}" [label="{label(v)}"{extra}];')
     for u, v in sorted(d.edges):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(d: ColoredDag) -> str:
+    """DOT form, vertices in input order; color-1 vertices get a doubled border."""
+    return dot_text("colored_dag", d, d.vertices, lambda v: f"{v} (c={d.color[v]})")

@@ -38,6 +38,7 @@ from .snf import AbelianInvariants, invariants_from_rows
 from .words import (
     Word,
     RankMismatchError,
+    _reduce_letters,
     commutator,
     conjugate,
     exponent_vector,
@@ -373,21 +374,11 @@ class NormalForm:
 NF_IDENTITY = NormalForm(())
 
 
-def _free_concat(p1, p2):
-    out = list(p1)
-    for idx, sign in p2:
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((idx, sign))
-    return tuple(out)
-
-
 def _leaf_mul(leaf: LeafExpr, p1, p2):
     if isinstance(leaf, InfiniteCyclic):
         return p1 + p2
     if isinstance(leaf, FreeOfRank):
-        return _free_concat(p1, p2)
+        return _reduce_letters(p1 + p2)
     return lamp_mul(p1, p2)
 
 

@@ -341,17 +341,9 @@ def presentations_to_json(pres: dict[str, Presentation], note: str = "") -> dict
 
 def lattice_to_dot(r: Realization) -> str:
     """DOT of the realized order, each vertex annotated with its quotient."""
-    lines = ["digraph realized_lattice {"]
-    for v in sorted(r.assignment):
+    def label(v: str) -> str:
         q = r.assignment[v]
-        color = r.dag.color[v]
-        extra = ", peripheries=2" if color == 1 else ""
-        label = (
-            f"{v} (c={color})\\nG/N = {q.expr}\\n"
-            f"{len(q.relators.finite_part)} relators, {len(q.relators.schemes)} schemes"
-        )
-        lines.append(f'  "{v}" [label="{label}"{extra}];')
-    for u, v in sorted(r.dag.edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        return (f"{v} (c={r.dag.color[v]})\\nG/N = {q.expr}\\n"
+                f"{len(q.relators.finite_part)} relators, {len(q.relators.schemes)} schemes")
+
+    return dagmod.dot_text("realized_lattice", r.dag, sorted(r.assignment), label)

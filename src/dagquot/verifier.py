@@ -12,7 +12,7 @@ Three certificate kinds cover the realization conditions:
   * separation - unreachable ordered pairs: a witness generator of the
     source with a nontrivial normal form in the target quotient.  A failed
     search is reported as inconclusive, never as a pass.  Distinctness of
-    two vertices carries the separation certificate of one direction.
+    two vertices carries the separation certificate of (u, v), else of (v, u).
   * color - the structural biconditional: color 0 iff the relator set is
     scheme-free iff the quotient expression has no lamplighter leaf.  (Free
     products of finitely presented groups are finitely presented; a free
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .quotients import (
     MarkedQuotient,
@@ -125,6 +125,11 @@ class ColorFacts:
     lamplighter_free: bool
     justification: str
 
+    @property
+    def biconditional(self) -> bool:
+        """Color 0 iff scheme-free iff lamplighter-free."""
+        return (self.color == 0) == self.scheme_free == self.lamplighter_free
+
 
 @dataclass(frozen=True)
 class SubstitutionFact:
@@ -159,13 +164,18 @@ JUSTIFICATION_COLOR = (
 )
 
 
+def _inclusion_survivors(r: Realization, u: str, v: str, bound: int):
+    """The exactness tag of each scheme of ``u`` in the quotient of ``v``, and
+    the label of each relator of ``u`` up to ``bound`` that survives there."""
+    qv, rel_u = r.assignment[v], r.assignment[u].relators
+    exactness = tuple(scheme_exactness(qv, s) for s in rel_u.schemes)
+    return exactness, surviving_relators(rel_u, qv, bound, exactness)
+
+
 def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     if not leq(r.dag, u, v):
         raise NotComparableError(f"no path {u} -> {v}")
-    qv = r.assignment[v]
-    rel_u = r.assignment[u].relators
-    exactness = tuple(scheme_exactness(qv, s) for s in rel_u.schemes)
-    survivors = surviving_relators(rel_u, qv, bound, exactness)
+    exactness, survivors = _inclusion_survivors(r, u, v, bound)
     if survivors:
         raise TraceFailedError(f"relator {survivors[0]} of {u} survives in quotient of {v}")
     return Certificate(
@@ -200,59 +210,45 @@ def certify_distinctness(
     bound: int = 5,
     separations: dict[tuple[str, str], Certificate] | None = None,
 ) -> Certificate:
-    """The separation certificate of one direction, noted as distinctness.
+    """The separation certificate of ``(u, v)``, else of ``(v, u)``, noted
+    as distinctness: a witness of the source that survives in the target
+    shows the two normal subgroups differ.
 
     ``separations`` maps an ordered pair to its separation certificate; a
-    pair without one is comparable or has no witness up to the bound.
+    pair without one is below or has no witness up to the bound.
     ``verify_all`` passes the certificates it has already made; without
-    them, both directions are certified here.
+    them, each direction is certified here in turn.
     """
     if u == v:
         raise NotComparableError("distinctness needs two distinct vertices")
-    if separations is None:
-        separations = {}
-        for s, t in ((u, v), (v, u)):
-            if not leq(r.dag, s, t):
-                try:
-                    separations[s, t] = certify_separation(r, s, t, bound)
-                except WitnessNotFoundError:
-                    pass
-    # certify in a direction that is NOT below: a witness in the source that
-    # survives in the target shows the two normal subgroups differ
-    if leq(r.dag, u, v):
-        directions = ((v, u),)
-    elif leq(r.dag, v, u):
-        directions = ((u, v),)
-    else:
-        directions = ((u, v), (v, u))
-    for pair in directions:
-        cert = separations.get(pair)
+    for s, t in ((u, v), (v, u)):
+        if separations is not None:
+            cert = separations.get((s, t))
+        else:
+            try:
+                cert = certify_separation(r, s, t, bound)
+            except (NotComparableError, WitnessNotFoundError):
+                continue
         if cert is not None:
-            return Certificate(
-                kind=cert.kind,
-                subject=cert.subject,
-                bound=cert.bound,
-                witness=cert.witness,
-                notes=(f"distinctness of ({u}, {v})",),
-            )
+            return Certificate(cert.kind, cert.subject, cert.bound, witness=cert.witness,
+                               notes=(f"distinctness of ({u}, {v})",))
     raise WitnessNotFoundError(bound)
 
 
-def certify_color(r: Realization, v: str) -> Certificate:
+def _color_facts(r: Realization, v: str) -> ColorFacts:
     q = r.assignment[v]
-    color = r.dag.color[v]
-    scheme_free = not q.relators.schemes
-    lamp_free = not has_lamplighter(q.expr)
-    if not ((color == 0) == scheme_free == lamp_free):
+    return ColorFacts(r.dag.color[v], not q.relators.schemes, not has_lamplighter(q.expr),
+                      JUSTIFICATION_COLOR)
+
+
+def certify_color(r: Realization, v: str) -> Certificate:
+    facts = _color_facts(r, v)
+    if not facts.biconditional:
         raise StructureMismatchError(
-            f"vertex {v}: color {color}, scheme_free={scheme_free}, "
-            f"lamplighter_free={lamp_free}"
+            f"vertex {v}: color {facts.color}, scheme_free={facts.scheme_free}, "
+            f"lamplighter_free={facts.lamplighter_free}"
         )
-    return Certificate(
-        kind="color",
-        subject=(v,),
-        color_facts=ColorFacts(color, scheme_free, lamp_free, JUSTIFICATION_COLOR),
-    )
+    return Certificate(kind="color", subject=(v,), color_facts=facts)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +291,18 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("an inclusion is checked against a realization, and none is given")
             return
         u, v = c.subject
-        rel, qv = r.assignment[u].relators, r.assignment[v]
-        exactness = tuple(scheme_exactness(qv, s) for s in rel.schemes)
-        for label in surviving_relators(rel, qv, c.bound, exactness):
+        exactness, survivors = _inclusion_survivors(r, u, v, c.bound)
+        for label in survivors:
             problems.append(f"relator {label} of {u} survives in quotient of {v}")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
-        if covered != set(range(len(rel.schemes))):
+        if covered != set(range(len(exactness))):
             problems.append("scheme coverage tags do not match the scheme list")
         for sc in c.scheme_coverage:
-            if sc.coverage == "exact":
-                cov, reason = exactness[sc.scheme_index]
-                if cov != "exact" or reason != sc.reason:
-                    problems.append(
-                        f"scheme[{sc.scheme_index}]: exactness reason "
-                        f"{sc.reason!r} does not re-derive"
-                    )
+            if sc.coverage == "exact" and exactness[sc.scheme_index] != ("exact", sc.reason):
+                problems.append(
+                    f"scheme[{sc.scheme_index}]: exactness reason "
+                    f"{sc.reason!r} does not re-derive"
+                )
 
     if c.kind == "separation":
         if c.witness is None:
@@ -333,16 +326,11 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("color certificate carries no facts")
         elif r is not None:
             (v,) = c.subject
-            q = r.assignment[v]
-            facts = ColorFacts(
-                r.dag.color[v],
-                not q.relators.schemes,
-                not has_lamplighter(q.expr),
-                c.color_facts.justification,
-            )
-            if facts != c.color_facts:
+            # the justification is prose, not evidence: it is not compared
+            facts = _color_facts(r, v)
+            if replace(c.color_facts, justification=facts.justification) != facts:
                 problems.append("color facts do not re-derive from the realization")
-            elif not ((facts.color == 0) == facts.scheme_free == facts.lamplighter_free):
+            elif not facts.biconditional:
                 problems.append("color biconditional fails")
 
 
@@ -514,61 +502,60 @@ def _certificate_text(c: Certificate, witnesses: dict[int, str]) -> str:
             f'"word_facts":[{",".join(map(_word_fact_text, c.word_facts))}]}}')
 
 
-def _trace_from_json(data) -> EvalTrace:
-    quotient = json_field(data, "quotient", dict, "trace")
-    return EvalTrace(
-        json_field(data, "label", str, "trace"),
-        nf_from_json(data["expected"]),
-        quotient_from_json(json_field(quotient, "inline", dict, "trace quotient")),
-        word_from_json(json_field(data, "word", dict, "trace")),
-    )
-
-
 def certificate_to_json(c: Certificate) -> dict:
     return json.loads(_certificate_text(c, {}))
 
 
+def _inline_quotient(data) -> MarkedQuotient:
+    return quotient_from_json(json_field(data, "inline", dict, "trace quotient"))
+
+
+# per evidence type, the owner its errors name and its fields in constructor
+# order: the key, the JSON kind, and the reader of the value (None keeps it)
+_FIELDS = {
+    EvalTrace: ("trace", (
+        ("label", str, None), ("expected", list, nf_from_json),
+        ("quotient", dict, _inline_quotient), ("word", dict, word_from_json))),
+    SchemeCoverage: ("scheme_coverage", (
+        ("scheme", int, None), ("coverage", str, None), ("reason", str, None))),
+    WitnessEvidence: ("witness", (
+        ("word", dict, word_from_json), ("provenance", str, None), ("image", list, nf_from_json))),
+    ColorFacts: ("color_facts", (
+        ("color", int, None), ("scheme_free", bool, None), ("lamplighter_free", bool, None),
+        ("justification", str, None))),
+    SubstitutionFact: ("word_facts", (
+        ("label", str, None), ("basis", list, lambda ws: tuple(map(word_from_json, ws))),
+        ("expression", dict, word_from_json), ("target", dict, word_from_json))),
+}
+
+
+def _from_fields(cls, data):
+    owner, fields = _FIELDS[cls]
+    values = []
+    for key, kind, read in fields:
+        value = json_field(data, key, kind, owner)
+        values.append(value if read is None else read(value))
+    return cls(*values)
+
+
 def certificate_from_json(data) -> Certificate:
-    witness = None
-    wd = json_field(data, "witness", dict, "certificate", optional=True)
-    if wd:
-        witness = WitnessEvidence(
-            word_from_json(json_field(wd, "word", dict, "witness")),
-            json_field(wd, "provenance", str, "witness"),
-            nf_from_json(wd["image"]),
-        )
-    color_facts = None
-    cf = json_field(data, "color_facts", dict, "certificate", optional=True)
-    if cf:
-        color_facts = ColorFacts(
-            json_field(cf, "color", int, "color_facts"),
-            json_field(cf, "scheme_free", bool, "color_facts"),
-            json_field(cf, "lamplighter_free", bool, "color_facts"),
-            json_field(cf, "justification", str, "color_facts"),
-        )
+    def many(key, cls):
+        items = json_field(data, key, list, "certificate", optional=True)
+        return tuple(_from_fields(cls, x) for x in items)
+
+    def one(key, cls):
+        x = json_field(data, key, dict, "certificate", optional=True)
+        return _from_fields(cls, x) if x else None
+
     return Certificate(
         kind=json_field(data, "kind", str, "certificate"),
         subject=tuple(json_field(data, "subject", list, "certificate", item=str)),
         bound=json_field(data, "bound", int, "certificate", optional=True),
-        traces=tuple(_trace_from_json(t) for t in json_field(
-            data, "traces", list, "certificate", optional=True)),
-        scheme_coverage=tuple(
-            SchemeCoverage(json_field(sc, "scheme", int, "scheme_coverage"),
-                           json_field(sc, "coverage", str, "scheme_coverage"),
-                           json_field(sc, "reason", str, "scheme_coverage"))
-            for sc in json_field(data, "scheme_coverage", list, "certificate", optional=True)
-        ),
-        witness=witness,
-        color_facts=color_facts,
-        word_facts=tuple(
-            SubstitutionFact(
-                json_field(f, "label", str, "word_facts"),
-                tuple(word_from_json(w) for w in json_field(f, "basis", list, "word_facts")),
-                word_from_json(json_field(f, "expression", dict, "word_facts")),
-                word_from_json(json_field(f, "target", dict, "word_facts")),
-            )
-            for f in json_field(data, "word_facts", list, "certificate", optional=True)
-        ),
+        traces=many("traces", EvalTrace),
+        scheme_coverage=many("scheme_coverage", SchemeCoverage),
+        witness=one("witness", WitnessEvidence),
+        color_facts=one("color_facts", ColorFacts),
+        word_facts=many("word_facts", SubstitutionFact),
         notes=tuple(json_field(data, "notes", list, "certificate", item=str, optional=True)),
     )
 

@@ -139,7 +139,7 @@ def test_criterion_4_cep_finite_suite():
     assert ok
 
     for name in ("s3", "a4", "s4", "q8"):
-        scan = cep_transitivity_scan(builtin_group(name), name)
+        scan = cep_transitivity_scan(builtin_group(name))
         assert scan.ok, f"transitivity violations in {name}: {scan.violations}"
         assert scan.chains_checked > 0
     report("4 CEP finite suite: PASS (S4/D4 witness verified, 4 scans clean)")

@@ -278,7 +278,7 @@ class TestSubgroups:
         # ambient on a copy with no memos at all
         g = builtin_group(name)
         scanned = builtin_group(name)
-        assert cep_transitivity_scan(scanned, name).ok
+        assert cep_transitivity_scan(scanned).ok
         for k in all_subgroups(g):
             normals = [
                 sub for sub in all_subgroups_within(g, k)
@@ -477,7 +477,7 @@ class TestCepFailures:
 class TestTransitivityScan:
     @pytest.mark.parametrize("name", ["s3", "a4", "s4", "q8", "a5", "s4xc2"])
     def test_zero_violations(self, name):
-        report = cep_transitivity_scan(builtin_group(name), name)
+        report = cep_transitivity_scan(builtin_group(name))
         assert report.ok
         assert report.chains_checked > 0
 

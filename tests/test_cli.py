@@ -160,6 +160,31 @@ class TestRealizationBytes:
         text = json.dumps(content, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # sha256 of dag.dot and lattice.dot as `dagquot realize --dot` writes them
+    # for random_colored_dag(order, Random(seed), edge_prob), taken from the
+    # two separate DOT writers that dag.dot_text replaced
+    DOT_PINS = [
+        (5, 1, 0.5, "763cb91da56239d9c69fe075997aff554f74f9a3fcb1414d82855e953e64d7dc",
+         "ae2a2bd7ea5eb6e75588b077443fd0881fc93ef30d90841aabe1f81b7ddaed27"),
+        (11, 3, 0.2, "14f5a7cda8ce66b17d69a131e307e05ef5d5d631f34720406a4e9fac8602f1e1",
+         "46f435a24300d398eed258ce036ec38d5848543fee13843816ff1962c83be8ae"),
+        (14, 4, 0.5, "45b02c1b48416e5171b80fe8425d424a4dec00ece416b9d747562fe6ddb4a432",
+         "9b82e86decb683f17fe95841f62d5d2a9b37005ccb59d9569063188dff5aeaee"),
+        (8, 6, 1.0, "f46117b7e71e70cecb3f946f6de538991c44c1ffb7d8d7324415ec1853c7ab7d",
+         "f2f9bad74bd0f2dc6e5895de78e06c84a0c1f73d8aec61d6f2ece28163e8cfd0"),
+    ]
+
+    @pytest.mark.parametrize("order,seed,edge_prob,dag_digest,lattice_digest", DOT_PINS)
+    def test_dot_sha256_pinned(self, tmp_path, order, seed, edge_prob, dag_digest,
+                               lattice_digest):
+        d = dagmod.random_colored_dag(order, random.Random(seed), edge_prob)
+        inp = tmp_path / "dag.json"
+        write_json(inp, dagmod.to_json(d))
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out), "--dot"]) == 0
+        assert hashlib.sha256((out / "dag.dot").read_bytes()).hexdigest() == dag_digest
+        assert hashlib.sha256((out / "lattice.dot").read_bytes()).hexdigest() == lattice_digest
+
 
 class TestVerifyCommand:
     def test_round_trip_verdict(self, tmp_path):

@@ -244,7 +244,8 @@ def all_identity(r, vertex):
 
 class TestDistinctnessFromSeparation:
     """verify_all reads distinctness off the separation certificates it has
-    already made; each entry must equal a fresh two-direction search."""
+    already made, and certify_distinctness alone certifies each direction;
+    both must equal a fresh two-direction search."""
 
     def assert_matches_fresh_search(self, r, bound=5):
         got = distinctness_entries(r, bound)
@@ -252,7 +253,18 @@ class TestDistinctnessFromSeparation:
         pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
         assert sorted(got) == pairs
         for u, v in pairs:
-            assert got[u, v] == fresh_distinctness(r, u, v, bound), (u, v)
+            expected = fresh_distinctness(r, u, v, bound)
+            assert got[u, v] == expected, (u, v)
+            # certify_distinctness without verify_all's separations
+            if expected[0] == "inconclusive":
+                with pytest.raises(WitnessNotFoundError):
+                    certify_distinctness(r, u, v, bound)
+                continue
+            c = certify_distinctness(r, u, v, bound)
+            status = "pass" if check_certificate(r, c) else "fail"
+            witness = c.witness
+            assert (status, c.subject, witness.word, witness.provenance,
+                    witness.image) == expected, (u, v)
 
     def test_every_order_three_dag(self):
         for d in enumerate_colored_dags(3):
@@ -278,7 +290,7 @@ class TestDistinctnessFromSeparation:
             r = all_identity(r, vertex)
         expected = fresh_distinctness(r, "u", "w")
         assert expected[:2] == (status, subject)
-        assert distinctness_entries(r) == {("u", "w"): expected}
+        self.assert_matches_fresh_search(r)
         report = verify_all(r)
         (entry,) = [e for e in report.entries if e.check == "distinctness"]
         assert not report.verdict
@@ -462,6 +474,41 @@ class TestCheckCertificate:
         holder[field] = value
         with pytest.raises(ValueError, match=re.escape(repr(field))):
             certificate_from_json(data)
+
+    def test_separation_without_witness(self):
+        cert = Certificate(kind="separation", subject=("u", "w"), bound=5)
+        assert check_certificate_detailed(antichain(), cert) == (
+            False, ["separation certificate carries no witness"])
+
+    def test_color_without_facts(self):
+        cert = Certificate(kind="color", subject=("u",))
+        assert check_certificate_detailed(chain(), cert) == (
+            False, ["color certificate carries no facts"])
+
+    def test_color_facts_must_re_derive(self):
+        r = chain()
+        cert = certify_color(r, "u")
+        facts = cert.color_facts
+        for changed in ({"color": 1}, {"scheme_free": False}, {"lamplighter_free": False}):
+            forged = dataclasses.replace(cert, color_facts=dataclasses.replace(facts, **changed))
+            assert check_certificate_detailed(r, forged) == (
+                False, ["color facts do not re-derive from the realization"]), changed
+        # the justification is prose, not evidence
+        reworded = dataclasses.replace(facts, justification="see the paper")
+        assert check_certificate(r, dataclasses.replace(cert, color_facts=reworded))
+
+    def test_color_biconditional_fails(self):
+        # the quotient of a color-0 vertex, stored for a color-1 vertex: the
+        # facts re-derive, color 1 with a scheme-free, lamplighter-free quotient
+        r0 = realize(colored_dag(["v"], [], {"v": 0}))
+        r = Realization(colored_dag(["v"], [], {"v": 1}), r0.ambient_rank,
+                        dict(r0.assignment), dict(r0.step_index))
+        facts = dataclasses.replace(certify_color(r0, "v").color_facts, color=1)
+        assert (facts.scheme_free, facts.lamplighter_free) == (True, True)
+        cert = Certificate(kind="color", subject=("v",), color_facts=facts)
+        assert check_certificate_detailed(r, cert) == (False, ["color biconditional fails"])
+        with pytest.raises(StructureMismatchError):
+            certify_color(r, "v")
 
     def test_unknown_vertex_is_false_not_crash(self):
         r = antichain()
