@@ -24,7 +24,7 @@ from .realizer import (
     realization_to_text,
     realize,
 )
-from .verifier import certificate_to_json, check_certificate_detailed, report_to_text, verify_all
+from .verifier import certificate_to_json, check_certificate_detailed, report_chunks, verify_all
 
 # What reading an input file can raise: an unreadable file, bad JSON or a
 # domain error (each a ValueError), a missing key, or JSON of the wrong shape
@@ -44,9 +44,10 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, *chunks: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -55,7 +56,7 @@ def _write_json(path: Path, data) -> None:
 
 
 def _write_report(path: Path, report) -> None:
-    _write_text(path, report_to_text(report) + "\n")
+    _write_text(path, *report_chunks(report), "\n")
 
 
 def _outdir(args) -> Path:

@@ -190,20 +190,27 @@ def load(path) -> ColoredDag:
         return from_json(json.load(fh))
 
 
-def dot_text(graph: str, d: ColoredDag, vertices, label) -> str:
-    """DOT digraph ``graph``: a line per vertex of ``vertices`` with text
-    ``label(v)``, color-1 vertices with a doubled border, then the sorted
-    edges of ``d``."""
+def dot_quote(v: str) -> str:
+    """``v`` inside a double-quoted DOT string: backslash, quote and newline
+    escaped."""
+    return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def dot_text(graph: str, d: ColoredDag, vertices, annotate=lambda v: "") -> str:
+    """DOT digraph ``graph``: a line per vertex of ``vertices`` labelled with
+    its id, its color and ``annotate(v)``, color-1 vertices with a doubled
+    border, then the sorted edges of ``d``."""
     lines = [f"digraph {graph} {{"]
     for v in vertices:
+        name = dot_quote(v)
         extra = ", peripheries=2" if d.color[v] == 1 else ""
-        lines.append(f'  "{v}" [label="{label(v)}"{extra}];')
+        lines.append(f'  "{name}" [label="{name} (c={d.color[v]}){annotate(v)}"{extra}];')
     for u, v in sorted(d.edges):
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f'  "{dot_quote(u)}" -> "{dot_quote(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_dot(d: ColoredDag) -> str:
     """DOT form, vertices in input order; color-1 vertices get a doubled border."""
-    return dot_text("colored_dag", d, d.vertices, lambda v: f"{v} (c={d.color[v]})")
+    return dot_text("colored_dag", d, d.vertices)

@@ -341,9 +341,9 @@ def presentations_to_json(pres: dict[str, Presentation], note: str = "") -> dict
 
 def lattice_to_dot(r: Realization) -> str:
     """DOT of the realized order, each vertex annotated with its quotient."""
-    def label(v: str) -> str:
+    def annotate(v: str) -> str:
         q = r.assignment[v]
-        return (f"{v} (c={r.dag.color[v]})\\nG/N = {q.expr}\\n"
+        return (f"\\nG/N = {q.expr}\\n"
                 f"{len(q.relators.finite_part)} relators, {len(q.relators.schemes)} schemes")
 
-    return dagmod.dot_text("realized_lattice", r.dag, sorted(r.assignment), label)
+    return dagmod.dot_text("realized_lattice", r.dag, sorted(r.assignment), annotate)

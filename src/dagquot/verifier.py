@@ -32,19 +32,24 @@ labelled relator lists per bound and the bit masks that
 ``realize`` and fails every vertex whose stored quotient or step differs
 from it, since every certificate evaluates words in the stored markings.
 
-Reports and certificates are written by one template encoder,
-``report_to_text``: each template lists its keys in sorted order, strings go
+Certificates are written by one template, ``_certificate_text``, from
+pieces already encoded: it lists its keys in sorted order and strings go
 through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
-``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.  A
-witness that a separation and a distinctness entry share is encoded once.
-``report_to_json`` and ``certificate_to_json`` decode that text; only the
-quotient of a trace goes through ``quotient_to_json``.
+``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.
+``verify_all`` encodes each entry as soon as it is checked and drops its
+certificate, so a ``Report`` holds one line of JSON per entry and a tally by
+check and status.  ``Report.entries`` decodes those lines, certificates
+through ``certificate_from_json``, each time it is read.  ``report_chunks``
+writes the report in pieces from the stored lines; ``report_to_json`` and
+``certificate_to_json`` decode the same text.  Only the quotient of a trace
+goes through ``quotient_to_json``.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .quotients import (
@@ -203,35 +208,19 @@ def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certif
     )
 
 
-def certify_distinctness(
-    r: Realization,
-    u: str,
-    v: str,
-    bound: int = 5,
-    separations: dict[tuple[str, str], Certificate] | None = None,
-) -> Certificate:
+def certify_distinctness(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     """The separation certificate of ``(u, v)``, else of ``(v, u)``, noted
     as distinctness: a witness of the source that survives in the target
-    shows the two normal subgroups differ.
-
-    ``separations`` maps an ordered pair to its separation certificate; a
-    pair without one is below or has no witness up to the bound.
-    ``verify_all`` passes the certificates it has already made; without
-    them, each direction is certified here in turn.
-    """
+    shows the two normal subgroups differ.  ``verify_all`` reads the same
+    certificate off the separation entries it has already checked."""
     if u == v:
         raise NotComparableError("distinctness needs two distinct vertices")
     for s, t in ((u, v), (v, u)):
-        if separations is not None:
-            cert = separations.get((s, t))
-        else:
-            try:
-                cert = certify_separation(r, s, t, bound)
-            except (NotComparableError, WitnessNotFoundError):
-                continue
-        if cert is not None:
-            return Certificate(cert.kind, cert.subject, cert.bound, witness=cert.witness,
-                               notes=(f"distinctness of ({u}, {v})",))
+        try:
+            cert = certify_separation(r, s, t, bound)
+        except (NotComparableError, WitnessNotFoundError):
+            continue
+        return replace(cert, notes=(f"distinctness of ({u}, {v})",))
     raise WitnessNotFoundError(bound)
 
 
@@ -352,23 +341,47 @@ class ReportEntry:
     certificate: Certificate | None = None
 
 
-@dataclass
 class Report:
-    entries: list[ReportEntry]
-    verdict: bool
-    elapsed: float
-    bound: int
+    """The entries of a verification, each kept as its one-line JSON text
+    and tallied by check and status as it is added.  ``entries`` decodes
+    the texts afresh on each access, certificates through
+    ``certificate_from_json``."""
+
+    def __init__(self, entries, verdict: bool, elapsed: float, bound: int):
+        self.verdict, self.elapsed, self.bound = verdict, elapsed, bound
+        self.texts: list[str] = []
+        self.tally: Counter[tuple[str, str]] = Counter()
+        for e in entries:
+            cert = "null" if e.certificate is None else _encode(e.certificate)
+            self.add(e.check, _strings(e.subject), e.status, e.detail, cert)
+
+    def add(self, check: str, subject: str, status: str, detail: str = "",
+            certificate: str = "null") -> None:
+        """Append an entry: ``subject`` is the text inside its JSON array,
+        ``certificate`` its JSON text."""
+        self.tally[check, status] += 1
+        self.texts.append(f'{{"certificate":{certificate},"check":{json_str(check)},'
+                          f'"detail":{json_str(detail)},"status":{json_str(status)},'
+                          f'"subject":[{subject}]}}')
+
+    @property
+    def entries(self) -> list[ReportEntry]:
+        out = []
+        for text in self.texts:
+            data = json.loads(text)
+            cert = data["certificate"]
+            out.append(ReportEntry(data["check"], tuple(data["subject"]), data["status"],
+                                   data["detail"],
+                                   None if cert is None else certificate_from_json(cert)))
+        return out
 
     def count(self, check: str, status: str | None = None) -> int:
-        return sum(
-            1
-            for e in self.entries
-            if e.check == check and (status is None or e.status == status)
-        )
+        return sum(n for (c, s), n in self.tally.items()
+                   if c == check and (status is None or s == status))
 
     @property
     def inconclusive(self) -> int:
-        return sum(1 for e in self.entries if e.status == "inconclusive")
+        return sum(n for (_, s), n in self.tally.items() if s == "inconclusive")
 
 
 def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
@@ -395,62 +408,80 @@ def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
 def verify_all(r: Realization, bound: int = 5) -> Report:
     """Compare the realization with ``realize(r.dag)``, certify every pair
     and vertex, re-check each certificate, and cross-check every vertex's
-    abelianization against its structural expression."""
+    abelianization against its structural expression.
+
+    Each entry is encoded as soon as it is checked and its certificate is
+    dropped.  A distinctness entry carries the separation certificate it
+    cites with a note added; notes are not evidence, so it takes the
+    witness text, status and detail of that separation's entry."""
     start = time.perf_counter()
     ids = sorted(r.assignment)
-    entries = _canonical_entries(r, ids)
+    rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
+    quoted = {v: json_str(v) for v in ids}
+    coverages: dict[tuple[SchemeCoverage, ...], str] = {}
 
-    def run(check: str, subject: tuple[str, ...], make) -> Certificate | None:
+    def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
+        """Add the entry of ``certify(r, *args)``; for a checked certificate,
+        return its witness text, status and detail."""
         try:
-            cert = make()
+            cert = certify(r, *args)
         except WitnessNotFoundError as exc:
-            entries.append(ReportEntry(check, subject, "inconclusive", str(exc)))
+            rep.add(check, subject, "inconclusive", str(exc))
             return None
         except (TraceFailedError, StructureMismatchError) as exc:
-            entries.append(ReportEntry(check, subject, "fail", str(exc)))
+            rep.add(check, subject, "fail", str(exc))
             return None
         ok, problems = check_certificate_detailed(r, cert)
-        status = "pass" if ok else "fail"
-        entries.append(ReportEntry(check, subject, status, "; ".join(problems), cert))
-        return cert
+        status, detail = "pass" if ok else "fail", "; ".join(problems)
+        coverage = coverages.get(cert.scheme_coverage)
+        if coverage is None:
+            coverage = coverages[cert.scheme_coverage] = _coverage_text(cert.scheme_coverage)
+        color = "" if cert.color_facts is None else _color_text(cert.color_facts)
+        witness = "" if cert.witness is None else _witness_text(cert.witness)
+        rep.add(check, subject, status, detail, _certificate_text(
+            json_str(cert.kind), subject, cert.bound, color=color, coverage=coverage,
+            witness=witness))
+        return witness, status, detail
 
-    separations: dict[tuple[str, str], Certificate] = {}
+    # (u, v) -> the subject text of its separation entry, then what run returned
+    separations: dict[tuple[str, str], tuple[str, str, str, str]] = {}
     for u in ids:
         for v in ids:
             if u == v:
                 continue
+            subject = f"{quoted[u]},{quoted[v]}"
             if leq(r.dag, u, v):
-                run("inclusion", (u, v), lambda u=u, v=v: certify_inclusion(r, u, v, bound))
-            else:
-                cert = run("separation", (u, v),
-                           lambda u=u, v=v: certify_separation(r, u, v, bound))
-                if cert is not None:
-                    separations[u, v] = cert
+                run("inclusion", subject, certify_inclusion, u, v, bound)
+            elif cited := run("separation", subject, certify_separation, u, v, bound):
+                separations[u, v] = subject, *cited
+    no_witness = str(WitnessNotFoundError(bound))
     for i, u in enumerate(ids):
         for v in ids[i + 1:]:
-            run("distinctness", (u, v),
-                lambda u=u, v=v: certify_distinctness(r, u, v, bound, separations))
+            subject = f"{quoted[u]},{quoted[v]}"
+            cited = separations.get((u, v)) or separations.get((v, u))
+            if cited is None:
+                rep.add("distinctness", subject, "inconclusive", no_witness)
+                continue
+            cited_subject, witness, status, detail = cited
+            notes = json_str(f"distinctness of ({u}, {v})")
+            rep.add("distinctness", subject, status, detail, _certificate_text(
+                '"separation"', cited_subject, bound, notes=notes, witness=witness))
     for v in ids:
-        run("color", (v,), lambda v=v: certify_color(r, v))
+        run("color", quoted[v], certify_color, v)
 
     for v in ids:
         q = r.assignment[v]
         computed = abelianization(q.rank, q.relators)
         predicted = predicted_invariants(q.expr)
         if computed == predicted:
-            entries.append(ReportEntry("abelianization", (v,), "pass", str(computed)))
+            rep.add("abelianization", quoted[v], "pass", str(computed))
         else:
-            entries.append(
-                ReportEntry(
-                    "abelianization",
-                    (v,),
-                    "fail",
-                    f"computed {computed} but structure predicts {predicted}",
-                )
-            )
+            rep.add("abelianization", quoted[v], "fail",
+                    f"computed {computed} but structure predicts {predicted}")
 
-    verdict = all(e.status == "pass" for e in entries)
-    return Report(entries, verdict, time.perf_counter() - start, bound)
+    rep.verdict = all(status == "pass" for _, status in rep.tally)
+    rep.elapsed = time.perf_counter() - start
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -469,41 +500,53 @@ def _word_fact_text(f: SubstitutionFact) -> str:
             f'"label":{json_str(f.label)},"target":{word_to_text(f.target)}}}')
 
 
-def _strings(items) -> str:
-    return ",".join(map(json_str, items))
+def _coverage_text(coverage: tuple[SchemeCoverage, ...]) -> str:
+    return ",".join(f'{{"coverage":{json_str(sc.coverage)},"reason":{json_str(sc.reason)},'
+                    f'"scheme":{sc.scheme_index}}}' for sc in coverage)
+
+
+def _witness_text(wt: WitnessEvidence) -> str:
+    return (f',"witness":{{"image":{nf_to_text(wt.image)},'
+            f'"provenance":{json_str(wt.provenance)},"word":{word_to_text(wt.word)}}}')
 
 
 _BOOL = {True: "true", False: "false"}
 
 
-def _certificate_text(c: Certificate, witnesses: dict[int, str]) -> str:
-    """``witnesses`` maps ``id`` of a ``WitnessEvidence`` to its text, so a
-    witness that two entries share is encoded once."""
-    color = witness = ""
-    if c.color_facts is not None:
-        f = c.color_facts
-        color = (f',"color_facts":{{"color":{f.color},"justification":{json_str(f.justification)},'
-                 f'"lamplighter_free":{_BOOL[f.lamplighter_free]},'
-                 f'"scheme_free":{_BOOL[f.scheme_free]}}}')
-    if c.witness is not None:
-        witness = witnesses.get(id(c.witness))
-        if witness is None:
-            wt = c.witness
-            witness = witnesses[id(wt)] = (
-                f',"witness":{{"image":{nf_to_text(wt.image)},'
-                f'"provenance":{json_str(wt.provenance)},"word":{word_to_text(wt.word)}}}')
-    coverage = ",".join(
-        f'{{"coverage":{json_str(sc.coverage)},"reason":{json_str(sc.reason)},'
-        f'"scheme":{sc.scheme_index}}}'
-        for sc in c.scheme_coverage)
-    return (f'{{"bound":{c.bound}{color},"kind":{json_str(c.kind)},"notes":[{_strings(c.notes)}],'
-            f'"scheme_coverage":[{coverage}],"subject":[{_strings(c.subject)}],'
-            f'"traces":[{",".join(map(_trace_text, c.traces))}]{witness},'
-            f'"word_facts":[{",".join(map(_word_fact_text, c.word_facts))}]}}')
+def _color_text(f: ColorFacts) -> str:
+    return (f',"color_facts":{{"color":{f.color},"justification":{json_str(f.justification)},'
+            f'"lamplighter_free":{_BOOL[f.lamplighter_free]},'
+            f'"scheme_free":{_BOOL[f.scheme_free]}}}')
+
+
+def _strings(items) -> str:
+    return ",".join(map(json_str, items))
+
+
+def _certificate_text(kind: str, subject: str, bound: int, *, color: str = "",
+                      coverage: str = "", notes: str = "", traces: str = "", witness: str = "",
+                      word_facts: str = "") -> str:
+    """A certificate's JSON text from pieces already encoded: ``kind`` is a
+    JSON string; ``subject``, ``coverage``, ``notes``, ``traces`` and
+    ``word_facts`` are the insides of their arrays; ``color`` and
+    ``witness`` are empty or a member with its leading comma."""
+    return (f'{{"bound":{bound}{color},"kind":{kind},"notes":[{notes}],'
+            f'"scheme_coverage":[{coverage}],"subject":[{subject}],'
+            f'"traces":[{traces}]{witness},"word_facts":[{word_facts}]}}')
+
+
+def _encode(c: Certificate) -> str:
+    return _certificate_text(
+        json_str(c.kind), _strings(c.subject), c.bound,
+        color="" if c.color_facts is None else _color_text(c.color_facts),
+        coverage=_coverage_text(c.scheme_coverage), notes=_strings(c.notes),
+        traces=",".join(map(_trace_text, c.traces)),
+        witness="" if c.witness is None else _witness_text(c.witness),
+        word_facts=",".join(map(_word_fact_text, c.word_facts)))
 
 
 def certificate_to_json(c: Certificate) -> dict:
-    return json.loads(_certificate_text(c, {}))
+    return json.loads(_encode(c))
 
 
 def _inline_quotient(data) -> MarkedQuotient:
@@ -560,25 +603,27 @@ def certificate_from_json(data) -> Certificate:
     )
 
 
-def report_to_text(rep: Report) -> str:
-    """The report as one line of JSON, byte for byte what ``json.dumps``
-    with ``sort_keys=True`` and ``separators=(",", ":")`` writes for the
-    same report as dicts and lists: each template lists its keys in sorted
-    order."""
+def report_chunks(rep: Report):
+    """The report as one line of JSON in pieces, byte for byte what
+    ``json.dumps`` with ``sort_keys=True`` and ``separators=(",", ":")``
+    writes for the same report as dicts and lists: each template lists its
+    keys in sorted order."""
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    witnesses: dict[int, str] = {}
-    entries = []
-    for e in rep.entries:
-        if e.status in counts:
-            counts[e.status] += 1
-        cert = "null" if e.certificate is None else _certificate_text(e.certificate, witnesses)
-        entries.append(f'{{"certificate":{cert},"check":{json_str(e.check)},'
-                       f'"detail":{json_str(e.detail)},"status":{json_str(e.status)},'
-                       f'"subject":[{_strings(e.subject)}]}}')
-    return (f'{{"bound":{rep.bound},"counts":{{"fail":{counts["fail"]},'
-            f'"inconclusive":{counts["inconclusive"]},"pass":{counts["pass"]}}},'
-            f'"elapsed_seconds":{round(rep.elapsed, 6)!r},"entries":[{",".join(entries)}],'
-            f'"verdict":"{"pass" if rep.verdict else "fail"}"}}')
+    for (_, status), n in rep.tally.items():
+        if status in counts:
+            counts[status] += n
+    yield (f'{{"bound":{rep.bound},"counts":{{"fail":{counts["fail"]},'
+           f'"inconclusive":{counts["inconclusive"]},"pass":{counts["pass"]}}},'
+           f'"elapsed_seconds":{round(rep.elapsed, 6)!r},"entries":[')
+    for i, text in enumerate(rep.texts):
+        if i:
+            yield ","
+        yield text
+    yield f'],"verdict":"{"pass" if rep.verdict else "fail"}"}}'
+
+
+def report_to_text(rep: Report) -> str:
+    return "".join(report_chunks(rep))
 
 
 def report_to_json(rep: Report) -> dict:

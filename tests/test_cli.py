@@ -1,15 +1,27 @@
 import hashlib
+import importlib.util
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from conftest import reference_certificate_to_json
-from dagquot import ceplab, dag as dagmod
+from dagquot import ceplab, dag as dagmod, realizer
 from dagquot.cli import build_parser, main
 from dagquot.realizer import realize
 from dagquot.verifier import report_to_json, report_to_text, verify_all
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def load_bench_inputs():
+    """The benchmark's seeded input generators, loaded without changing them."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_json(path, data):
@@ -290,6 +302,36 @@ class TestReportJson:
         want = report_to_text(verify_all(realize(d), 4)) + "\n"
         for path in (out / "report.json", out2 / "report.json"):
             assert without_elapsed(path.read_text(encoding="utf-8")) == without_elapsed(want)
+
+    # sha256 of report.json without elapsed_seconds, re-encoded as
+    # test_report_content_pinned does, for benchmark pool DAGs of order 40:
+    # (workload, pool index, edge probability of the workload, command)
+    POOL_PINS = [
+        ("realize_dense", 0, 0.5, "realize",
+         "5899506c3a40ecb930734fbb6652102164559c1934045f91d0bbe6c679b54a8b"),
+        ("realize_dense", 1, 0.5, "realize",
+         "dc10c7394957829fe707fb0f445535a2595f0652b263d6b67668b7f19f76d05e"),
+        ("verify_sparse", 0, 0.05, "verify",
+         "92d157ce968faa4696ebeb097fe1dfcb19738e66be2094d943beac7adb136da2"),
+        ("verify_sparse", 1, 0.05, "verify",
+         "ff659cdb78276533d3785479de54100ba71becb6dbc02842b7407297c59e1751"),
+    ]
+
+    @pytest.mark.parametrize("workload,index,edge_prob,command,digest", POOL_PINS)
+    def test_pool_dag_report_pinned(self, tmp_path, workload, index, edge_prob, command,
+                                    digest):
+        inputs = load_bench_inputs()
+        dag = inputs.pool_dag(workload, index, edge_prob)
+        inp = tmp_path / "input.json"
+        if command == "realize":
+            write_json(inp, dag)
+        else:
+            inp.write_text(inputs.realization_text(dagmod, realizer, dag), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--input", str(inp), "--out", str(out), "--bound", "5"]) == 0
+        content = report_content(json.loads((out / "report.json").read_text()))
+        text = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_realization_stays_indented(self, tmp_path):
         d = dagmod.random_colored_dag(5, random.Random(1), 0.5)
@@ -702,3 +744,50 @@ def test_dot_output_parses_as_graph(tmp_path):
     dot = (out / "lattice.dot").read_text()
     assert dot.count("{") == dot.count("}") == 1
     assert dot.count("->") == 1
+
+
+def dot_quoted_strings(text):
+    """Every double-quoted string of a DOT text, unescaped, after checking
+    that each is closed on its own line."""
+    strings = []
+    for line in text.split("\n"):
+        i = 0
+        while i < len(line):
+            if line[i] != '"':
+                i += 1
+                continue
+            chars, i = [], i + 1
+            while i < len(line) and line[i] != '"':
+                if line[i] == "\\" and i + 1 < len(line):
+                    i += 1
+                    chars.append({"n": "\n"}.get(line[i], line[i]))
+                else:
+                    chars.append(line[i])
+                i += 1
+            assert i < len(line), f"unclosed quoted string in {line!r}"
+            strings.append("".join(chars))
+            i += 1
+    return strings
+
+
+def test_dot_escapes_vertex_ids(tmp_path):
+    ids = ['a"b', "back\\slash", "new\nline"]
+    edges = [(ids[0], ids[1]), (ids[1], ids[2])]
+    inp = tmp_path / "dag.json"
+    write_json(inp, {"vertices": [{"id": v, "color": i % 2} for i, v in enumerate(ids)],
+                     "edges": edges})
+    out = tmp_path / "out"
+    assert main(["realize", "--input", str(inp), "--out", str(out), "--dot"]) == 0
+    # lattice.dot draws the transitive closure
+    closed = sorted(edges + [(ids[0], ids[2])])
+    for name, order, pairs in (("dag.dot", ids, edges), ("lattice.dot", sorted(ids), closed)):
+        text = (out / name).read_text(encoding="utf-8")
+        lines = text.split("\n")
+        assert lines[0].endswith("{") and lines[-2:] == ["}", ""]
+        strings = dot_quoted_strings(text)
+        # a node name and its label per vertex, then two names per edge
+        nodes, ends = strings[:2 * len(ids)], strings[2 * len(ids):]
+        assert nodes[::2] == order
+        for v, label in zip(order, nodes[1::2]):
+            assert label.startswith(f"{v} (c=")
+        assert list(zip(ends[::2], ends[1::2])) == pairs

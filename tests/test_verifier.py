@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 import re
@@ -12,6 +13,7 @@ from conftest import (
     reference_certificate_to_json,
     reference_report_to_json,
 )
+from dagquot import verifier
 from dagquot.ceplab import free_counterexample_demo
 from dagquot.dag import (
     colored_dag,
@@ -303,6 +305,44 @@ class TestDistinctnessFromSeparation:
             cert = certify_distinctness(r, "u", "w")
             assert cert == entry.certificate
             assert cert.witness.word == w("x2", 4)
+
+    def test_distinctness_follows_the_check_of_its_separation(self, monkeypatch):
+        # the separation search for (u, w) returns a wrong image: its entry
+        # fails, and so does the distinctness entry of (u, w) that cites it
+        r = antichain()
+        real = verifier.first_survivor
+
+        def wrong_image_into_w(relators, q, bound):
+            found = real(relators, q, bound)
+            if found is not None and q is r.assignment["w"]:
+                provenance, word, _ = found
+                return provenance, word, NormalForm()
+            return found
+
+        monkeypatch.setattr(verifier, "first_survivor", wrong_image_into_w)
+        report = verify_all(r)
+        entries = {(e.check, e.subject): e for e in report.entries}
+        separation = entries["separation", ("u", "w")]
+        distinctness = entries["distinctness", ("u", "w")]
+        detail = "stored witness normal form does not re-derive"
+        assert (separation.status, separation.detail) == ("fail", detail)
+        assert (distinctness.status, distinctness.detail) == ("fail", detail)
+        assert distinctness.certificate.subject == ("u", "w")
+        assert entries["separation", ("w", "u")].status == "pass"
+        assert not report.verdict
+
+
+def test_verify_all_keeps_no_certificates():
+    r = realize(random_colored_dag(12, random.Random(12), 0.3))
+
+    def live_certificates():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, Certificate))
+
+    before = live_certificates()
+    report = verify_all(r)
+    assert live_certificates() <= before
+    assert report.verdict and report.count("separation") > 0
 
 
 class TestColor:
