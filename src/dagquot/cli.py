@@ -124,9 +124,6 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_cep(args) -> int:
-    if not args.group and not args.input:
-        print("error: cep needs --group or --input", file=sys.stderr)
-        return 2
     try:
         if args.group:
             g = ceplab.builtin_group(args.group)
@@ -208,9 +205,9 @@ def _demo_s4_d4(args) -> int:
     is_cep, violation = ceplab.is_cep_finite(g, h)
     verified = False
     if violation is not None:
-        closure = ceplab.normal_closure_in(
-            g, frozenset(range(g.order)), violation.seed_normal
-        )
+        # every conjugate, not the closure memo that is_cep_finite just read
+        conjugates = {g.conj(a, x) for a in violation.seed_normal for x in range(g.order)}
+        closure = ceplab.subgroup_generated(g, conjugates).elements
         verified = (closure & h.elements) == violation.intersection and (
             violation.intersection != violation.seed_normal
         )
@@ -274,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cep", help="finite-group CEP checks")
     p.set_defaults(run=cmd_cep)
-    p.add_argument("--group", choices=ceplab.builtin_names())
-    p.add_argument("--input", type=Path, help="group JSON (table or permutations)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", choices=ceplab.builtin_names())
+    source.add_argument("--input", type=Path, help="group JSON (table or permutations)")
     p.add_argument("--subgroup", nargs="+", metavar="ELEM",
                    help="generator names of the subgroup, e.g. '(1 2 3 4)'")
     p.add_argument("--scan", action="store_true", help="run the transitivity scan")
@@ -299,6 +297,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "bound", 1) < 1:
         print("error: --bound must be >= 1", file=sys.stderr)
+        return 2
+    if getattr(args, "max_s", None) is not None and args.max_s < 0:
+        print("error: --max-s must be >= 0", file=sys.stderr)
         return 2
     return args.run(args)
 

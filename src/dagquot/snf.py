@@ -1,7 +1,8 @@
 """Exact integer matrix algebra: Smith normal form and abelian invariants.
 
 Everything runs on arbitrary-precision Python ints; there is no floating
-point anywhere in this package.
+point anywhere in this package. The Smith normal form works on one augmented
+matrix and pivots on a smallest nonzero entry in each round.
 """
 
 from __future__ import annotations
@@ -17,102 +18,53 @@ def mat_identity(n: int) -> IntMatrix:
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize over Z: returns (U, D, V) with U*a*V = D, U and V
-    unimodular, and the diagonal of D a nonnegative divisibility chain."""
+    unimodular, and the diagonal of D a nonnegative divisibility chain.
+
+    One matrix m = [[a, I], [I, 0]] holds D (top left), U (top right) and V
+    (bottom left): an operation on its first len(a) rows or first len(a[0])
+    columns moves U or V along with D. Each round pivots on a smallest
+    nonzero entry of the trailing block (row-major first among equals) and
+    divides it out of its column and row by nearest quotients. A nonzero
+    remainder, or an entry the pivot does not divide (whose row is then
+    added to the pivot row), starts another round: pivots never grow, and
+    shrink within two rounds.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = [list(row) for row in a]
-    u = mat_identity(rows)
-    v = mat_identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    m = [list(row) + unit for row, unit in zip(a, mat_identity(rows))]
+    m += [unit + [0] * rows for unit in mat_identity(cols)]
 
     def add_row(dst, src, k):
-        # row_dst += k * row_src
-        for c in range(cols):
-            d[dst][c] += k * d[src][c]
-        for c in range(rows):
-            u[dst][c] += k * u[src][c]
+        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
 
-    def add_col(dst, src, k):
-        for row in d:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        for c in range(cols):
-            d[i][c] = -d[i][c]
-        for c in range(rows):
-            u[i][c] = -u[i][c]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a minimal-magnitude nonzero entry of the trailing block to (t, t)
-        pivot = None
-        nonzero = ((i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j] != 0)
-        for i, j in nonzero:
-            if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
-                pivot = (i, j)
-                if abs(d[i][j]) == 1:
-                    break  # nothing nonzero is smaller than a unit
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if d[t][t] < 0:
-            negate_row(t)
-
-        while True:
-            # clear column t below the pivot
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        # remainder is strictly smaller: promote it to pivot
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot now divides its cleared row and column; enforce the
-            # divisibility chain over the remaining block (a unit divides all)
-            if abs(d[t][t]) == 1:
-                break
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
+    t = 0  # rounds run until the trailing block from (t, t) is zero
+    while nonzero := [(abs(m[i][j]), i, j)
+                      for i in range(t, rows) for j in range(t, cols) if m[i][j]]:
+        _, pi, pj = min(nonzero)
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        p = m[t][t]
+        for i in range(t + 1, rows):
+            add_row(i, t, -((2 * m[i][t] + p) // (2 * p)))
+        for j in range(t + 1, cols):
+            q = (2 * m[t][j] + p) // (2 * p)
+            for row in m:
+                row[j] -= q * row[t]
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1:cols]):
+            continue
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % p for x in m[i][t + 1:cols])), None)
+        if offender is not None:
             add_row(t, offender, 1)
+            continue
+        if p < 0:
+            m[t] = [-x for x in m[t]]
         t += 1
 
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            negate_row(i)
+    u = [row[cols:] for row in m[:rows]]
+    d = [row[:cols] for row in m[:rows]]
+    v = [row[:cols] for row in m[rows:]]
     return u, d, v
 
 

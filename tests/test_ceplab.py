@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import a3_in_s3, normal_closure_finite, reference_lattice
+from conftest import a3_in_s3, normal_closure_finite, reference_closure, reference_lattice
 from dagquot.ceplab import (
     FiniteGroup,
     GroupTableError,
@@ -377,9 +377,10 @@ class TestCep:
         g, h = d4_in_s4()
         ok, violation = is_cep_finite(g, h)
         assert not ok and violation is not None
-        # lattice-verified: recompute both sides from scratch
-        whole = frozenset(range(g.order))
-        closure = normal_closure_in(g, whole, violation.seed_normal)
+        # recompute both sides from scratch: the ambient closure is the
+        # subgroup generated by every conjugate, with no memo of the group
+        conjugates = {g.conj(a, x) for a in violation.seed_normal for x in range(g.order)}
+        closure = reference_closure(g, conjugates)
         assert closure & h.elements == violation.intersection
         assert violation.intersection != violation.seed_normal
         assert violation.seed_normal < violation.intersection

@@ -248,6 +248,31 @@ class TestVerifyCommand:
         assert canonical["2"]["status"] == "fail"
         assert "marking" in canonical["2"]["detail"]
 
+    def test_dense_relators_abelianization(self, tmp_path):
+        # vertex 1 of an antichain gets 12 dense relators, one per exponent
+        # row of a 12 x 12 matrix: no row is a unit row, so its
+        # abelianization runs a full Smith normal form
+        inp = tmp_path / "dag.json"
+        write_json(inp, {"vertices": [{"id": str(i), "color": 0} for i in range(1, 7)],
+                         "edges": []})
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        data = json.loads((out / "realization.json").read_text())
+        rng = random.Random(12)
+        rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+        data["vertices"]["1"]["relators"]["finite"] = [
+            " ".join(f"x{j}" if e > 0 else f"x{j}^-1"
+                     for j, e in enumerate(row, 1) for _ in range(abs(e)))
+            for row in rows]
+        tampered = tmp_path / "dense.json"
+        write_json(tampered, data)
+        out2 = tmp_path / "out2"
+        assert main(["verify", "--input", str(tampered), "--out", str(out2)]) == 1
+        report = json.loads((out2 / "report.json").read_text())
+        details = [e["detail"] for e in report["entries"]
+                   if e["check"] == "abelianization" and e["status"] == "fail"]
+        assert details == ["computed Z/17016871415377 but structure predicts Z^1"]
+
     def test_garbage_input_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}", encoding="utf-8")
@@ -634,6 +659,19 @@ class TestCepCommand:
     def test_needs_group_or_input(self, capsys):
         assert main(["cep", "--scan"]) == 2
 
+    def test_group_and_input_are_exclusive(self, tmp_path, capsys):
+        inp = tmp_path / "g.json"
+        write_json(inp, {"degree": 3, "generators": ["(1 2)", "(1 2 3)"]})
+        assert main(["cep", "--group", "s4", "--input", str(inp), "--scan"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_max_s_exits_two(self, capsys):
+        argv = ["cep", "--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)", "--max-s", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-s must be >= 0\n"
+
     # sha256 of cep.json as written by the exhaustive-closure lattice this
     # package used to have; a5, s4xc2 and s5 were loaded from the same generators
     # with --input, with the group label set to the builtin name
@@ -704,6 +742,18 @@ class TestDemoCommand:
         assert code == 0
         result = json.loads((tmp_path / "cep_violation.json").read_text())
         assert result["is_cep"] is False and result["recheck"] is True
+
+    def test_s4_d4_recheck_does_not_read_the_closure_memo(self, tmp_path, monkeypatch):
+        # a wrong ambient closure planted where is_cep_finite memoizes it: the
+        # recheck must recompute the closure and catch the wrong intersection
+        g, h = ceplab.d4_in_s4()
+        whole = frozenset(range(g.order))
+        seed = ceplab.subgroup_generated(g, {g.names.index("(1 3)(2 4)")}).elements
+        g._normal_closures[whole, seed] = whole
+        monkeypatch.setattr(ceplab, "d4_in_s4", lambda: (g, h))
+        assert main(["demo", "s4-d4-cep", "--out", str(tmp_path)]) == 1
+        result = json.loads((tmp_path / "cep_violation.json").read_text())
+        assert result["recheck"] is False
 
     def test_unknown_demo_name(self, tmp_path, capsys):
         assert main(["demo", "no-such-demo", "--out", str(tmp_path)]) == 2

@@ -69,6 +69,15 @@ class TestSmithNormalForm:
         d = assert_snf_contract([[2, 0], [0, 3]])
         assert d[1][1] % d[0][0] == 0
 
+    def test_transform_entries_stay_small(self):
+        # naive integer elimination grows U and V past 4000 digits on this
+        # matrix
+        rng = random.Random(10)
+        a = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+        u, _, v = smith_normal_form(a)
+        assert all(abs(x) < 10 ** 100 for m in (u, v) for row in m for x in row)
+        assert_snf_contract(a)
+
 
 class TestDeterminant:
     def test_known(self):
