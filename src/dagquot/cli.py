@@ -60,9 +60,8 @@ def _write_report(path: Path, report) -> None:
 
 
 def _outdir(args) -> Path:
-    out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def cmd_realize(args) -> int:

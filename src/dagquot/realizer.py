@@ -224,14 +224,15 @@ def cep_transfer(r: Realization, e: CepEmbedding) -> dict[str, Presentation]:
 
     That the first ``ambient_rank`` basis words form a free basis is checked
     exactly: they do when the folded Stallings graph of the subgroup they
-    generate has rank ``ambient_rank``."""
+    generate has rank (edges - vertices + 1) ``ambient_rank``."""
     if len(e.basis_words) < r.ambient_rank:
         raise RealizerError(
             f"embedding supplies {len(e.basis_words)} basis words, "
             f"need {r.ambient_rank}"
         )
     images = tuple(e.basis_words[: r.ambient_rank])
-    rank = len(stallings.basis(stallings.build_subgroup_graph(images, e.alphabet_rank)))
+    core = stallings.build_subgroup_graph(images, e.alphabet_rank)
+    rank = len(core.edges) - core.num_vertices + 1
     if rank != r.ambient_rank:
         raise BasisNotFreeError(
             f"the first {r.ambient_rank} basis words generate a free group of rank "

@@ -2,10 +2,9 @@
 
 A subgroup graph is a folded, connected, core labeled digraph with a base
 vertex; the words labeling closed base paths are exactly the elements of the
-subgroup.  Folding is done with a union-find worklist, then the result is
-trimmed to its core and renumbered canonically (BFS from the base, scanning
-labels in order), so the output is independent of generator order and of the
-fold schedule.
+subgroup.  A union-find worklist folds it, a queue trims it to its core, and
+a breadth-first numbering from the base makes it canonical: the output does
+not depend on generator order or on the fold schedule.
 """
 
 from __future__ import annotations
@@ -55,6 +54,13 @@ class SubgroupGraph:
 def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> SubgroupGraph:
     """Folded core graph of the subgroup generated by the given words.
 
+    Each word is a closed path (petal) at the base; each edge enters the maps
+    of both its ends (``g`` along it, ``-g`` against it).  Where a map already
+    sends that label elsewhere, the far ends merge and only the absorbed
+    vertex's edges are requeued; the base stays vertex 0.  A queue trims
+    non-base vertices of degree < 2, and the core is numbered breadth first
+    (``g``, then ``-g``); a vertex the numbering misses raises, never dropped.
+
     ``rng`` only shuffles the fold worklist; the canonical output is the same
     for every schedule (this is what the confluence tests exercise).
     """
@@ -63,25 +69,21 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
         if not gens:
             raise StallingsError("rank is required for the trivial subgroup")
         rank = gens[0].rank
-    for w in gens:
-        if w.rank != rank:
-            raise RankMismatchError("subgroup generators must share a rank")
+    if any(w.rank != rank for w in gens):
+        raise RankMismatchError("subgroup generators must share a rank")
 
-    edges: list[tuple[int, int, int]] = []
+    work: list[tuple[int, int, int]] = []
     fresh = 1
     for w in gens:
-        cur = 0
-        for pos, (idx, sign) in enumerate(w.letters):
-            nxt = 0 if pos == len(w.letters) - 1 else fresh
-            if nxt == fresh:
-                fresh += 1
-            if sign > 0:
-                edges.append((cur, idx, nxt))
-            else:
-                edges.append((nxt, idx, cur))
-            cur = nxt
+        path = [0, *range(fresh, fresh + len(w) - 1), 0]
+        fresh += max(len(w) - 1, 0)
+        for (i, e), u, v in zip(w.letters, path, path[1:]):
+            work.append((u, i, v) if e > 0 else (v, i, u))
+    if rng is not None:
+        rng.shuffle(work)
 
     parent = list(range(fresh))
+    adj: list[dict[int, int]] = [{} for _ in range(fresh)]
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -89,75 +91,38 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
             v = parent[v]
         return v
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the base representative at 0
-            if rb == 0:
-                ra, rb = rb, ra
-            parent[rb] = ra
+    while work:
+        s, g, t = work.pop()
+        s, t = find(s), find(t)
+        for a, lab, b in ((s, g, t), (t, -g, s)):
+            c = find(adj[a].setdefault(lab, b))
+            if c != b:
+                gone = max(b, c)
+                parent[gone] = min(b, c)  # so the base, vertex 0, always survives
+                work += [(gone, k, x) if k > 0 else (x, -k, gone) for k, x in adj[gone].items()]
+                adj[gone] = {}
+                break
 
-    if rng is not None:
-        rng.shuffle(edges)
-
-    # fold: merge targets of equal-labeled edges out of (or into) one vertex
-    changed = True
-    while changed:
-        changed = False
-        seen_out: dict[tuple[int, int], int] = {}
-        seen_in: dict[tuple[int, int], int] = {}
-        for s, g, t in edges:
-            s, t = find(s), find(t)
-            if (s, g) in seen_out and find(seen_out[(s, g)]) != t:
-                union(find(seen_out[(s, g)]), t)
-                changed = True
-            else:
-                seen_out[(s, g)] = t
-            s, t = find(s), find(t)
-            if (t, g) in seen_in and find(seen_in[(t, g)]) != s:
-                union(find(seen_in[(t, g)]), s)
-                changed = True
-            else:
-                seen_in[(t, g)] = s
-
-    folded = {(find(s), g, find(t)) for s, g, t in edges}
-
-    # trim to the core: drop non-base vertices of degree < 2
-    while True:
-        degree: dict[int, int] = {}
-        for s, g, t in folded:
-            degree[s] = degree.get(s, 0) + 1
-            degree[t] = degree.get(t, 0) + 1
-        dead = {v for v, d in degree.items() if d < 2 and v != find(0)}
-        if not dead:
-            break
-        folded = {(s, g, t) for s, g, t in folded if s not in dead and t not in dead}
-
-    return _canonicalize(rank, find(0), folded)
-
-
-def _canonicalize(rank: int, base: int, edges) -> SubgroupGraph:
-    """BFS renumbering from the base with labels scanned in order."""
-    out: dict[tuple[int, int], int] = {}
-    inc: dict[tuple[int, int], int] = {}
-    for s, g, t in edges:
-        out[(s, g)] = t
-        inc[(t, g)] = s
-    names = {base: 0}
-    order = [base]
-    queue = deque([base])
-    while queue:
+    adj = [{lab: find(x) for lab, x in m.items()} for m in adj]
+    live = {v for v in range(fresh) if parent[v] == v}
+    queue = deque(v for v in live if v and len(adj[v]) < 2)
+    while queue:  # each vertex is queued once: at the start, or when its degree drops to 1
         v = queue.popleft()
+        live.remove(v)
+        for lab, x in adj[v].items():
+            del adj[x][-lab]
+            if x and len(adj[x]) == 1:
+                queue.append(x)
+
+    names, order = {0: 0}, [0]
+    for v in order:
         for g in range(1, rank + 1):
-            for nbr in (out.get((v, g)), inc.get((v, g))):
-                if nbr is not None and nbr not in names:
-                    names[nbr] = len(names)
-                    order.append(nbr)
-                    queue.append(nbr)
-    if len(names) < len({x for s, _, t in edges for x in (s, t)} | {base}):
-        raise StallingsError("subgroup graph is not connected")
-    new_edges = frozenset((names[s], g, names[t]) for s, g, t in edges)
-    return SubgroupGraph(rank, len(names), new_edges)
+            for x in (adj[v].get(g), adj[v].get(-g)):
+                if x is not None and x not in names:
+                    names[x] = len(order)
+                    order.append(x)
+    edges = frozenset((names[v], g, names[x]) for v in live for g, x in adj[v].items() if g > 0)
+    return SubgroupGraph(rank, len(order), edges)
 
 
 def contains(g: SubgroupGraph, w: Word) -> bool:

@@ -270,7 +270,8 @@ class TestSerialization:
     def test_round_trip(self, rng):
         for _ in range(20):
             d = random_colored_dag(4, rng)
-            assert from_json(to_json(d)) == d
+            back = from_json(to_json(d))
+            assert back == d and back.color == d.color
 
     def test_dot_smoke(self):
         dot = to_dot(chain3())

@@ -310,7 +310,7 @@ class TestSerialization:
         assert r2.ambient_rank == r.ambient_rank
         assert r2.assignment == r.assignment
         assert r2.step_index == r.step_index
-        assert r2.dag == r.dag
+        assert r2.dag == r.dag and r2.dag.color == r.dag.color
 
     def test_embedding_round_trip(self):
         e = CepEmbedding(3, (w("x3 x3", 3),), (w("x1", 3), w("x2", 3)), note="demo")

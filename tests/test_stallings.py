@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from dagquot.words import (
     invert,
     multiply,
     parse_word,
+    power,
 )
 
 
@@ -85,6 +87,33 @@ class TestBuild:
                 assert [contains(shuffled, p) for p in probes] == [
                     contains(reference, p) for p in probes
                 ]
+
+    def test_canonical_graphs_digest(self):
+        # one digest over 600 seeded generator sets (ranks 1-4, up to 5 words
+        # of length 0-12) pins the canonical form: a fold, trim or numbering
+        # change that alters any graph, or its vertex names, shows here
+        digest = hashlib.sha256()
+        rng = random.Random(17)
+        for k in range(600):
+            rank = rng.randint(1, 4)
+            gens = [random_word(rng, rank, 12) for _ in range(rng.randint(0, 5))]
+            g = build_subgroup_graph(gens, rank=rank)
+            assert build_subgroup_graph(gens, rank=rank, rng=random.Random(k)) == g
+            digest.update(repr((g.num_vertices, sorted(g.edges))).encode())
+        assert digest.hexdigest() == (
+            "3773b4238644a6e9381dc136e578a71758bdeab0ae5489ecf6e7ae4331c36621"
+        )
+
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    def test_power_pair_cascades_to_one_loop(self, n):
+        # x1^n and x1^(n+1) generate <x1>: the first merge at the base sets
+        # off a chain of merges that collapses both cycles to one x1-loop
+        gens = [power(w("x1"), n), power(w("x1"), n + 1)]
+        expected = build_subgroup_graph([w("x1")])
+        assert expected.num_vertices == 1 and expected.edges == frozenset({(0, 1, 0)})
+        assert build_subgroup_graph(gens) == expected
+        for k in range(5):
+            assert build_subgroup_graph(gens, rng=random.Random(k)) == expected
 
 
 class TestMembership:
