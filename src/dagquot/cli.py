@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     if getattr(args, "max_s", None) is not None and args.max_s < 0:
         print("error: --max-s must be >= 0", file=sys.stderr)
         return 2
+    if getattr(args, "max_s", None) is not None and not args.subgroup:
+        print("error: --max-s needs --subgroup", file=sys.stderr)
+        return 2
     return args.run(args)
 
 

@@ -1,13 +1,14 @@
-"""Finite colored DAGs: validation, reachability order, closure, enumeration.
+"""Finite colored DAGs: validation, the removal order (peel), reachability,
+closure.
 
-Vertex ids are opaque strings in all I/O; internally they are mapped to
-dense indices only where it matters for speed.
+Vertex ids are opaque strings throughout.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,20 +64,26 @@ class ColoredDag:
     @cached_property
     def reach(self) -> dict[str, frozenset[str]]:
         """Every vertex or edge endpoint -> what a path of length >= 1 from
-        it reaches. One BFS per source, so a cyclic (unvalidated) instance
-        gets exact answers too."""
+        it reaches. One search per source over a seen set, so a cyclic
+        (unvalidated) instance gets exact answers too."""
         succ = self.successor_map
-        return {u: frozenset(_bfs_parents(succ, u))
-                for u in set(self.vertices).union(*self.edges)}
+        reach = {}
+        for u in set(self.vertices).union(*self.edges):
+            seen: set[str] = set()
+            stack = [u]
+            while stack:
+                for t in succ.get(stack.pop(), ()):
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            reach[u] = frozenset(seen)
+        return reach
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
 
     def successors(self, u: str) -> list[str]:
         return list(self.successor_map.get(u, ()))
-
-    def out_degree(self, u: str) -> int:
-        return len(self.successor_map.get(u, ()))
 
 
 def colored_dag(vertices, edges, color) -> ColoredDag:
@@ -89,7 +96,8 @@ def validate(d: ColoredDag) -> None:
     """Simple + acyclic + totally colored, else a specific error."""
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
-        raise DuplicateEdgeError("duplicate vertex id")
+        dup = next(v for v, k in Counter(d.vertices).items() if k > 1)
+        raise DuplicateEdgeError(f"duplicate vertex id {dup!r}")
     for u, v in d.edges:
         if u not in vset or v not in vset:
             raise UnknownVertexError(f"edge ({u}, {v}) uses unknown vertex")
@@ -99,35 +107,38 @@ def validate(d: ColoredDag) -> None:
         c = d.color.get(v)
         if type(c) is not int or c not in (0, 1):  # True == 1, but is no color
             raise MissingColorError(f"vertex {v} has no 0/1 color")
-    _check_acyclic(d)
+    removal_order(d)
 
 
-def _bfs_parents(succ: dict[str, tuple[str, ...]], root: str) -> dict[str, str]:
-    """Every vertex a path of length >= 1 from ``root`` reaches -> the vertex
-    the breadth-first search reached it from."""
-    parent: dict[str, str] = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in succ.get(s, ()):
-                if t not in parent:
-                    parent[t] = s
-                    nxt.append(t)
-        frontier = nxt
-    return parent
-
-
-def _check_acyclic(d: ColoredDag) -> None:
-    # a vertex that reaches itself lies on a cycle; the witness follows the
-    # BFS parents from its first return back to it
-    for root in d.vertices:
-        if root in d.reach[root]:
-            parent = _bfs_parents(d.successor_map, root)
-            cycle = [root, parent[root]]
-            while cycle[-1] != root:
-                cycle.append(parent[cycle[-1]])
-            raise CycleFoundError(cycle[::-1])
+def removal_order(d: ColoredDag) -> list[str]:
+    """Vertices in the order the induction peels them off: repeatedly the
+    largest-id vertex with no edge into what remains.  If the peel stalls,
+    each vertex left has a successor left, so the walk from the first one in
+    ``d.vertices`` to its smallest successor left, and on, repeats a vertex;
+    ``CycleFoundError`` carries the walk from that vertex's first visit."""
+    succ = d.successor_map
+    left = {v: len(succ.get(v, ())) for v in d.vertices}  # out-degree into what remains
+    below: dict[str, list[str]] = {}
+    for u in left:
+        for t in succ.get(u, ()):
+            below.setdefault(t, []).append(u)
+    maximal = {v for v, k in left.items() if k == 0}
+    order = []
+    while maximal:
+        w = max(maximal)
+        maximal.remove(w)
+        del left[w]
+        order.append(w)
+        for u in below.get(w, ()):
+            left[u] -= 1
+            if not left[u]:
+                maximal.add(u)
+    if left:
+        walk = [next(v for v in d.vertices if v in left)]
+        while walk.count(walk[-1]) < 2:
+            walk.append(next(t for t in succ[walk[-1]] if t in left))
+        raise CycleFoundError(walk[walk.index(walk[-1]):])
+    return order
 
 
 def leq(d: ColoredDag, u: str, v: str) -> bool:
@@ -175,11 +186,8 @@ def from_json(data) -> ColoredDag:
     if not all(isinstance(x, str) for e in raw_edges for x in e):
         raise DagError("DAG field 'edges' must hold pairs of JSON strings")
     if len(set(raw_edges)) != len(raw_edges):
-        seen = set()
-        for e in raw_edges:
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e}")
-            seen.add(e)
+        dup = next(e for e, k in Counter(raw_edges).items() if k > 1)
+        raise DuplicateEdgeError(f"duplicate edge {dup}")
     d = ColoredDag(tuple(vertices), frozenset(raw_edges), color)
     validate(d)
     return d

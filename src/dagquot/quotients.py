@@ -371,9 +371,6 @@ class NormalForm:
         return len(self.syllables)
 
 
-NF_IDENTITY = NormalForm(())
-
-
 def _leaf_mul(leaf: LeafExpr, p1, p2):
     if isinstance(leaf, InfiniteCyclic):
         return p1 + p2
@@ -408,7 +405,7 @@ class MarkedQuotient:
     rank: int
     relators: RelatorSet
     expr: GroupExpr
-    marking: dict[str, MarkImage] | dict[int, MarkImage]
+    marking: dict[int, MarkImage]
 
     def __post_init__(self):
         if self.relators.rank != self.rank:

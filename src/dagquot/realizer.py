@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from . import dag as dagmod, stallings
-from .dag import ColoredDag
+from .dag import ColoredDag, removal_order
 from .quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -86,28 +86,6 @@ class Realization:
                 raise RealizerError(
                     f"vertex {v}: quotient rank {q.rank} != ambient rank {self.ambient_rank}"
                 )
-
-
-def removal_order(d: ColoredDag) -> list[str]:
-    """Vertices in the order the induction peels them off: repeatedly the
-    largest-id maximal vertex of what remains."""
-    left = {v: d.out_degree(v) for v in d.vertices}  # out-degree into what remains
-    below: dict[str, list[str]] = {}
-    for u in left:
-        for t in d.successor_map.get(u, ()):
-            below.setdefault(t, []).append(u)
-    maximal = {v for v, k in left.items() if k == 0}
-    order = []
-    while left:
-        w = max(maximal)
-        maximal.remove(w)
-        del left[w]
-        order.append(w)
-        for u in below.get(w, ()):
-            left[u] -= 1
-            if not left[u]:
-                maximal.add(u)
-    return order
 
 
 def realize(d: ColoredDag) -> Realization:

@@ -13,7 +13,7 @@ from dagquot.ceplab import (
     normal_closure_in,
     subgroup_from_generator_names,
 )
-from dagquot.dag import ColoredDag, CycleFoundError, DagError, _check_acyclic
+from dagquot.dag import ColoredDag, CycleFoundError, DagError, validate
 from dagquot.quotients import (
     LAMP_IDENTITY,
     FreeOfRank,
@@ -132,7 +132,7 @@ def maximal_vertices(d: ColoredDag) -> list[str]:
     """Vertices with no outgoing edges, sorted by id; nonempty when d is."""
     if not d.vertices:
         raise DagError("empty DAG has no maximal vertex")
-    return sorted(v for v in d.vertices if d.out_degree(v) == 0)
+    return sorted(v for v in d.vertices if not d.successor_map.get(v))
 
 
 def enumerate_colored_dags(order: int, cap: int = 3):
@@ -145,7 +145,7 @@ def enumerate_colored_dags(order: int, cap: int = 3):
         edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
         d = ColoredDag(tuple(ids), edges, {v: 0 for v in ids})
         try:
-            _check_acyclic(d)
+            validate(d)
         except CycleFoundError:
             continue
         for colors in itertools.product((0, 1), repeat=order):

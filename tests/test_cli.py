@@ -62,6 +62,13 @@ class TestRealizeCommand:
         assert code == 2
         assert "cycle" in capsys.readouterr().err.lower()
 
+    def test_duplicate_vertex_id_is_named(self, tmp_path, capsys):
+        inp = tmp_path / "dag.json"
+        write_json(inp, {"vertices": [{"id": v, "color": 0} for v in "abcab"], "edges": []})
+        code = main(["realize", "--input", str(inp), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate vertex id 'a'\n"
+
     def test_missing_file_exits_two(self, tmp_path):
         code = main(["realize", "--input", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
@@ -671,6 +678,12 @@ class TestCepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --max-s must be >= 0\n"
+
+    def test_max_s_needs_subgroup(self, capsys):
+        assert main(["cep", "--group", "s4", "--max-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-s needs --subgroup\n"
 
     # sha256 of cep.json as written by the exhaustive-closure lattice this
     # package used to have; a5, s4xc2 and s5 were loaded from the same generators

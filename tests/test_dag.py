@@ -236,6 +236,38 @@ class TestCycleWitness:
         assert err.value.cycle == ["a", "b", "c", "a"]
 
 
+class TestPeelWitness:
+    """The witness walks the vertices a stalled peel leaves, from the first in
+    input order to its smallest leftover successor, until a vertex repeats."""
+
+    def test_every_digraph_on_four_vertices(self):
+        ids = ["1", "2", "3", "4"]
+        pairs = [(u, v) for u in ids for v in ids if u != v]
+        for mask in range(1 << len(pairs)):
+            edges = {p for i, p in enumerate(pairs) if mask >> i & 1}
+            d = ColoredDag(tuple(ids), frozenset(edges), dict.fromkeys(ids, 0))
+            expected = has_cycle_by_orderings(ids, edges)
+            try:
+                validate(d)
+            except CycleFoundError as exc:
+                assert expected, edges
+                walk = exc.cycle
+                assert len(walk) >= 3 and walk[0] == walk[-1], (edges, walk)
+                assert all((a, b) in edges for a, b in zip(walk, walk[1:])), (edges, walk)
+            else:
+                assert not expected, edges
+
+    @pytest.mark.parametrize("edges,cycle", [
+        ({("a", "b"), ("b", "c"), ("c", "b")}, ["b", "c", "b"]),
+        ({("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")}, ["a", "b", "a"]),
+    ], ids=["enters-the-cycle", "smallest-successor"])
+    def test_witness(self, edges, cycle):
+        d = ColoredDag(("a", "b", "c"), frozenset(edges), dict.fromkeys("abc", 0))
+        with pytest.raises(CycleFoundError) as err:
+            validate(d)
+        assert err.value.cycle == cycle
+
+
 class TestEnumeration:
     def test_order_counts(self):
         assert sum(1 for _ in enumerate_colored_dags(1)) == 2

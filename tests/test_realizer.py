@@ -4,8 +4,14 @@ import random
 import pytest
 
 from conftest import embedding_to_json, reference_realization_to_json
-from dagquot import quotients
-from dagquot.dag import colored_dag, random_colored_dag, transitive_closure
+from dagquot import dag as dagmod, quotients, realizer
+from dagquot.dag import (
+    ColoredDag,
+    CycleFoundError,
+    colored_dag,
+    random_colored_dag,
+    transitive_closure,
+)
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -86,6 +92,16 @@ class TestRemovalOrder:
                     remaining.remove(w)
                 assert removal_order(d) == expected
                 assert removal_order(transitive_closure(d)) == expected
+
+    def test_cycle_raises_cycle_found(self):
+        d = ColoredDag(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "b")}),
+                       dict.fromkeys("abc", 0))
+        with pytest.raises(CycleFoundError) as err:
+            removal_order(d)
+        assert err.value.cycle == ["b", "c", "b"]
+
+    def test_one_peel(self):
+        assert realizer.removal_order is dagmod.removal_order
 
 
 class TestRealizeBaseCases:
