@@ -377,20 +377,14 @@ def cep_transitivity_scan(g: FiniteGroup) -> TransitivityReport:
     Both are theorems; a violation would expose an implementation bug."""
     whole = frozenset(range(g.order))
     subs = all_subgroups(g)
-    cep: dict[tuple[frozenset, frozenset], bool] = {}
-
-    def cep_of(ambient: frozenset, sub: frozenset) -> bool:
-        key = (ambient, sub)
-        if key not in cep:
-            cep[key] = is_cep_pair(g, ambient, sub)
-        return cep[key]
-
+    in_g = {k: is_cep_pair(g, whole, k) for k in subs}
     violations = []
     chains = 0
     for k in subs:
         for h in all_subgroups_within(g, k):
             chains += 1
-            hk, kg, hg = cep_of(k, h), cep_of(whole, k), cep_of(whole, h)
+            hk = is_cep_pair(g, k, h) if k != whole else in_g[h]
+            kg, hg = in_g[k], in_g[h]
             if hk and kg and not hg:
                 violations.append(("transitivity", h, k))
             if hg and not hk:
@@ -564,6 +558,8 @@ def _table_entry(x) -> int:
 
 
 def group_from_json(data) -> FiniteGroup:
+    if "table" in data and "generators" in data:
+        raise GroupTableError("group JSON has both 'table' and 'generators'; give one")
     if "table" in data:
         order = json_field(data, "order", int, "group")
         rows = json_field(data, "table", list, "group", item=list)

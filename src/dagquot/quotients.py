@@ -274,8 +274,8 @@ class RelatorSet:
 
     @cached_property
     def generator_position(self) -> dict[int, int]:
-        """The first k with ``finite_part[k] == x_i``, per generator index i
-        of a single-letter finite relator."""
+        """The first k with ``finite_part[k]`` equal to ``x_i`` or
+        ``x_i^-1``, per generator index i of a single-letter finite relator."""
         out: dict[int, int] = {}
         for k, w in enumerate(self.finite_part):
             if len(w.letters) == 1:
@@ -494,24 +494,26 @@ def scheme_exactness(q: MarkedQuotient, scheme: CommutatorScheme) -> tuple[str, 
     return "probed", "members checked for i <= bound only"
 
 
-def surviving_relators(rel: RelatorSet, q: MarkedQuotient, bound: int,
-                       exactness: tuple[tuple[str, str], ...]) -> list[str]:
-    """The label of every relator in ``rel.labelled(bound)`` that survives in
-    ``q``, in that order; ``exactness`` is ``scheme_exactness`` of each
-    scheme of ``rel`` in ``q``.
+def surviving_relators(rel: RelatorSet, q: MarkedQuotient,
+                       bound: int) -> tuple[tuple[tuple[str, str], ...], list[str]]:
+    """The ``scheme_exactness`` of each scheme of ``rel`` in ``q``, and the
+    label of every relator in ``rel.labelled(bound)`` that survives in ``q``,
+    in that order.
 
     When every finite relator is a single generator, they all die exactly
     when none is outside ``q.dead_mask``; an exact scheme is not evaluated,
     and a probed one is evaluated up to the bound. Only a survivor, or a
     relator set without a generator mask, takes the labelled loop."""
+    exactness = tuple(scheme_exactness(q, s) for s in rel.schemes)
     mask = rel.generator_mask
     if mask is not None and not mask & ~q.dead_mask and all(
         coverage == "exact"
         or all(eval_word(q, s.member(i)).is_identity for i in range(1, bound + 1))
         for s, (coverage, _) in zip(rel.schemes, exactness)
     ):
-        return []
-    return [label for label, w in rel.labelled(bound) if not eval_word(q, w).is_identity]
+        return exactness, []
+    return exactness, [label for label, w in rel.labelled(bound)
+                       if not eval_word(q, w).is_identity]
 
 
 def first_survivor(rel: RelatorSet, q: MarkedQuotient,
@@ -535,9 +537,7 @@ def first_survivor(rel: RelatorSet, q: MarkedQuotient,
 
 def check_soundness(q: MarkedQuotient, probe_bound: int = 3) -> None:
     """Every relator (scheme members probed up to the bound) must die in q."""
-    rel = q.relators
-    exactness = tuple(scheme_exactness(q, s) for s in rel.schemes)
-    survivors = surviving_relators(rel, q, probe_bound, exactness)
+    _, survivors = surviving_relators(q.relators, q, probe_bound)
     if survivors:
         raise QuotientModelError(f"relator {survivors[0]} survives in quotient")
 
@@ -549,7 +549,7 @@ def abelianization(rank: int, r: RelatorSet) -> AbelianInvariants:
     skipped exactly (no truncation is involved). A single-letter relator
     kills its generator, whose column is then dropped from the other rows.
     """
-    killed = {w.letters[0][0] - 1 for w in r.finite_part if len(w.letters) == 1}
+    killed = {i - 1 for i in r.generator_position}
     rows = [[x for c, x in enumerate(exponent_vector(w)) if c not in killed]
             for w in r.finite_part if len(w.letters) != 1]
     return invariants_from_rows(rank - len(killed), rows)

@@ -138,34 +138,29 @@ def contains(g: SubgroupGraph, w: Word) -> bool:
 
 
 def _spanning_tree(g: SubgroupGraph):
-    """Deterministic BFS tree; returns (tree edge set, base-to-vertex words)."""
+    """Deterministic BFS tree: the base-to-vertex word of each vertex, and
+    each non-tree edge with its basis index, numbered from 1 in sorted order."""
     tree: set[tuple[int, int, int]] = set()
     path: dict[int, tuple] = {g.base: ()}
     queue = deque([g.base])
     while queue:
         v = queue.popleft()
         for lab in range(1, g.rank + 1):
-            t = g.step(v, lab, 1)
-            if t is not None and t not in path:
-                path[t] = path[v] + ((lab, 1),)
-                tree.add((v, lab, t))
-                queue.append(t)
-            s = g.step(v, lab, -1)
-            if s is not None and s not in path:
-                path[s] = path[v] + ((lab, -1),)
-                tree.add((s, lab, v))
-                queue.append(s)
+            for sign in (1, -1):
+                x = g.step(v, lab, sign)
+                if x is not None and x not in path:
+                    path[x] = path[v] + ((lab, sign),)
+                    tree.add((v, lab, x) if sign > 0 else (x, lab, v))
+                    queue.append(x)
     words = {v: Word(g.rank, letters) for v, letters in path.items()}
-    return tree, words
+    return words, {e: i for i, e in enumerate(sorted(g.edges - tree), 1)}
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
     """A free basis: one word per non-tree edge, via base paths in the tree."""
-    tree, words = _spanning_tree(g)
-    out = []
-    for s, lab, t in sorted(g.edges - tree):
-        out.append(words[s] * Word(g.rank, ((lab, 1),)) * words[t].inverse())
-    return out
+    words, numbering = _spanning_tree(g)
+    return [words[s] * Word(g.rank, ((lab, 1),)) * words[t].inverse()
+            for s, lab, t in numbering]
 
 
 def express(g: SubgroupGraph, w: Word) -> Word | None:
@@ -176,8 +171,7 @@ def express(g: SubgroupGraph, w: Word) -> Word | None:
     """
     if w.rank != g.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {g.rank}")
-    tree, _ = _spanning_tree(g)
-    order = {e: i + 1 for i, e in enumerate(sorted(g.edges - tree))}
+    _, numbering = _spanning_tree(g)
     letters: list[tuple[int, int]] = []
     cur: int | None = g.base
     for idx, sign in w.letters:
@@ -185,12 +179,12 @@ def express(g: SubgroupGraph, w: Word) -> Word | None:
         if nxt is None:
             return None
         edge = (cur, idx, nxt) if sign > 0 else (nxt, idx, cur)
-        if edge in order:
-            letters.append((order[edge], sign))
+        if edge in numbering:
+            letters.append((numbering[edge], sign))
         cur = nxt
     if cur != g.base:
         return None
-    return reduce_word(letters, len(order))
+    return reduce_word(letters, len(numbering))
 
 
 def substitute_basis(g: SubgroupGraph, expression: Word) -> Word:

@@ -66,7 +66,6 @@ from .quotients import (
     predicted_invariants,
     quotient_from_json,
     quotient_to_json,
-    scheme_exactness,
     surviving_relators,
     word_from_json,
     word_to_text,
@@ -169,18 +168,10 @@ JUSTIFICATION_COLOR = (
 )
 
 
-def _inclusion_survivors(r: Realization, u: str, v: str, bound: int):
-    """The exactness tag of each scheme of ``u`` in the quotient of ``v``, and
-    the label of each relator of ``u`` up to ``bound`` that survives there."""
-    qv, rel_u = r.assignment[v], r.assignment[u].relators
-    exactness = tuple(scheme_exactness(qv, s) for s in rel_u.schemes)
-    return exactness, surviving_relators(rel_u, qv, bound, exactness)
-
-
 def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
     if not leq(r.dag, u, v):
         raise NotComparableError(f"no path {u} -> {v}")
-    exactness, survivors = _inclusion_survivors(r, u, v, bound)
+    exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], bound)
     if survivors:
         raise TraceFailedError(f"relator {survivors[0]} of {u} survives in quotient of {v}")
     return Certificate(
@@ -275,12 +266,15 @@ def check_certificate_detailed(
 
 
 def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str]) -> None:
-    if c.kind == "inclusion":
-        if r is None:
-            problems.append("an inclusion is checked against a realization, and none is given")
-            return
+    if c.kind not in ("inclusion", "separation", "color"):
+        if c.kind != "cep-counterexample":  # its traces and word facts are all its evidence
+            problems.append(f"unknown certificate kind {c.kind!r}")
+    elif r is None:
+        article = "an" if c.kind == "inclusion" else "a"
+        problems.append(f"{article} {c.kind} is checked against a realization, and none is given")
+    elif c.kind == "inclusion":
         u, v = c.subject
-        exactness, survivors = _inclusion_survivors(r, u, v, c.bound)
+        exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], c.bound)
         for label in survivors:
             problems.append(f"relator {label} of {u} survives in quotient of {v}")
         covered = {sc.scheme_index for sc in c.scheme_coverage}
@@ -292,11 +286,10 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
                     f"scheme[{sc.scheme_index}]: exactness reason "
                     f"{sc.reason!r} does not re-derive"
                 )
-
-    if c.kind == "separation":
+    elif c.kind == "separation":
         if c.witness is None:
             problems.append("separation certificate carries no witness")
-        elif r is not None:
+        else:
             u, v = c.subject
             # the witness must be a candidate certify_separation draws from
             if r.assignment[u].relators.relator(c.witness.provenance, c.bound) != c.witness.word:
@@ -309,18 +302,16 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
                 problems.append("witness image is trivial in the target quotient")
             if nf != c.witness.image:
                 problems.append("stored witness normal form does not re-derive")
-
-    if c.kind == "color":
-        if c.color_facts is None:
-            problems.append("color certificate carries no facts")
-        elif r is not None:
-            (v,) = c.subject
-            # the justification is prose, not evidence: it is not compared
-            facts = _color_facts(r, v)
-            if replace(c.color_facts, justification=facts.justification) != facts:
-                problems.append("color facts do not re-derive from the realization")
-            elif not facts.biconditional:
-                problems.append("color biconditional fails")
+    elif c.color_facts is None:
+        problems.append("color certificate carries no facts")
+    else:
+        (v,) = c.subject
+        # the justification is prose, not evidence: it is not compared
+        facts = _color_facts(r, v)
+        if replace(c.color_facts, justification=facts.justification) != facts:
+            problems.append("color facts do not re-derive from the realization")
+        elif not facts.biconditional:
+            problems.append("color biconditional fails")
 
 
 def check_certificate(r: Realization | None, c: Certificate) -> bool:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import a3_in_s3, normal_closure_finite, reference_closure, reference_lattice
+from dagquot import ceplab
 from dagquot.ceplab import (
     FiniteGroup,
     GroupTableError,
@@ -476,6 +477,18 @@ class TestCepFailures:
 
 
 class TestTransitivityScan:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_each_pair_asked_once(self, name, monkeypatch):
+        asked = []
+
+        def counted(g, ambient, sub):
+            asked.append((ambient, sub))
+            return is_cep_pair(g, ambient, sub)
+
+        monkeypatch.setattr(ceplab, "is_cep_pair", counted)
+        report = cep_transitivity_scan(builtin_group(name))
+        assert len(asked) == len(set(asked)) == report.chains_checked
+
     @pytest.mark.parametrize("name", ["s3", "a4", "s4", "q8", "a5", "s4xc2"])
     def test_zero_violations(self, name):
         report = cep_transitivity_scan(builtin_group(name))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -8,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import reference_certificate_to_json
-from dagquot import ceplab, dag as dagmod, realizer
+from dagquot import ceplab, dag as dagmod, quotients, realizer, snf
 from dagquot.cli import build_parser, main
 from dagquot.realizer import realize
 from dagquot.verifier import report_to_json, report_to_text, verify_all
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_bench_inputs():
@@ -648,6 +650,16 @@ class TestMalformedInput:
         write_json(inp, group)
         self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys, field)
 
+    def test_cep_table_and_generators(self, tmp_path, capsys):
+        inp = tmp_path / "g.json"
+        write_json(inp, {"order": 2, "table": [[0, 1], [1, 0]], "degree": 3,
+                         "generators": ["(1 2 3)"]})
+        assert main(["cep", "--input", str(inp), "--scan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'table'" in captured.err and "'generators'" in captured.err
+
 
 class TestCepCommand:
     def test_s4_d4_query(self, tmp_path, capsys):
@@ -772,6 +784,30 @@ class TestDemoCommand:
         assert main(["demo", "no-such-demo", "--out", str(tmp_path)]) == 2
 
 
+class TestCanonicalTraffic:
+    """A canonical realization needs no Smith normal form, no lamplighter
+    product and no scheme member: ``realize`` and ``verify`` exit 0 with all
+    three made to raise."""
+
+    @pytest.mark.parametrize("seed,edge_prob", [(1, 0.05), (2, 0.3), (3, 0.5)])
+    def test_general_paths_unused(self, tmp_path, monkeypatch, seed, edge_prob):
+        d = dagmod.random_colored_dag(12, random.Random(seed), edge_prob)
+        assert set(d.color.values()) == {0, 1}
+        inp = tmp_path / "dag.json"
+        write_json(inp, dagmod.to_json(d))
+
+        def general(*args):
+            raise AssertionError("a canonical realization took a general path")
+
+        monkeypatch.setattr(snf, "smith_normal_form", general)
+        monkeypatch.setattr(quotients, "lamp_mul", general)
+        monkeypatch.setattr(quotients.CommutatorScheme, "member", general)
+        out = tmp_path / "out"
+        assert main(["realize", "--input", str(inp), "--out", str(out), "--bound", "5"]) == 0
+        assert main(["verify", "--input", str(out / "realization.json"),
+                     "--out", str(tmp_path / "again"), "--bound", "5"]) == 0
+
+
 class TestParserReuse:
     """One parser serves every ``main`` call of a process."""
 
@@ -854,3 +890,26 @@ def test_dot_escapes_vertex_ids(tmp_path):
         for v, label in zip(order, nodes[1::2]):
             assert label.startswith(f"{v} (c=")
         assert list(zip(ends[::2], ends[1::2])) == pairs
+
+
+def test_readme_cli_block_names_every_option():
+    # the README's CLI block: each subcommand's lines and the comment lines
+    # right under them name every option that subcommand takes
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    lines = block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    missing = []
+    for name, parser in commands.choices.items():
+        named, under = [], False
+        for line in lines:
+            under = line.startswith(f"dagquot {name} ") or (under and line.startswith("#"))
+            if under:
+                named.append(line)
+        text = "\n".join(named)
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction) and not any(
+                    re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text)
+                    for o in action.option_strings):
+                missing.append(f"{name} {action.option_strings[0]}")
+    assert missing == []

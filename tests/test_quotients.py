@@ -316,8 +316,8 @@ class TestSoundness:
                            {1: LeafImage(0, 1), 2: LeafImage(0, 2)})
         exactness = scheme_exactness(q, scheme)
         assert exactness[0] == "probed"
-        assert surviving_relators(q.relators, q, 2, (exactness,)) == [
-            "scheme[0].member[1]", "scheme[0].member[2]"]
+        assert surviving_relators(q.relators, q, 2) == ((exactness,), [
+            "scheme[0].member[1]", "scheme[0].member[2]"])
         with pytest.raises(QuotientModelError,
                            match=r"^relator scheme\[0\]\.member\[1\] survives in quotient$"):
             check_soundness(q)

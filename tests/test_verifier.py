@@ -38,6 +38,7 @@ from dagquot.quotients import (
 from dagquot.realizer import Realization, realization_from_json, realization_to_json, realize
 from dagquot.verifier import (
     Certificate,
+    ColorFacts,
     EvalTrace,
     NotComparableError,
     Report,
@@ -519,6 +520,25 @@ class TestCheckCertificate:
         cert = Certificate(kind="separation", subject=("u", "w"), bound=5)
         assert check_certificate_detailed(antichain(), cert) == (
             False, ["separation certificate carries no witness"])
+
+    def test_separation_needs_the_realization(self):
+        cert = certify_separation(antichain(), "u", "w")
+        assert check_certificate_detailed(None, cert) == (
+            False, ["a separation is checked against a realization, and none is given"])
+
+    def test_color_needs_the_realization(self):
+        # facts that break the biconditional: color 0, scheme-free, lamplighter
+        facts = ColorFacts(0, True, False, "")
+        assert not facts.biconditional
+        cert = Certificate(kind="color", subject=("v",), color_facts=facts)
+        assert check_certificate_detailed(None, cert) == (
+            False, ["a color is checked against a realization, and none is given"])
+
+    def test_unknown_kind(self):
+        r = antichain()
+        cert = dataclasses.replace(certify_separation(r, "u", "w"), kind="bogus")
+        assert check_certificate_detailed(r, cert) == (
+            False, ["unknown certificate kind 'bogus'"])
 
     def test_color_without_facts(self):
         cert = Certificate(kind="color", subject=("u",))
