@@ -140,15 +140,10 @@ class Subgroup:
     elements: frozenset[int]
 
     def __post_init__(self):
-        g = self.parent
-        if 0 not in self.elements:
-            raise GroupTableError("subgroup must contain the identity")
-        for a in self.elements:
-            if g.inv(a) not in self.elements:
-                raise GroupTableError("subgroup is not inverse-closed")
-            for b in self.elements:
-                if g.mul(a, b) not in self.elements:
-                    raise GroupTableError("subgroup is not product-closed")
+        generated = _generate(self.parent, self.elements)[1]
+        if generated != self.elements:
+            raise GroupTableError(f"elements are not a subgroup: they generate "
+                                  f"{len(generated)} elements, not {len(self.elements)}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -398,11 +393,6 @@ def cep_transitivity_scan(g: FiniteGroup) -> TransitivityReport:
 Perm = tuple[int, ...]
 
 
-def _perm_mul(p: Perm, q: Perm) -> Perm:
-    # apply p first, then q
-    return tuple(map(q.__getitem__, p))
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -464,7 +454,7 @@ def group_from_permutations(degree: int, gen_texts) -> tuple[FiniteGroup, list[P
     right: list[list[int]] = [[] for _ in gens]  # right[k][a]: elems[a] * gens[k]
     for a, p in enumerate(elems):  # grows while iterating
         for k, q in enumerate(gens):
-            prod = _perm_mul(p, q)
+            prod = tuple(map(q.__getitem__, p))  # apply p first, then q
             if prod not in index:
                 if len(elems) >= ORDER_CAP:
                     raise GroupTableError(f"order cap {ORDER_CAP} exceeded")
@@ -560,6 +550,10 @@ def _table_entry(x) -> int:
 def group_from_json(data) -> FiniteGroup:
     if "table" in data and "generators" in data:
         raise GroupTableError("group JSON has both 'table' and 'generators'; give one")
+    for key, form, other in (("order", "table", "generators"), ("names", "table", "generators"),
+                             ("degree", "generators", "table")):
+        if key in data and other in data:
+            raise GroupTableError(f"group field {key!r} belongs with {form!r}, not {other!r}")
     if "table" in data:
         order = json_field(data, "order", int, "group")
         rows = json_field(data, "table", list, "group", item=list)
@@ -612,7 +606,8 @@ def free_counterexample_demo() -> Certificate:
         raise GroupTableError("unexpected basis for the counterexample subgroup")
     expr_a = stallings.express(graph, a)
     expr_r = stallings.express(graph, r)
-    assert expr_a is not None and expr_r is not None
+    if expr_a is None or expr_r is None:
+        raise GroupTableError("the counterexample subgroup does not contain its generators")
 
     # retraction of H = F(basis) onto Z killing the second basis element
     retraction = MarkedQuotient(

@@ -17,8 +17,8 @@ from . import ceplab, dag as dagmod
 from .realizer import (
     BasisNotFreeError,
     cep_transfer,
+    embedding_from_json,
     lattice_to_dot,
-    load_embedding,
     presentations_to_json,
     realization_from_json,
     realization_to_text,
@@ -44,6 +44,12 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
+def _read(path: Path, from_json):
+    """``from_json`` of the JSON in the UTF-8 file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return from_json(json.load(fh))
+
+
 def _write_text(path: Path, *chunks: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as fh:
@@ -66,7 +72,7 @@ def _outdir(args) -> Path:
 
 def cmd_realize(args) -> int:
     try:
-        d = dagmod.load(args.input)
+        d = _read(args.input, dagmod.from_json)
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     r = realize(d)
@@ -86,8 +92,7 @@ def cmd_realize(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            r = realization_from_json(json.load(fh))
+        r = _read(args.input, realization_from_json)
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     report = verify_all(r, args.bound)
@@ -102,9 +107,8 @@ def cmd_verify(args) -> int:
 
 def cmd_transfer(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            r = realization_from_json(json.load(fh))
-        e = load_embedding(args.embedding)
+        r = _read(args.input, realization_from_json)
+        e = _read(args.embedding, embedding_from_json)
         presentations = cep_transfer(r, e)
     except BasisNotFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -112,11 +116,7 @@ def cmd_transfer(args) -> int:
     except INPUT_ERRORS as exc:
         # also covers RealizerError, rank mismatches and missing basis words
         return _input_error(exc)
-    out = _outdir(args)
-    note = "valid conditional on CEP of the supplied basis"
-    if e.note:
-        note += f"; embedding provenance: {e.note}"
-    _write_json(out / "presentations.json", presentations_to_json(presentations, note))
+    _write_json(_outdir(args) / "presentations.json", presentations_to_json(presentations, e.note))
     print(f"transferred {len(presentations)} vertex presentations "
           f"(conditional on CEP of the supplied basis)")
     return 0

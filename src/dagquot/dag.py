@@ -6,7 +6,6 @@ Vertex ids are opaque strings throughout.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -78,9 +77,6 @@ class ColoredDag:
                         stack.append(t)
             reach[u] = frozenset(seen)
         return reach
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.edges
 
     def successors(self, u: str) -> list[str]:
         return list(self.successor_map.get(u, ()))
@@ -191,11 +187,6 @@ def from_json(data) -> ColoredDag:
     d = ColoredDag(tuple(vertices), frozenset(raw_edges), color)
     validate(d)
     return d
-
-
-def load(path) -> ColoredDag:
-    with open(path, encoding="utf-8") as fh:
-        return from_json(json.load(fh))
 
 
 def dot_quote(v: str) -> str:

@@ -139,7 +139,8 @@ def predicted_invariants(expr: GroupExpr) -> AbelianInvariants:
     return AbelianInvariants(free_rank, ())
 
 
-_LEAF_KINDS = {TrivialGroup: "trivial", InfiniteCyclic: "z", Lamplighter: "lamplighter"}
+_LEAF_TYPES = {"trivial": TrivialGroup, "z": InfiniteCyclic, "lamplighter": Lamplighter}
+_LEAF_NAMES = {t: kind for kind, t in _LEAF_TYPES.items()}
 
 
 def _expr_text(expr: GroupExpr, pad: str) -> str:
@@ -151,19 +152,15 @@ def _expr_text(expr: GroupExpr, pad: str) -> str:
         return f'{{{inner}"kind": "product",{inner}"parts": {parts}\n{pad}}}'
     if isinstance(expr, FreeOfRank):
         return f'{{{inner}"kind": "free",{inner}"rank": {expr.rank}\n{pad}}}'
-    return f'{{{inner}"kind": "{_LEAF_KINDS[type(expr)]}"\n{pad}}}'
+    return f'{{{inner}"kind": "{_LEAF_NAMES[type(expr)]}"\n{pad}}}'
 
 
 def expr_from_json(data) -> GroupExpr:
     kind = json_field(data, "kind", str, "expr")
-    if kind == "trivial":
-        return TrivialGroup()
-    if kind == "z":
-        return InfiniteCyclic()
+    if kind in _LEAF_TYPES:
+        return _LEAF_TYPES[kind]()
     if kind == "free":
         return FreeOfRank(json_field(data, "rank", int, "expr"))
-    if kind == "lamplighter":
-        return Lamplighter()
     if kind == "product":
         parts = json_field(data, "parts", list, "expr")
         return FreeProduct(tuple(expr_from_json(p) for p in parts))

@@ -113,8 +113,9 @@ def realize(d: ColoredDag) -> Realization:
             schemes = (CommutatorScheme(gens[lo - 1], gens[hi - 1]),)
             parts = [Lamplighter()]
             marking[lo], marking[hi] = LeafImage(0, "lamp"), LeafImage(0, "shift")
+        reach_w = d.reach[w]
         for k in range(j + 1, len(build)):
-            if closed.has_edge(w, build[k]):
+            if build[k] in reach_w:
                 leaf = len(parts)
                 parts.append(FreeOfRank(2))
                 marking[2 * k + 1], marking[2 * k + 2] = LeafImage(leaf, 1), LeafImage(leaf, 2)
@@ -296,15 +297,14 @@ def embedding_from_json(data) -> CepEmbedding:
     )
 
 
-def load_embedding(path) -> CepEmbedding:
-    with open(path, encoding="utf-8") as fh:
-        return embedding_from_json(json.load(fh))
-
-
-def presentations_to_json(pres: dict[str, Presentation], note: str = "") -> dict:
+def presentations_to_json(pres: dict[str, Presentation], provenance: str = "") -> dict:
+    """``presentations.json``, its note naming the embedding's ``provenance`` if given."""
+    note = "valid conditional on CEP of the supplied basis"
+    if provenance:
+        note += f"; embedding provenance: {provenance}"
     return {
         "conditional_on_cep": True,
-        "note": note or "valid conditional on CEP of the supplied basis",
+        "note": note,
         "vertices": {
             v: {
                 "alphabet_rank": p.alphabet_rank,

@@ -221,6 +221,21 @@ class TestSubgroups:
         with pytest.raises(GroupTableError):
             Subgroup(g, frozenset({1}))
 
+    @pytest.mark.parametrize("elements,sizes", [
+        ({"()", "(1 2 3)"}, "generate 3 elements, not 2"),  # no inverse of (1 2 3)
+        ({"()", "(1 2)", "(1 3)"}, "generate 6 elements, not 3"),  # no product
+    ], ids=["inverse-missing", "product-missing"])
+    def test_subgroup_rejects_non_subgroups(self, elements, sizes):
+        g = builtin_group("s3")
+        with pytest.raises(GroupTableError, match=sizes):
+            Subgroup(g, frozenset(g.names.index(name) for name in elements))
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_subgroup_accepts_every_subgroup(self, name):
+        g = builtin_group(name)
+        for sub in all_subgroups(g):
+            assert Subgroup(g, sub).elements == sub
+
     def test_generated(self):
         g = builtin_group("s3")
         h = subgroup_from_generator_names(g, ["(1 2 3)"])
@@ -509,6 +524,12 @@ class TestFreeCounterexample:
         assert by_label["closure-side:hom-kills-relator"].expected.is_identity
         assert by_label["ambient-side:a-dies"].expected.is_identity
         assert by_label["ambient-side:conjugate-dies"].expected.is_identity
+
+    def test_missing_basis_expression_raises(self, monkeypatch):
+        # a check that python -O would strip is no check
+        monkeypatch.setattr(ceplab.stallings, "express", lambda graph, word: None)
+        with pytest.raises(GroupTableError):
+            free_counterexample_demo()
 
     def test_round_trip_and_tamper(self):
         cert = free_counterexample_demo()

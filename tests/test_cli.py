@@ -2,8 +2,11 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -650,6 +653,42 @@ class TestMalformedInput:
         write_json(inp, group)
         self.assert_input_error(["cep", "--input", str(inp), "--scan"], capsys, field)
 
+    @pytest.mark.parametrize("group,field,form", [
+        ({"degree": 3, "generators": ["(1 2)"], "names": ["a", "b"]}, "names", "table"),
+        ({"order": 6, "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}, "order", "table"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "degree": "x"}, "degree", "generators"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "degree": 2}, "degree", "generators"),
+    ], ids=["names-with-generators", "order-with-generators", "degree-string-with-table",
+            "degree-with-table"])
+    def test_cep_field_of_the_other_form(self, tmp_path, capsys, group, field, form):
+        inp = tmp_path / "g.json"
+        write_json(inp, group)
+        assert main(["cep", "--input", str(inp), "--scan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(field) in captured.err and repr(form) in captured.err
+
+    @pytest.mark.parametrize("command,option", [
+        ("realize", "--input"), ("verify", "--input"), ("transfer", "--input"),
+        ("transfer", "--embedding"), ("cep", "--input"),
+    ])
+    @pytest.mark.parametrize("content", [None, "not json {"], ids=["missing", "not-json"])
+    def test_unreadable_input_file(self, tmp_path, capsys, command, option, content):
+        # every other input file is good, so the one error line is about this one
+        write_json(tmp_path / "realization.json", realized_chain(tmp_path))
+        files = {"--input": tmp_path / "realization.json", "--embedding": tmp_path / "e.json"}
+        write_json(files["--embedding"], IDENTITY_EMBEDDING)
+        bad = files[option] = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content, encoding="utf-8")
+        argv = [command]
+        for name in ("--input", "--embedding") if command == "transfer" else ("--input",):
+            argv += [name, str(files[name])]
+        argv += ["--scan"] if command == "cep" else ["--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        self.assert_input_error(argv, capsys)
+
     def test_cep_table_and_generators(self, tmp_path, capsys):
         inp = tmp_path / "g.json"
         write_json(inp, {"order": 2, "table": [[0, 1], [1, 0]], "degree": 3,
@@ -913,3 +952,27 @@ def test_readme_cli_block_names_every_option():
                     for o in action.option_strings):
                 missing.append(f"{name} {action.option_strings[0]}")
     assert missing == []
+
+
+def test_every_subcommand_clean_under_dev_mode(tmp_path):
+    # dev mode shows what a default run hides (an unclosed file, a
+    # deprecated call), and -W error turns each warning into a failure
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    write_json(tmp_path / "dag.json", chain_dag())
+    write_json(tmp_path / "e.json", IDENTITY_EMBEDDING)
+    write_json(tmp_path / "g.json", {"degree": 3, "generators": ["(1 2)", "(1 2 3)"]})
+    real, out = tmp_path / "real", tmp_path / "out"
+    runs = [
+        ["realize", "--input", tmp_path / "dag.json", "--out", real, "--dot"],
+        ["verify", "--input", real / "realization.json", "--out", out, "--dot"],
+        ["transfer", "--input", real / "realization.json", "--embedding", tmp_path / "e.json",
+         "--out", out],
+        ["cep", "--input", tmp_path / "g.json", "--scan", "--out", out],
+        ["demo", "sec3-counterexample", "--out", out],
+        ["demo", "s4-d4-cep", "--out", out],
+    ]
+    for argv in runs:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "dagquot.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (argv[0], done.returncode, done.stderr) == (argv[0], 0, "")
