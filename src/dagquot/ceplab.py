@@ -20,8 +20,13 @@ representative per conjugacy class.  It is complete because every subgroup
 is generated by its elements of prime-power order, and because the subgroups
 found always form whole conjugacy classes: a join <K, z> with K = U^a is
 <U, z^(a^-1)>^a, in the class of a join made from the representative U.
-Every other subgroup's lattice is read off the whole one.  Normality and
-normal closures are checked by conjugating generators by generators only.
+Every other subgroup's lattice is read off the whole one.  Normality is
+checked by conjugating generators by generators only.  A normal closure in a
+subgroup whose normal subgroups are listed already is the first of them that
+contains the seed (exact: they are closed under intersection and listed by
+size); otherwise it is found by conjugating generators by generators, since
+nothing lists normal subgroups only to answer a closure.  A transitivity
+scan lists them for every subgroup first, so it runs no conjugation search.
 Each subgroup's generating set, each subgroup's normal subgroups and each
 normal closure asked for are computed once and kept on the group.  The
 builtins are s3, s4, s5, a4, a5, d4, q8, c2xc2 and s4xc2.
@@ -198,24 +203,36 @@ def _generating_set(g: FiniteGroup, sub: frozenset[int]) -> tuple[int, ...]:
 
 def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozenset[int]:
     """Smallest subgroup of ``ambient`` containing seed and closed under
-    conjugation by ambient (seed must lie inside ambient); computed once per
-    group for each ambient and seed.
+    conjugation by ambient; computed once per group for each ambient and
+    seed.  A seed with elements outside ambient raises ``GroupTableError``.
 
-    A subgroup is closed under conjugation by ambient once the conjugates of
-    its generators by the generators of ambient lie in it; each generator
-    added at least doubles the subgroup."""
+    Once the normal subgroups of ambient are known, the closure is the first
+    of them that contains seed: they are closed under intersection, so the
+    closure is on the list, and the list is ordered by size, so no member
+    before it contains seed.  Otherwise it is found by conjugation (nothing
+    computes the list only for a closure): a subgroup is closed under
+    conjugation by ambient once the conjugates of its generators by the
+    generators of ambient lie in it; each generator added at least doubles
+    the subgroup."""
     seed = frozenset(seed)
     key = (ambient, seed)
     closure = g._normal_closures.get(key)
     if closure is None:
-        by = _generating_set(g, ambient)
-        gens, closure = _generate(g, seed)
-        for s in gens:  # grows while iterating
-            for x in by:
-                c = g.conj(s, x)
-                if c not in closure:
-                    closure = _join(g, closure, gens, c)
-                    gens.append(c)
+        if not seed <= ambient:
+            stray = ", ".join(g.name_set(seed - ambient))
+            raise GroupTableError(f"seed elements {stray} lie outside the ambient subgroup")
+        normals = g._normal_subgroups.get(ambient)
+        if normals is not None:
+            closure = next(n for n in normals if seed <= n)
+        else:
+            by = _generating_set(g, ambient)
+            gens, closure = _generate(g, seed)
+            for s in gens:  # grows while iterating
+                for x in by:
+                    c = g.conj(s, x)
+                    if c not in closure:
+                        closure = _join(g, closure, gens, c)
+                        gens.append(c)
         g._normal_closures[key] = closure
     return closure
 
@@ -372,6 +389,7 @@ def cep_transitivity_scan(g: FiniteGroup) -> TransitivityReport:
     Both are theorems; a violation would expose an implementation bug."""
     whole = frozenset(range(g.order))
     subs = all_subgroups(g)
+    normal_subgroups_within(g, whole)  # every closure below is then read off a list
     in_g = {k: is_cep_pair(g, whole, k) for k in subs}
     violations = []
     chains = 0

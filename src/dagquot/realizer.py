@@ -202,8 +202,10 @@ def cep_transfer(r: Realization, e: CepEmbedding) -> dict[str, Presentation]:
     ambient relators; valid conditional on CEP of the supplied basis.
 
     That the first ``ambient_rank`` basis words form a free basis is checked
-    exactly: they do when the folded Stallings graph of the subgroup they
-    generate has rank (edges - vertices + 1) ``ambient_rank``."""
+    in the free group F(X) on the alphabet, not in the presented group G:
+    they do in F(X) when the folded Stallings graph of the subgroup they
+    generate has rank (edges - vertices + 1) ``ambient_rank``.  Their span
+    in G may still fail to be free; in Z^2, ``x1`` and ``x2`` pass."""
     if len(e.basis_words) < r.ambient_rank:
         raise RealizerError(
             f"embedding supplies {len(e.basis_words)} basis words, "

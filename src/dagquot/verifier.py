@@ -23,10 +23,11 @@ evaluation alone.  An inclusion certificate stores no evaluations: the checker
 rebuilds the relators of the source up to the certificate's bound from the
 realization and checks that each dies in the target quotient.  A trace,
 where a certificate carries one, is a word, the quotient it is evaluated in
-and the expected normal form.  ``check_certificate`` shares no state with
-generation beyond what each ``RelatorSet`` and ``MarkedQuotient`` caches:
-labelled relator lists per bound and the bit masks that
-``quotients.surviving_relators`` and ``quotients.first_survivor`` read.
+and the expected normal form.  ``check_certificate_detailed`` shares no
+state with generation beyond what each ``RelatorSet`` and
+``MarkedQuotient`` caches: labelled relator lists per bound and the bit
+masks that ``quotients.surviving_relators`` and
+``quotients.first_survivor`` read.
 
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
@@ -312,11 +313,6 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("color facts do not re-derive from the realization")
         elif not facts.biconditional:
             problems.append("color biconditional fails")
-
-
-def check_certificate(r: Realization | None, c: Certificate) -> bool:
-    ok, _ = check_certificate_detailed(r, c)
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dagquot.quotients import (
 )
 from dagquot.realizer import CepEmbedding, Realization
 from dagquot.snf import IntMatrix
-from dagquot.verifier import Certificate, EvalTrace, Report
+from dagquot.verifier import Certificate, EvalTrace, Report, check_certificate_detailed
 from dagquot.words import (
     Hom,
     RankMismatchError,
@@ -197,6 +197,11 @@ def reference_lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset
 def a3_in_s3() -> tuple[FiniteGroup, Subgroup]:
     g = builtin_group("s3")
     return g, subgroup_from_generator_names(g, ["(1 2 3)"])
+
+
+def check_certificate(r: Realization | None, c: Certificate) -> bool:
+    """The verdict of ``check_certificate_detailed`` without its problems."""
+    return check_certificate_detailed(r, c)[0]
 
 
 def embedding_to_json(e: CepEmbedding) -> dict:

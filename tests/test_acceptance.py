@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import a3_in_s3, enumerate_colored_dags, mat_det, mat_mul
+from conftest import a3_in_s3, check_certificate, enumerate_colored_dags, mat_det, mat_mul
 from dagquot.ceplab import (
     builtin_group,
     cep_transitivity_scan,
@@ -37,7 +37,6 @@ from dagquot.verifier import (
     certificate_from_json,
     certify_color,
     certify_separation,
-    check_certificate,
     verify_all,
 )
 from dagquot.words import (

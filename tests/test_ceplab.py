@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from conftest import a3_in_s3, normal_closure_finite, reference_closure, reference_lattice
+from conftest import (
+    a3_in_s3,
+    check_certificate,
+    normal_closure_finite,
+    reference_closure,
+    reference_lattice,
+)
 from dagquot import ceplab
 from dagquot.ceplab import (
     FiniteGroup,
@@ -33,7 +39,6 @@ from dagquot.ceplab import (
 from dagquot.verifier import (
     certificate_from_json,
     certificate_to_json,
-    check_certificate,
     check_certificate_detailed,
 )
 
@@ -211,6 +216,13 @@ def brute_force_normal_closure(g, ambient, seed):
     return brute_force_generated(g, conjugates)
 
 
+def forbid_conjugation_search(monkeypatch):
+    def no_join(*args):
+        raise AssertionError("normal closure computed by a conjugation search")
+
+    monkeypatch.setattr(ceplab, "_join", no_join)
+
+
 def fresh_copy(g):
     return FiniteGroup(g.order, g.table, g.names)
 
@@ -376,6 +388,40 @@ class TestNormalClosure:
             for x in range(g.order):
                 assert g.conj(a, x) in closure.elements
 
+    @pytest.mark.parametrize("known", [False, True], ids=["by-conjugation", "from-the-list"])
+    def test_seed_outside_ambient_raises(self, known):
+        # a 3-cycle is not in the dihedral subgroup; the closure used to be
+        # all 24 elements of the group, a set outside the ambient
+        g, h = d4_in_s4()
+        if known:
+            normal_subgroups_within(g, h.elements)
+        three_cycle = g.names.index("(1 2 3)")
+        with pytest.raises(GroupTableError, match=r"^seed elements \(1 2 3\) lie outside") as err:
+            normal_closure_in(g, h.elements, {0, three_cycle})
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_known_normal_list_gives_every_closure(self, name, monkeypatch):
+        # once K's normal subgroups are listed, the closure of every subgroup
+        # seed and of every one- and two-element seed that is not a subgroup
+        # is read off the list, with no conjugation search, and is exact
+        g = builtin_group(name)
+        subs = all_subgroups(g)
+        lattice = set(subs)
+        for k in subs:
+            normal_subgroups_within(g, k)
+        forbid_conjugation_search(monkeypatch)
+        generated = {}  # brute_force_normal_closure, once per set of conjugates
+        for k in subs:
+            seeds = set(all_subgroups_within(g, k))
+            seeds |= {frozenset(c) for size in (1, 2) for c in itertools.combinations(k, size)
+                      if frozenset(c) not in lattice}
+            for seed in seeds:
+                conjugates = frozenset(g.conj(s, x) for s in seed for x in k)
+                if conjugates not in generated:
+                    generated[conjugates] = brute_force_generated(g, conjugates)
+                assert normal_closure_in(g, k, seed) == generated[conjugates]
+
 
 class TestCep:
     def test_whole_group_and_trivial_subgroup(self):
@@ -400,6 +446,14 @@ class TestCep:
         assert closure & h.elements == violation.intersection
         assert violation.intersection != violation.seed_normal
         assert violation.seed_normal < violation.intersection
+
+    def test_query_builds_no_whole_lattice(self):
+        # without a scan the closures in G are found by conjugation: nothing
+        # computes the lattice of G only to answer them
+        g, h = d4_in_s4()
+        whole = frozenset(range(g.order))
+        assert not is_cep_finite(g, h)[0]
+        assert whole not in g._subgroups and whole not in g._normal_subgroups
 
     def test_s4_d4_cyclic_of_four_cycle_violates(self):
         # the subgroup generated by a 4-cycle has ambient closure all of the
@@ -503,6 +557,15 @@ class TestTransitivityScan:
         monkeypatch.setattr(ceplab, "is_cep_pair", counted)
         report = cep_transitivity_scan(builtin_group(name))
         assert len(asked) == len(set(asked)) == report.chains_checked
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_reads_every_closure_off_a_list(self, name, monkeypatch):
+        # once the lattice is built, the scan lists normal subgroups before
+        # it asks for closures in them, so it joins nothing
+        g = builtin_group(name)
+        all_subgroups(g)
+        forbid_conjugation_search(monkeypatch)
+        assert cep_transitivity_scan(g).ok
 
     @pytest.mark.parametrize("name", ["s3", "a4", "s4", "q8", "a5", "s4xc2"])
     def test_zero_violations(self, name):

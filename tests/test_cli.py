@@ -773,6 +773,32 @@ class TestCepCommand:
         data = (tmp_path / "cep.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    def test_query_after_scan_matches_query_alone(self, tmp_path, capsys, monkeypatch):
+        # after the scan every closure in G is read off G's normal-subgroup
+        # list, with no conjugation search, and the query's fields are those
+        # of the pinned s4-d4 query
+        query = ["--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)", "--max-s", "1"]
+        assert main(["cep", *query, "--out", str(tmp_path / "alone")]) == 0
+        alone = json.loads((tmp_path / "alone" / "cep.json").read_text())
+        is_cep_finite = ceplab.is_cep_finite
+
+        def without_conjugation_search(g, h):
+            g._normal_closures.clear()  # what the scan memoized is not read
+
+            def no_join(*args):
+                raise AssertionError("normal closure computed by a conjugation search")
+
+            with monkeypatch.context() as m:
+                m.setattr(ceplab, "_join", no_join)
+                return is_cep_finite(g, h)
+
+        monkeypatch.setattr(ceplab, "is_cep_finite", without_conjugation_search)
+        assert main(["cep", *query, "--scan", "--out", str(tmp_path / "scanned")]) == 0
+        scanned = json.loads((tmp_path / "scanned" / "cep.json").read_text())
+        assert scanned["transitivity_scan"]["violations"] == []
+        for key in ("subgroup", "is_cep", "violation", "almost_cep_witness"):
+            assert scanned[key] == alone[key]
+
     def test_unknown_subgroup_element(self):
         assert main(["cep", "--group", "s3", "--subgroup", "(9 9)"]) == 2
 

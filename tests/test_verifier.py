@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import (
+    check_certificate,
     compact_json,
     enumerate_colored_dags,
     reference_certificate_to_json,
@@ -53,7 +54,6 @@ from dagquot.verifier import (
     certify_distinctness,
     certify_inclusion,
     certify_separation,
-    check_certificate,
     check_certificate_detailed,
     report_to_json,
     report_to_text,
