@@ -354,9 +354,12 @@ class LeafImage:
 MarkImage = Union[IdentityImage, LeafImage]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NormalForm:
-    """Canonical free-product normal form: alternating leaf-local syllables."""
+    """Canonical free-product normal form: alternating leaf-local syllables.
+
+    Slotted and not frozen, since the verifier makes thousands per
+    realization; nothing assigns to ``syllables`` after construction."""
 
     syllables: tuple[tuple[int, object], ...] = ()
 

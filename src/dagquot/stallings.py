@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .words import Word, RankMismatchError, Hom, apply_hom, reduce as reduce_word
 
@@ -49,6 +50,30 @@ class SubgroupGraph:
         if sign > 0:
             return self._out.get((vertex, idx))
         return self._in.get((vertex, idx))
+
+    @cached_property
+    def tree_parent(self) -> dict[int, tuple[int, int, int]]:
+        """Deterministic BFS tree: each non-base vertex -> its parent and
+        the letter (label, sign) that leads from the parent to it."""
+        parent: dict[int, tuple[int, int, int]] = {}
+        queue = deque([self.base])
+        while queue:
+            v = queue.popleft()
+            for lab in range(1, self.rank + 1):
+                for sign in (1, -1):
+                    x = self.step(v, lab, sign)
+                    if x is not None and x != self.base and x not in parent:
+                        parent[x] = (v, lab, sign)
+                        queue.append(x)
+        return parent
+
+    @cached_property
+    def numbering(self) -> dict[tuple[int, int, int], int]:
+        """Each non-tree edge -> its basis index, numbered from 1 in sorted
+        order."""
+        tree = {(v, lab, x) if sign > 0 else (x, lab, v)
+                for x, (v, lab, sign) in self.tree_parent.items()}
+        return {e: i for i, e in enumerate(sorted(self.edges - tree), 1)}
 
 
 def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> SubgroupGraph:
@@ -137,30 +162,19 @@ def contains(g: SubgroupGraph, w: Word) -> bool:
     return cur == g.base
 
 
-def _spanning_tree(g: SubgroupGraph):
-    """Deterministic BFS tree: the base-to-vertex word of each vertex, and
-    each non-tree edge with its basis index, numbered from 1 in sorted order."""
-    tree: set[tuple[int, int, int]] = set()
-    path: dict[int, tuple] = {g.base: ()}
-    queue = deque([g.base])
-    while queue:
-        v = queue.popleft()
-        for lab in range(1, g.rank + 1):
-            for sign in (1, -1):
-                x = g.step(v, lab, sign)
-                if x is not None and x not in path:
-                    path[x] = path[v] + ((lab, sign),)
-                    tree.add((v, lab, x) if sign > 0 else (x, lab, v))
-                    queue.append(x)
-    words = {v: Word(g.rank, letters) for v, letters in path.items()}
-    return words, {e: i for i, e in enumerate(sorted(g.edges - tree), 1)}
+def _base_path(g: SubgroupGraph, v: int) -> Word:
+    """The word along the tree from the base to ``v``."""
+    letters = []
+    while v != g.base:
+        v, lab, sign = g.tree_parent[v]
+        letters.append((lab, sign))
+    return Word(g.rank, tuple(reversed(letters)))
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
     """A free basis: one word per non-tree edge, via base paths in the tree."""
-    words, numbering = _spanning_tree(g)
-    return [words[s] * Word(g.rank, ((lab, 1),)) * words[t].inverse()
-            for s, lab, t in numbering]
+    return [_base_path(g, s) * Word(g.rank, ((lab, 1),)) * _base_path(g, t).inverse()
+            for s, lab, t in g.numbering]
 
 
 def express(g: SubgroupGraph, w: Word) -> Word | None:
@@ -171,7 +185,7 @@ def express(g: SubgroupGraph, w: Word) -> Word | None:
     """
     if w.rank != g.rank:
         raise RankMismatchError(f"word rank {w.rank} != graph rank {g.rank}")
-    _, numbering = _spanning_tree(g)
+    numbering = g.numbering
     letters: list[tuple[int, int]] = []
     cur: int | None = g.base
     for idx, sign in w.letters:

@@ -44,6 +44,19 @@ through ``certificate_from_json``, each time it is read.  ``report_chunks``
 writes the report in pieces from the stored lines; ``report_to_json`` and
 ``certificate_to_json`` decode the same text.  Only the quotient of a trace
 goes through ``quotient_to_json``.
+
+``verify_all`` makes a ``Certificate`` for every ordered pair, and a
+``WitnessEvidence`` and two ``NormalForm`` records for each separation, so
+these records and ``SchemeCoverage`` are slotted and not frozen: the
+``__init__`` of a frozen dataclass makes one ``object.__setattr__`` call per
+field, defaults included.  Nothing assigns to their fields after
+construction; tampered copies are made with ``dataclasses.replace``.  The
+three evidence records keep value equality and hashing, because
+``verify_all`` encodes each distinct scheme coverage and each distinct
+witness once and reuses the text for every later entry that carries it.
+It chooses inclusion or separation from each source's ``reach`` set, read
+once per source, so the only ``leq`` per ordered pair is the certifier's
+own.
 """
 
 from __future__ import annotations
@@ -109,14 +122,14 @@ class EvalTrace:
     word: Word
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SchemeCoverage:
     scheme_index: int
     coverage: str  # "exact" | "probed"
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WitnessEvidence:
     word: Word
     provenance: str  # e.g. "finite[2]" or "scheme[0].member[3]"
@@ -146,7 +159,7 @@ class SubstitutionFact:
     target: Word
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Certificate:
     kind: str  # "inclusion" | "separation" | "color" | "cep-counterexample"
     subject: tuple[str, ...]
@@ -371,6 +384,14 @@ class Report:
         return sum(n for (_, s), n in self.tally.items() if s == "inconclusive")
 
 
+def _memo(texts: dict, evidence, encode) -> str:
+    """The text of ``evidence``, encoded on its first request only."""
+    text = texts.get(evidence)
+    if text is None:
+        text = texts[evidence] = encode(evidence)
+    return text
+
+
 def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
     """A fail entry per subject for the parts of ``r`` that differ from
     ``realize(r.dag)``: the whole realization, then each vertex."""
@@ -406,6 +427,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
     quoted = {v: json_str(v) for v in ids}
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
+    witnesses: dict[WitnessEvidence, str] = {}
 
     def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
         """Add the entry of ``certify(r, *args)``; for a checked certificate,
@@ -420,11 +442,9 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             return None
         ok, problems = check_certificate_detailed(r, cert)
         status, detail = "pass" if ok else "fail", "; ".join(problems)
-        coverage = coverages.get(cert.scheme_coverage)
-        if coverage is None:
-            coverage = coverages[cert.scheme_coverage] = _coverage_text(cert.scheme_coverage)
+        coverage = _memo(coverages, cert.scheme_coverage, _coverage_text)
         color = "" if cert.color_facts is None else _color_text(cert.color_facts)
-        witness = "" if cert.witness is None else _witness_text(cert.witness)
+        witness = "" if cert.witness is None else _memo(witnesses, cert.witness, _witness_text)
         rep.add(check, subject, status, detail, _certificate_text(
             json_str(cert.kind), subject, cert.bound, color=color, coverage=coverage,
             witness=witness))
@@ -433,11 +453,12 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     # (u, v) -> the subject text of its separation entry, then what run returned
     separations: dict[tuple[str, str], tuple[str, str, str, str]] = {}
     for u in ids:
+        above = r.dag.reach.get(u, ())
         for v in ids:
             if u == v:
                 continue
             subject = f"{quoted[u]},{quoted[v]}"
-            if leq(r.dag, u, v):
+            if v in above:
                 run("inclusion", subject, certify_inclusion, u, v, bound)
             elif cited := run("separation", subject, certify_separation, u, v, bound):
                 separations[u, v] = subject, *cited

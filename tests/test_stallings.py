@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -16,12 +17,16 @@ from dagquot.stallings import (
     substitute_basis,
 )
 from dagquot.words import (
+    Hom,
     RankMismatchError,
+    Word,
+    apply_hom,
     identity,
     invert,
     multiply,
     parse_word,
     power,
+    reduce as reduce_word,
 )
 
 
@@ -198,6 +203,62 @@ class TestBasis:
                 assert contains(graph, word)
             regenerated = build_subgroup_graph(b, rank=3) if b else build_subgroup_graph([], rank=3)
             assert regenerated == graph
+
+
+def path_tuple_tree(g):
+    """Reference spanning tree: the breadth-first tree with every vertex's
+    base path kept as a tuple of letters, and the non-tree edges numbered
+    from 1 in sorted order."""
+    tree, path, queue = set(), {0: ()}, deque([0])
+    while queue:
+        v = queue.popleft()
+        for lab in range(1, g.rank + 1):
+            for sign in (1, -1):
+                x = g.step(v, lab, sign)
+                if x is not None and x not in path:
+                    path[x] = path[v] + ((lab, sign),)
+                    tree.add((v, lab, x) if sign > 0 else (x, lab, v))
+                    queue.append(x)
+    return path, {e: i for i, e in enumerate(sorted(g.edges - tree), 1)}
+
+
+def reference_basis(g):
+    path, numbering = path_tuple_tree(g)
+    return [Word(g.rank, path[s]) * Word(g.rank, ((lab, 1),)) * Word(g.rank, path[t]).inverse()
+            for s, lab, t in numbering]
+
+
+def reference_express(g, word):
+    """The basis letter of each non-tree edge the word's path crosses."""
+    _, numbering = path_tuple_tree(g)
+    letters, cur = [], 0
+    for idx, sign in word.letters:
+        nxt = g.step(cur, idx, sign)
+        if nxt is None:
+            return None
+        edge = (cur, idx, nxt) if sign > 0 else (nxt, idx, cur)
+        if edge in numbering:
+            letters.append((numbering[edge], sign))
+        cur = nxt
+    return reduce_word(letters, len(numbering)) if cur == 0 else None
+
+
+class TestSpanningTree:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_the_path_tuple_tree(self, rank):
+        rng = random.Random(rank)
+        for _ in range(25):
+            gens = [random_word(rng, rank, 12) for _ in range(rng.randint(1, 4))]
+            graph = build_subgroup_graph(gens, rank=rank)
+            b = reference_basis(graph)
+            assert basis(graph) == b
+            members = [multiply(rng.choice(gens), rng.choice(gens)) for _ in range(5)]
+            for word in [*gens, *members, *(random_word(rng, rank, 6) for _ in range(5))]:
+                expr = express(graph, word)
+                assert expr == reference_express(graph, word)
+                if expr is not None:
+                    assert substitute_basis(graph, expr) == apply_hom(
+                        Hom(len(b), rank, tuple(b)), expr) == word
 
 
 class TestIndex:

@@ -14,7 +14,7 @@ from conftest import (
     reference_certificate_to_json,
     reference_report_to_json,
 )
-from dagquot import verifier
+from dagquot import dag as dag_module, verifier
 from dagquot.ceplab import free_counterexample_demo
 from dagquot.dag import (
     colored_dag,
@@ -44,6 +44,7 @@ from dagquot.verifier import (
     NotComparableError,
     Report,
     ReportEntry,
+    SchemeCoverage,
     StructureMismatchError,
     TraceFailedError,
     WitnessEvidence,
@@ -376,10 +377,32 @@ class TestCheckCertificate:
         for cert in (
             certify_inclusion(r, "u", "w"),
             certify_separation(r, "w", "u"),
+            certify_distinctness(r, "u", "w"),
             certify_color(r, "u"),
+            free_counterexample_demo(),
         ):
             data = json.loads(json.dumps(certificate_to_json(cert)))
+            assert certificate_from_json(data) == cert
             assert check_certificate(r, certificate_from_json(data))
+
+    def test_evidence_records_compare_and_hash_by_value(self):
+        # slotted, not frozen: equal fields still give equal records with
+        # equal hashes, which the memos of verify_all key on
+        r = antichain()
+        first, again = (certify_separation(r, "u", "w").witness for _ in range(2))
+        assert first is not again
+        lamplighter = realize(colored_dag(["v"], [], {"v": 1}))
+        (covered,), (covered_again,) = (certify_inclusion(lamplighter, "v", "v").scheme_coverage
+                                        for _ in range(2))
+        rebuilt = WitnessEvidence(first.word, first.provenance,
+                                  NormalForm(first.image.syllables))
+        for a, b in ((first, again), (first.image, again.image), (rebuilt, first),
+                     (covered, covered_again),
+                     (covered, SchemeCoverage(0, covered.coverage, covered.reason))):
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+        assert first != dataclasses.replace(first, provenance="finite[9]")
+        assert NormalForm() != first.image
 
     def test_tampered_witness_word(self):
         r = antichain()
@@ -904,6 +927,38 @@ class TestVerifyAll:
         report = verify_all(Realization(empty, 2, {}, {}))
         assert [(e.check, e.subject, e.status, e.detail) for e in report.entries] == [
             ("canonical", (), "fail", "ambient_rank differ from realize(dag)")]
+
+    def test_witness_text_once_per_distinct_witness(self, monkeypatch):
+        r = realize(random_colored_dag(40, random.Random(40), 0.05))
+        encoded = []
+        real = verifier._witness_text
+
+        def counted(witness):
+            encoded.append(witness)
+            return real(witness)
+
+        monkeypatch.setattr(verifier, "_witness_text", counted)
+        report = verify_all(r)
+        witnesses = [e.certificate.witness for e in report.entries
+                     if e.check == "separation" and e.certificate is not None]
+        assert report.verdict and len(witnesses) > 2 * len(set(witnesses))
+        assert len(encoded) == len(set(witnesses))
+        assert set(encoded) == set(witnesses)
+
+    def test_one_leq_per_ordered_pair(self, monkeypatch):
+        n = 12
+        r = realize(random_colored_dag(n, random.Random(n), 0.3))
+        asked = []
+
+        def counted(d, u, v):
+            asked.append((u, v))
+            return leq(d, u, v)
+
+        monkeypatch.setattr(dag_module, "leq", counted)
+        monkeypatch.setattr(verifier, "leq", counted)
+        assert verify_all(r).verdict
+        assert len(asked) == n * (n - 1)
+        assert set(asked) == {(u, v) for u in r.assignment for v in r.assignment if u != v}
 
     def test_report_json(self):
         report = verify_all(chain())
