@@ -579,7 +579,8 @@ def group_from_json(data) -> FiniteGroup:
         if "names" in data:
             names = tuple(json_field(data, "names", list, "group", item=str))
         else:
-            names = tuple(str(n) for n in range(order))
+            # a table of another size is refuted first, and no name is built
+            names = tuple(str(n) for n in range(order if len(table) == order else 0))
         return FiniteGroup(order, table, names)
     if "generators" in data:
         degree = json_field(data, "degree", int, "group")

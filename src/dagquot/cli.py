@@ -27,15 +27,18 @@ from .realizer import (
 from .verifier import certificate_to_json, check_certificate_detailed, report_chunks, verify_all
 
 # What reading an input file can raise: an unreadable file, bad JSON or a
-# domain error (each a ValueError), a missing key, or JSON of the wrong shape
-# (a list where an object belongs, a number where a word belongs).
-INPUT_ERRORS = (OSError, KeyError, TypeError, AttributeError, ValueError)
+# domain error (each a ValueError), a missing key, JSON of the wrong shape
+# (a list where an object belongs, a number where a word belongs), or JSON
+# nested deeper than the decoder's stack.
+INPUT_ERRORS = (OSError, KeyError, TypeError, AttributeError, ValueError, RecursionError)
 
 
 def _input_error(exc: Exception) -> int:
     """Report an input file that could not be read as one line; exit code 2."""
     if isinstance(exc, KeyError):
         detail = f"missing key {exc}"
+    elif isinstance(exc, RecursionError):
+        detail = f"input nests too deeply ({exc})"
     elif isinstance(exc, (TypeError, AttributeError)):
         detail = f"JSON of the wrong shape ({exc})"
     else:

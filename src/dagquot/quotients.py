@@ -215,10 +215,11 @@ class RelatorSet:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rank = self.rank
         for w in self.finite_part:
-            if w.rank != self.rank:
-                raise RankMismatchError(f"relator rank {w.rank} != {self.rank}")
-            if w.is_identity:
+            if w.rank != rank:
+                raise RankMismatchError(f"relator rank {w.rank} != {rank}")
+            if not w.letters:
                 raise QuotientModelError("finite relators must be nontrivial")
         for s in self.schemes:
             if s.rank != self.rank:
@@ -247,7 +248,16 @@ class RelatorSet:
 
     def relator(self, label: str, bound: int) -> Word | None:
         """The word ``labelled(bound)`` gives ``label``; ``None`` when no
-        relator has that label, read digit for digit."""
+        relator has that label, read digit for digit.
+
+        A ``finite[k]`` label is read by slicing, with ``_LABEL``'s digit
+        rule: ASCII digits, and no leading zero but in ``0`` itself. The
+        regex reads every other label."""
+        if label.startswith("finite[") and label.endswith("]"):
+            k = label[7:-1]
+            if k.isascii() and k.isdigit() and (k[0] != "0" or k == "0"):
+                k = int(k)
+                return self.finite_part[k] if k < len(self.finite_part) else None
         m = _LABEL.fullmatch(label)
         if m is None:
             return None
@@ -284,12 +294,16 @@ class RelatorSet:
 WordTable = dict[tuple[str, int], Word]
 
 
-def _table_word(words: WordTable, text: str, rank: int) -> Word:
-    """``parse_word(text, rank)``, parsed on the first request only."""
-    w = words.get((text, rank))
-    if w is None:
-        w = words[text, rank] = parse_word(text, rank)
-    return w
+def _table_words(words: WordTable, texts, rank: int) -> tuple[Word, ...]:
+    """``parse_word(text, rank)`` of each text, parsed on the first request
+    only."""
+    out = []
+    for text in texts:
+        w = words.get((text, rank))
+        if w is None:
+            w = words[text, rank] = parse_word(text, rank)
+        out.append(w)
+    return tuple(out)
 
 
 def relators_from_json(data, words: WordTable | None = None) -> RelatorSet:
@@ -299,7 +313,7 @@ def relators_from_json(data, words: WordTable | None = None) -> RelatorSet:
     schemes = json_field(data, "schemes", list, "relators", item=dict, optional=True)
     return RelatorSet(
         rank,
-        tuple(_table_word(words, text, rank) for text in finite),
+        _table_words(words, finite, rank),
         tuple(scheme_from_json(s, rank, words) for s in schemes),
     )
 
@@ -309,10 +323,9 @@ def scheme_to_json(s: CommutatorScheme) -> dict:
 
 
 def scheme_from_json(data, rank: int, words: WordTable) -> CommutatorScheme:
-    return CommutatorScheme(
-        _table_word(words, json_field(data, "a", str, "scheme"), rank),
-        _table_word(words, json_field(data, "t", str, "scheme"), rank),
-    )
+    return CommutatorScheme(*_table_words(
+        words, (json_field(data, "a", str, "scheme"), json_field(data, "t", str, "scheme")),
+        rank))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +424,10 @@ class MarkedQuotient:
         if self.relators.rank != self.rank:
             raise QuotientModelError("relator rank does not match quotient rank")
         lvs = self.leaf_list
-        if set(self.marking) != set(range(1, self.rank + 1)):
+        # the sizes first, so that a claimed rank allocates nothing unless
+        # the marking has that many entries
+        if len(self.marking) != max(self.rank, 0) or set(self.marking) != set(
+                range(1, self.rank + 1)):
             raise QuotientModelError("marking must cover exactly generators 1..rank")
         for idx, img in self.marking.items():
             if isinstance(img, IdentityImage):
@@ -607,21 +623,41 @@ def nf_from_json(data) -> NormalForm:
 _IDENTITY_IMAGE = IdentityImage()
 
 
-def marking_from_json(data) -> dict[int, MarkImage]:
+# One table per load: each marking key text -> its generator index, and
+# each (leaf, value) -> the one ``LeafImage`` of the load with that image.
+MarkingTable = dict[Union[str, tuple[int, Union[int, str]]], Union[int, LeafImage]]
+
+
+def marking_from_json(data, marks: MarkingTable | None = None) -> dict[int, MarkImage]:
+    """The marking of one quotient. Each key is checked on its first
+    appearance in ``marks`` only, and each distinct image is one object per
+    table. The image fields are read by type identity, as ``json_field``
+    reads them; ``json_field`` is called only to raise its message."""
+    marks = {} if marks is None else marks
     out: dict[int, MarkImage] = {}
-    for key, val in data.items():
-        if not (key.isdecimal() and key == str(int(key))):
-            raise ValueError(f"marking field {key!r} must be a generator index")
-        if val == "identity":
-            out[int(key)] = _IDENTITY_IMAGE
-        else:
+    for key, image in data.items():
+        idx = marks.get(key)
+        if idx is None:
+            if not (key.isdecimal() and key == str(int(key))):
+                raise ValueError(f"marking field {key!r} must be a generator index")
+            idx = marks[key] = int(key)
+        if image == "identity":
+            out[idx] = _IDENTITY_IMAGE
+            continue
+        if type(image) is not dict:
             image = json_field(data, key, dict, "marking")
-            value = image["value"]
-            if type(value) is not int and value not in ("lamp", "shift"):
-                raise ValueError(
-                    "marking image field 'value' must be a JSON integer, \"lamp\" or "
-                    f"\"shift\", not {type(value).__name__}")
-            out[int(key)] = LeafImage(json_field(image, "leaf", int, "marking image"), value)
+        value = image["value"]
+        if type(value) is not int and value not in ("lamp", "shift"):
+            raise ValueError(
+                "marking image field 'value' must be a JSON integer, \"lamp\" or "
+                f"\"shift\", not {type(value).__name__}")
+        leaf = image["leaf"]
+        if type(leaf) is not int:
+            leaf = json_field(image, "leaf", int, "marking image")
+        shared = marks.get((leaf, value))
+        if shared is None:
+            shared = marks[leaf, value] = LeafImage(leaf, value)
+        out[idx] = shared
     return out
 
 
@@ -704,12 +740,13 @@ def json_field(data, key: str, kind: type, owner: str, item: type | None = None,
     if optional and key not in data:
         return kind()
     value = data[key]
-    if not _is_json(value, kind):
+    # a value of exactly the kind passes without the slower _is_json
+    if type(value) is not kind and not _is_json(value, kind):
         raise ValueError(
             f"{owner} field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
             f"not {type(value).__name__}"
         )
-    if item is not None:
+    if item is not None and any(type(x) is not item for x in value):
         for x in value:
             if not _is_json(x, item):
                 raise ValueError(
@@ -728,10 +765,11 @@ def word_from_json(data) -> Word:
     return parse_word(json_field(data, "word", str, "word"), json_field(data, "rank", int, "word"))
 
 
-def quotient_from_json(data, words: WordTable | None = None) -> MarkedQuotient:
+def quotient_from_json(data, words: WordTable | None = None,
+                       marks: MarkingTable | None = None) -> MarkedQuotient:
     return MarkedQuotient(
         rank=json_field(data, "rank", int, "quotient"),
         relators=relators_from_json(json_field(data, "relators", dict, "quotient"), words),
         expr=expr_from_json(json_field(data, "expr", dict, "quotient")),
-        marking=marking_from_json(json_field(data, "marking", dict, "quotient")),
+        marking=marking_from_json(json_field(data, "marking", dict, "quotient"), marks),
     )

@@ -38,6 +38,7 @@ from .quotients import (
     LeafImage,
     MarkImage,
     MarkedQuotient,
+    MarkingTable,
     QuotientWriter,
     RelatorSet,
     WordTable,
@@ -268,12 +269,14 @@ def realization_to_json(r: Realization) -> dict:
 
 
 def realization_from_json(data) -> Realization:
-    """One word table per load: each distinct word text is parsed once per
-    relator rank, and its ``Word`` is shared by every relator set using it."""
+    """One word table and one marking table per load: each distinct word
+    text is parsed once per relator rank, each marking key is checked once,
+    and each ``Word`` and ``LeafImage`` is shared by every quotient using it."""
     d = dagmod.from_json(json_field(data, "dag", dict, "realization"))
     vertices = json_field(data, "vertices", dict, "realization")
     words: WordTable = {}
-    assignment = {v: quotient_from_json(q, words) for v, q in vertices.items()}
+    marks: MarkingTable = {}
+    assignment = {v: quotient_from_json(q, words, marks) for v, q in vertices.items()}
     step_index = json_field(data, "step_index", dict, "realization")
     return Realization(
         dag=d,

@@ -51,12 +51,15 @@ these records and ``SchemeCoverage`` are slotted and not frozen: the
 ``__init__`` of a frozen dataclass makes one ``object.__setattr__`` call per
 field, defaults included.  Nothing assigns to their fields after
 construction; tampered copies are made with ``dataclasses.replace``.  The
-three evidence records keep value equality and hashing, because
-``verify_all`` encodes each distinct scheme coverage and each distinct
-witness once and reuses the text for every later entry that carries it.
-It chooses inclusion or separation from each source's ``reach`` set, read
-once per source, so the only ``leq`` per ordered pair is the certifier's
-own.
+three evidence records keep value equality and hashing.  ``verify_all``
+encodes each distinct scheme coverage and each distinct witness once and
+reuses the text for every later entry that carries it.  Coverages are
+keyed by their records; a witness is keyed by the plain tuple
+``(provenance, word rank, word letters, image syllables)``, since hashing
+and comparing a ``WitnessEvidence`` makes three Python-level dataclass
+calls per pair.  It chooses inclusion or separation from each source's
+``reach`` set, read once per source, so the only ``leq`` per ordered pair
+is the certifier's own.
 """
 
 from __future__ import annotations
@@ -305,8 +308,11 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
             problems.append("separation certificate carries no witness")
         else:
             u, v = c.subject
-            # the witness must be a candidate certify_separation draws from
-            if r.assignment[u].relators.relator(c.witness.provenance, c.bound) != c.witness.word:
+            # the witness must be a candidate certify_separation draws from;
+            # a word is equal to itself, and ``!=`` on a dataclass runs its
+            # Python-level ``__eq__`` even then
+            named = r.assignment[u].relators.relator(c.witness.provenance, c.bound)
+            if named is not c.witness.word and named != c.witness.word:
                 problems.append(
                     f"witness provenance {c.witness.provenance!r} does not "
                     f"match the relators of {u}"
@@ -384,11 +390,12 @@ class Report:
         return sum(n for (_, s), n in self.tally.items() if s == "inconclusive")
 
 
-def _memo(texts: dict, evidence, encode) -> str:
-    """The text of ``evidence``, encoded on its first request only."""
-    text = texts.get(evidence)
+def _memo(texts: dict, key, evidence, encode) -> str:
+    """The text of ``evidence``, stored under ``key`` and encoded on its
+    first request only."""
+    text = texts.get(key)
     if text is None:
-        text = texts[evidence] = encode(evidence)
+        text = texts[key] = encode(evidence)
     return text
 
 
@@ -427,7 +434,8 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
     quoted = {v: json_str(v) for v in ids}
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
-    witnesses: dict[WitnessEvidence, str] = {}
+    # (provenance, word rank, word letters, image syllables) -> witness text
+    witnesses: dict[tuple, str] = {}
 
     def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
         """Add the entry of ``certify(r, *args)``; for a checked certificate,
@@ -442,9 +450,12 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             return None
         ok, problems = check_certificate_detailed(r, cert)
         status, detail = "pass" if ok else "fail", "; ".join(problems)
-        coverage = _memo(coverages, cert.scheme_coverage, _coverage_text)
+        coverage = _memo(coverages, cert.scheme_coverage, cert.scheme_coverage, _coverage_text)
         color = "" if cert.color_facts is None else _color_text(cert.color_facts)
-        witness = "" if cert.witness is None else _memo(witnesses, cert.witness, _witness_text)
+        witness = ""
+        if (w := cert.witness) is not None:
+            key = (w.provenance, w.word.rank, w.word.letters, w.image.syllables)
+            witness = _memo(witnesses, key, w, _witness_text)
         rep.add(check, subject, status, detail, _certificate_text(
             json_str(cert.kind), subject, cert.bound, color=color, coverage=coverage,
             witness=witness))

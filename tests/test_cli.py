@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -669,13 +670,14 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert repr(field) in captured.err and repr(form) in captured.err
 
-    @pytest.mark.parametrize("command,option", [
-        ("realize", "--input"), ("verify", "--input"), ("transfer", "--input"),
-        ("transfer", "--embedding"), ("cep", "--input"),
-    ])
-    @pytest.mark.parametrize("content", [None, "not json {"], ids=["missing", "not-json"])
-    def test_unreadable_input_file(self, tmp_path, capsys, command, option, content):
-        # every other input file is good, so the one error line is about this one
+    INPUT_FILES = [("realize", "--input"), ("verify", "--input"), ("transfer", "--input"),
+                   ("transfer", "--embedding"), ("cep", "--input")]
+
+    @staticmethod
+    def argv_with_bad_file(tmp_path, command, option, content):
+        """``command`` with its file ``option`` holding ``content`` (no file
+        when ``None``). Every other input file is good, so an error line is
+        about this one."""
         write_json(tmp_path / "realization.json", realized_chain(tmp_path))
         files = {"--input": tmp_path / "realization.json", "--embedding": tmp_path / "e.json"}
         write_json(files["--embedding"], IDENTITY_EMBEDDING)
@@ -685,9 +687,45 @@ class TestMalformedInput:
         argv = [command]
         for name in ("--input", "--embedding") if command == "transfer" else ("--input",):
             argv += [name, str(files[name])]
-        argv += ["--scan"] if command == "cep" else ["--out", str(tmp_path / "o")]
+        return argv + (["--scan"] if command == "cep" else ["--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command,option", INPUT_FILES)
+    @pytest.mark.parametrize("content", [None, "not json {"], ids=["missing", "not-json"])
+    def test_unreadable_input_file(self, tmp_path, capsys, command, option, content):
+        argv = self.argv_with_bad_file(tmp_path, command, option, content)
         capsys.readouterr()
         self.assert_input_error(argv, capsys)
+
+    @pytest.mark.parametrize("command,option", INPUT_FILES)
+    def test_deeply_nested_input_file(self, tmp_path, capsys, command, option):
+        # json.load runs out of stack on this text before any field is read
+        argv = self.argv_with_bad_file(tmp_path, command, option,
+                                       "[" * 100_000 + "]" * 100_000)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nests too deeply") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,claim", [
+        ("verify", lambda r: with_relators_field(
+            with_vertex_field(r, "u", "rank", 10**6), "u", "rank", 10**6)),
+        ("cep", lambda r: {"order": 10**6, "table": [[0]]}),
+    ], ids=["quotient-rank", "group-order"])
+    def test_claimed_size_allocates_nothing(self, tmp_path, capsys, command, claim):
+        # a file of a few hundred bytes claims a million generators or
+        # elements; the claim is refuted before anything of that size is built
+        inp = tmp_path / "claim.json"
+        write_json(inp, claim(realized_chain(tmp_path)))
+        argv = [command, "--input", str(inp)]
+        argv += ["--scan"] if command == "cep" else ["--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            self.assert_input_error(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_cep_table_and_generators(self, tmp_path, capsys):
         inp = tmp_path / "g.json"

@@ -11,6 +11,7 @@ from conftest import (
     reference_quotient_to_json,
     reference_relators_to_json,
 )
+from dagquot import quotients
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -129,6 +130,19 @@ class TestSchemeMember:
                 s.member(i)
 
 
+def regex_relator(r, label, bound):
+    """``RelatorSet.relator`` with every label read by ``_LABEL`` alone."""
+    m = quotients._LABEL.fullmatch(label)
+    if m is None:
+        return None
+    k, si, j = m.groups()
+    if k is not None:
+        return r.finite_part[int(k)] if int(k) < len(r.finite_part) else None
+    if int(si) < len(r.schemes) and int(j) <= bound:
+        return r.schemes[int(si)].member(int(j))
+    return None
+
+
 class TestLabelledRelators:
     """RelatorSet.labelled and by_length: the lists inclusion and separation
     certificates walk, memoized per bound."""
@@ -157,6 +171,45 @@ class TestLabelledRelators:
             assert list(r.by_length(bound)) == [(label, x) for x, label in cands]
         # ties: by letters, then in labelled order
         assert [label for label, _ in r.by_length(1)[:3]] == ["finite[2]", "finite[1]", "finite[3]"]
+
+    # the label, and the relator it names at bound 3 among 12 finite
+    # relators and 2 schemes: ("finite", k), ("scheme", i, j) or None
+    @pytest.mark.parametrize("label,named", [
+        ("finite[0]", ("finite", 0)),
+        ("finite[11]", ("finite", 11)),
+        ("finite[12]", None),
+        ("finite[00]", None),
+        ("finite[01]", None),
+        ("finite[\u0661]", None),  # ARABIC-INDIC DIGIT ONE: int() reads it as 1
+        ("finite[\u00b2]", None),  # SUPERSCRIPT TWO: isdigit() holds
+        ("finite[]", None),
+        ("finite[-1]", None),
+        ("finite[+1]", None),
+        ("finite[ 1]", None),
+        ("finite[1_0]", None),
+        ("finite[1]]", None),
+        ("finite[1]\n", None),
+        ("finite[" + "1" * 30 + "]", None),
+        ("Finite[0]", None),
+        ("scheme[1].member[1]", ("scheme", 1, 1)),
+        ("scheme[0].member[3]", ("scheme", 0, 3)),
+        ("scheme[0].member[4]", None),
+        ("scheme[0].member[0]", None),
+        ("scheme[2].member[1]", None),
+        ("scheme[01].member[1]", None),
+    ])
+    def test_relator_reads_labels_digit_for_digit(self, label, named):
+        base = self.relators()
+        r = RelatorSet(4, base.finite_part * 3, base.schemes)
+        if named is None:
+            want = None
+        elif named[0] == "finite":
+            want = r.finite_part[named[1]]
+        else:
+            want = r.schemes[named[1]].member(named[2])
+        assert r.relator(label, 3) == want
+        assert regex_relator(r, label, 3) == want
+        assert dict(r.labelled(3)).get(label) == want
 
     def test_memo_is_invisible(self):
         r = self.relators()

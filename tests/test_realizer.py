@@ -434,6 +434,25 @@ class TestRealizationReader:
                       if isinstance(img, IdentityImage)}
         assert len(identities) == 1
 
+    def test_marking_images_shared_within_one_load_only(self):
+        # a load shares equal images; a second load of the same text builds
+        # its own, so no table outlives the load that filled it
+        text = realization_to_text(realize(diamond()))
+        first, second = (realization_from_json(json.loads(text)) for _ in range(2))
+
+        def leaf_images(r):
+            return [img for q in r.assignment.values() for img in q.marking.values()
+                    if isinstance(img, LeafImage)]
+
+        shared = {}
+        for img in leaf_images(first):
+            assert shared.setdefault(img, img) is img
+        assert len(shared) < len(leaf_images(first))
+        assert not {id(img) for img in leaf_images(first)} & {
+            id(img) for img in leaf_images(second)}
+        assert not {id(w) for q in first.assignment.values() for w in q.relators.finite_part} & {
+            id(w) for q in second.assignment.values() for w in q.relators.finite_part}
+
     def test_one_text_under_two_ranks(self):
         words = {}
         low = relators_from_json({"rank": 2, "finite": ["x1 x2"]}, words)

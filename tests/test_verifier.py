@@ -491,6 +491,24 @@ class TestCheckCertificate:
         assert not ok
         assert f"witness provenance {label!r} does not match the relators of u" in problems
 
+    @pytest.mark.parametrize("label", ["finite[0]", "finite[2]", "scheme[0].member[1]"])
+    def test_provenance_naming_another_relator_rejected(self, label):
+        # u's relators: finite x3 x4 x5 x6 and a scheme; its witness in w is
+        # finite[1], x4, and each label names another relator of u
+        r = realize(colored_dag(["u", "w", "z"], [], {"u": 1, "w": 0, "z": 0}))
+        cert = certify_separation(r, "u", "w")
+        assert cert.witness.provenance == "finite[1]"
+        forged = dataclasses.replace(
+            cert, witness=dataclasses.replace(cert.witness, provenance=label))
+        ok, problems = check_certificate_detailed(r, forged)
+        assert not ok
+        assert f"witness provenance {label!r} does not match the relators of u" in problems
+        # an equal witness word that is another object still matches
+        copy = dataclasses.replace(cert.witness.word)
+        assert copy is not cert.witness.word
+        assert check_certificate_detailed(r, dataclasses.replace(
+            cert, witness=dataclasses.replace(cert.witness, word=copy))) == (True, [])
+
     def test_scheme_member_above_bound_rejected(self):
         r = scheme_below()
         member = r.assignment["u"].relators.schemes[0].member(4)
