@@ -201,7 +201,7 @@ class CommutatorScheme:
 # (label, word): "finite[k]" or "scheme[i].member[j]"
 Labelled = tuple[str, Word]
 
-_LABEL = re.compile(r"finite\[(0|[1-9][0-9]*)\]|scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]")
+_SCHEME_LABEL = re.compile(r"scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]")
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,10 @@ class RelatorSet:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rank = self.rank
         for w in self.finite_part:
-            if w.rank != rank:
-                raise RankMismatchError(f"relator rank {w.rank} != {rank}")
-            if not w.letters:
+            if w.rank != self.rank:
+                raise RankMismatchError(f"relator rank {w.rank} != {self.rank}")
+            if w.is_identity:
                 raise QuotientModelError("finite relators must be nontrivial")
         for s in self.schemes:
             if s.rank != self.rank:
@@ -250,20 +249,19 @@ class RelatorSet:
         """The word ``labelled(bound)`` gives ``label``; ``None`` when no
         relator has that label, read digit for digit.
 
-        A ``finite[k]`` label is read by slicing, with ``_LABEL``'s digit
-        rule: ASCII digits, and no leading zero but in ``0`` itself. The
-        regex reads every other label."""
-        if label.startswith("finite[") and label.endswith("]"):
+        A ``finite[k]`` label is read by slicing: ``k`` is ASCII digits
+        with no leading zero but in ``0`` itself, the rule ``_SCHEME_LABEL``
+        keeps for ``i``. That regex reads every other label."""
+        if label.startswith("finite["):
             k = label[7:-1]
-            if k.isascii() and k.isdigit() and (k[0] != "0" or k == "0"):
+            if label.endswith("]") and k.isascii() and k.isdigit() and (k[0] != "0" or k == "0"):
                 k = int(k)
                 return self.finite_part[k] if k < len(self.finite_part) else None
-        m = _LABEL.fullmatch(label)
+            return None
+        m = _SCHEME_LABEL.fullmatch(label)
         if m is None:
             return None
-        k, si, j = m.groups()
-        if k is not None:
-            return self.finite_part[int(k)] if int(k) < len(self.finite_part) else None
+        si, j = m.groups()
         if int(si) < len(self.schemes) and int(j) <= bound:
             return self.schemes[int(si)].member(int(j))
         return None
@@ -294,16 +292,12 @@ class RelatorSet:
 WordTable = dict[tuple[str, int], Word]
 
 
-def _table_words(words: WordTable, texts, rank: int) -> tuple[Word, ...]:
-    """``parse_word(text, rank)`` of each text, parsed on the first request
-    only."""
-    out = []
-    for text in texts:
-        w = words.get((text, rank))
-        if w is None:
-            w = words[text, rank] = parse_word(text, rank)
-        out.append(w)
-    return tuple(out)
+def _table_word(words: WordTable, text: str, rank: int) -> Word:
+    """``parse_word(text, rank)``, parsed on the first request only."""
+    w = words.get((text, rank))
+    if w is None:
+        w = words[text, rank] = parse_word(text, rank)
+    return w
 
 
 def relators_from_json(data, words: WordTable | None = None) -> RelatorSet:
@@ -313,7 +307,7 @@ def relators_from_json(data, words: WordTable | None = None) -> RelatorSet:
     schemes = json_field(data, "schemes", list, "relators", item=dict, optional=True)
     return RelatorSet(
         rank,
-        _table_words(words, finite, rank),
+        tuple(_table_word(words, text, rank) for text in finite),
         tuple(scheme_from_json(s, rank, words) for s in schemes),
     )
 
@@ -323,9 +317,10 @@ def scheme_to_json(s: CommutatorScheme) -> dict:
 
 
 def scheme_from_json(data, rank: int, words: WordTable) -> CommutatorScheme:
-    return CommutatorScheme(*_table_words(
-        words, (json_field(data, "a", str, "scheme"), json_field(data, "t", str, "scheme")),
-        rank))
+    return CommutatorScheme(
+        _table_word(words, json_field(data, "a", str, "scheme"), rank),
+        _table_word(words, json_field(data, "t", str, "scheme"), rank),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -623,24 +618,31 @@ def nf_from_json(data) -> NormalForm:
 _IDENTITY_IMAGE = IdentityImage()
 
 
-# One table per load: each marking key text -> its generator index, and
-# each (leaf, value) -> the one ``LeafImage`` of the load with that image.
-MarkingTable = dict[Union[str, tuple[int, Union[int, str]]], Union[int, LeafImage]]
+@dataclass(slots=True)
+class LoadTables:
+    """The tables one load shares among its quotients, so that no table
+    outlives the load that filled it."""
+
+    words: WordTable = field(default_factory=dict)
+    # marking key text -> its generator index
+    indices: dict[str, int] = field(default_factory=dict)
+    # (leaf, value) -> the one ``LeafImage`` of the load with that image
+    images: dict[tuple[int, int | str], LeafImage] = field(default_factory=dict)
 
 
-def marking_from_json(data, marks: MarkingTable | None = None) -> dict[int, MarkImage]:
+def marking_from_json(data, tables: LoadTables) -> dict[int, MarkImage]:
     """The marking of one quotient. Each key is checked on its first
-    appearance in ``marks`` only, and each distinct image is one object per
-    table. The image fields are read by type identity, as ``json_field``
+    appearance in ``tables`` only, and each distinct image is one object per
+    ``tables``. The image fields are read by type identity, as ``json_field``
     reads them; ``json_field`` is called only to raise its message."""
-    marks = {} if marks is None else marks
+    indices, images = tables.indices, tables.images
     out: dict[int, MarkImage] = {}
     for key, image in data.items():
-        idx = marks.get(key)
+        idx = indices.get(key)
         if idx is None:
             if not (key.isdecimal() and key == str(int(key))):
                 raise ValueError(f"marking field {key!r} must be a generator index")
-            idx = marks[key] = int(key)
+            idx = indices[key] = int(key)
         if image == "identity":
             out[idx] = _IDENTITY_IMAGE
             continue
@@ -654,9 +656,9 @@ def marking_from_json(data, marks: MarkingTable | None = None) -> dict[int, Mark
         leaf = image["leaf"]
         if type(leaf) is not int:
             leaf = json_field(image, "leaf", int, "marking image")
-        shared = marks.get((leaf, value))
+        shared = images.get((leaf, value))
         if shared is None:
-            shared = marks[leaf, value] = LeafImage(leaf, value)
+            shared = images[leaf, value] = LeafImage(leaf, value)
         out[idx] = shared
     return out
 
@@ -765,11 +767,11 @@ def word_from_json(data) -> Word:
     return parse_word(json_field(data, "word", str, "word"), json_field(data, "rank", int, "word"))
 
 
-def quotient_from_json(data, words: WordTable | None = None,
-                       marks: MarkingTable | None = None) -> MarkedQuotient:
+def quotient_from_json(data, tables: LoadTables | None = None) -> MarkedQuotient:
+    tables = LoadTables() if tables is None else tables
     return MarkedQuotient(
         rank=json_field(data, "rank", int, "quotient"),
-        relators=relators_from_json(json_field(data, "relators", dict, "quotient"), words),
+        relators=relators_from_json(json_field(data, "relators", dict, "quotient"), tables.words),
         expr=expr_from_json(json_field(data, "expr", dict, "quotient")),
-        marking=marking_from_json(json_field(data, "marking", dict, "quotient"), marks),
+        marking=marking_from_json(json_field(data, "marking", dict, "quotient"), tables),
     )

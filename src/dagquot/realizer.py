@@ -36,12 +36,11 @@ from .quotients import (
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
+    LoadTables,
     MarkImage,
     MarkedQuotient,
-    MarkingTable,
     QuotientWriter,
     RelatorSet,
-    WordTable,
     check_soundness,
     free_product,
     json_block,
@@ -269,14 +268,13 @@ def realization_to_json(r: Realization) -> dict:
 
 
 def realization_from_json(data) -> Realization:
-    """One word table and one marking table per load: each distinct word
-    text is parsed once per relator rank, each marking key is checked once,
-    and each ``Word`` and ``LeafImage`` is shared by every quotient using it."""
+    """One ``LoadTables`` per load: each distinct word text is parsed once
+    per relator rank, each marking key is checked once, and each ``Word``
+    and ``LeafImage`` is shared by every quotient using it."""
     d = dagmod.from_json(json_field(data, "dag", dict, "realization"))
     vertices = json_field(data, "vertices", dict, "realization")
-    words: WordTable = {}
-    marks: MarkingTable = {}
-    assignment = {v: quotient_from_json(q, words, marks) for v, q in vertices.items()}
+    tables = LoadTables()
+    assignment = {v: quotient_from_json(q, tables) for v, q in vertices.items()}
     step_index = json_field(data, "step_index", dict, "realization")
     return Realization(
         dag=d,

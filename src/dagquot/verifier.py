@@ -54,12 +54,12 @@ construction; tampered copies are made with ``dataclasses.replace``.  The
 three evidence records keep value equality and hashing.  ``verify_all``
 encodes each distinct scheme coverage and each distinct witness once and
 reuses the text for every later entry that carries it.  Coverages are
-keyed by their records; a witness is keyed by the plain tuple
-``(provenance, word rank, word letters, image syllables)``, since hashing
-and comparing a ``WitnessEvidence`` makes three Python-level dataclass
-calls per pair.  It chooses inclusion or separation from each source's
-``reach`` set, read once per source, so the only ``leq`` per ordered pair
-is the certifier's own.
+keyed by their records; a witness is keyed by ``_witness_key``, the plain
+tuple of its provenance, word rank, word letters and image syllables,
+since hashing and comparing a ``WitnessEvidence`` makes three
+Python-level dataclass calls per pair.  It chooses inclusion or
+separation from each source's ``reach`` set, read once per source, so the
+only ``leq`` per ordered pair is the certifier's own.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ class WitnessEvidence:
     word: Word
     provenance: str  # e.g. "finite[2]" or "scheme[0].member[3]"
     image: NormalForm  # nontrivial normal form in the target quotient
+
+
+def _witness_key(wt: WitnessEvidence) -> tuple:
+    """Every field of ``wt``, its word and its image as one plain tuple:
+    ``verify_all``'s witness memo key, cheaper to hash and compare than the
+    record."""
+    return (wt.provenance, wt.word.rank, wt.word.letters, wt.image.syllables)
 
 
 @dataclass(frozen=True)
@@ -434,8 +441,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
     quoted = {v: json_str(v) for v in ids}
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
-    # (provenance, word rank, word letters, image syllables) -> witness text
-    witnesses: dict[tuple, str] = {}
+    witnesses: dict[tuple, str] = {}  # _witness_key -> witness text
 
     def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
         """Add the entry of ``certify(r, *args)``; for a checked certificate,
@@ -454,8 +460,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
         color = "" if cert.color_facts is None else _color_text(cert.color_facts)
         witness = ""
         if (w := cert.witness) is not None:
-            key = (w.provenance, w.word.rank, w.word.letters, w.image.syllables)
-            witness = _memo(witnesses, key, w, _witness_text)
+            witness = _memo(witnesses, _witness_key(w), w, _witness_text)
         rep.add(check, subject, status, detail, _certificate_text(
             json_str(cert.kind), subject, cert.bound, color=color, coverage=coverage,
             witness=witness))

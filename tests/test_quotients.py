@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,6 @@ from conftest import (
     reference_quotient_to_json,
     reference_relators_to_json,
 )
-from dagquot import quotients
 from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -130,9 +130,13 @@ class TestSchemeMember:
                 s.member(i)
 
 
+# every relator label, read by one regex: the reference for the slice
+LABEL = re.compile(r"finite\[(0|[1-9][0-9]*)\]|scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]")
+
+
 def regex_relator(r, label, bound):
-    """``RelatorSet.relator`` with every label read by ``_LABEL`` alone."""
-    m = quotients._LABEL.fullmatch(label)
+    """``RelatorSet.relator`` with every label read by ``LABEL`` alone."""
+    m = LABEL.fullmatch(label)
     if m is None:
         return None
     k, si, j = m.groups()

@@ -60,7 +60,7 @@ from dagquot.verifier import (
     report_to_text,
     verify_all,
 )
-from dagquot.words import generator, parse_word
+from dagquot.words import Word, generator, parse_word
 
 
 def w(text, rank):
@@ -962,6 +962,22 @@ class TestVerifyAll:
         assert report.verdict and len(witnesses) > 2 * len(set(witnesses))
         assert len(encoded) == len(set(witnesses))
         assert set(encoded) == set(witnesses)
+
+    def test_witness_key_covers_every_field(self):
+        # the memo reuses a text for equal keys, so the key must name every
+        # field the text could read; a new field fails here until it is added
+        assert [f.name for f in dataclasses.fields(WitnessEvidence)] == [
+            "word", "provenance", "image"]
+        assert [f.name for f in dataclasses.fields(Word)] == ["rank", "letters"]
+        assert [f.name for f in dataclasses.fields(NormalForm)] == ["syllables"]
+        wt = certify_separation(antichain(), "u", "w").witness
+        assert verifier._witness_key(wt) == (
+            wt.provenance, wt.word.rank, wt.word.letters, wt.image.syllables)
+        for other in (dataclasses.replace(wt, provenance="finite[9]"),
+                      dataclasses.replace(wt, word=Word(wt.word.rank + 1, wt.word.letters)),
+                      dataclasses.replace(wt, word=parse_word("x1 x1", wt.word.rank)),
+                      dataclasses.replace(wt, image=NormalForm(((0, 2),)))):
+            assert verifier._witness_key(other) != verifier._witness_key(wt)
 
     def test_one_leq_per_ordered_pair(self, monkeypatch):
         n = 12
