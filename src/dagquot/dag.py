@@ -1,7 +1,11 @@
 """Finite colored DAGs: validation, the removal order (peel), reachability,
-closure.
+closure.  Vertex ids are opaque strings throughout.
 
-Vertex ids are opaque strings throughout.
+``ColoredDag.peel`` is the one derived structure: ``removal_order`` and, per
+vertex or edge endpoint, a bit and a row, its bit ORed with its successors'
+rows.  A peeled vertex comes after all it reaches, so one pass in removal order
+builds every row; where a stalled peel (a cycle) leaves vertices, or an edge
+leaves ``vertices``, the pass repeats until no row changes.
 """
 
 from __future__ import annotations
@@ -9,7 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .quotients import json_field
 
@@ -42,11 +47,8 @@ class CycleFoundError(DagError):
 
 @dataclass(frozen=True)
 class ColoredDag:
-    """A finite simple digraph with a 0/1 color on every vertex.
-
-    The successor and reachability maps are derived from the frozen
-    ``vertices`` and ``edges`` on first use and cached on the instance.
-    """
+    """A finite simple digraph with a 0/1 color on every vertex; the
+    successor map and the peel are derived on first use and cached."""
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
@@ -61,29 +63,29 @@ class ColoredDag:
         return {u: tuple(sorted(vs)) for u, vs in succ.items()}
 
     @cached_property
-    def reach(self) -> dict[str, frozenset[str]]:
-        """Every vertex or edge endpoint -> what a path of length >= 1 from
-        it reaches. One search per source over a seen set, so a cyclic
-        (unvalidated) instance gets exact answers too."""
+    def peel(self) -> tuple[list[str] | CycleFoundError, dict[str, int], dict[str, int]]:
+        """``removal_order`` (or the ``CycleFoundError`` it raised), bits, rows."""
+        try:
+            order = peeled = removal_order(self)
+        except CycleFoundError as exc:
+            order, peeled = exc, []
         succ = self.successor_map
-        reach = {}
-        for u in set(self.vertices).union(*self.edges):
-            seen: set[str] = set()
-            stack = [u]
-            while stack:
-                for t in succ.get(stack.pop(), ()):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            reach[u] = frozenset(seen)
-        return reach
+        nodes = peeled + sorted(set(self.vertices).union(succ, *succ.values()).difference(peeled))
+        bit = {v: 1 << i for i, v in enumerate(nodes)}
+        rows = bit.copy()
+        while True:
+            before = rows.copy()
+            for u in nodes:
+                rows[u] = reduce(or_, map(rows.__getitem__, succ.get(u, ())), bit[u])
+            if len(nodes) == len(peeled) or rows == before:  # one pass, if all peeled
+                return order, bit, rows
 
     def successors(self, u: str) -> list[str]:
         return list(self.successor_map.get(u, ()))
 
 
 def colored_dag(vertices, edges, color) -> ColoredDag:
-    d = ColoredDag(tuple(vertices), frozenset(tuple(e) for e in edges), dict(color))
+    d = ColoredDag(tuple(vertices), frozenset(map(tuple, edges)), dict(color))
     validate(d)
     return d
 
@@ -103,7 +105,8 @@ def validate(d: ColoredDag) -> None:
         c = d.color.get(v)
         if type(c) is not int or c not in (0, 1):  # True == 1, but is no color
             raise MissingColorError(f"vertex {v} has no 0/1 color")
-    removal_order(d)
+    if isinstance(stop := d.peel[0], CycleFoundError):
+        raise CycleFoundError(stop.cycle)
 
 
 def removal_order(d: ColoredDag) -> list[str]:
@@ -113,16 +116,17 @@ def removal_order(d: ColoredDag) -> list[str]:
     ``d.vertices`` to its smallest successor left, and on, repeats a vertex;
     ``CycleFoundError`` carries the walk from that vertex's first visit."""
     succ = d.successor_map
-    left = {v: len(succ.get(v, ())) for v in d.vertices}  # out-degree into what remains
+    left = dict.fromkeys(d.vertices, 0)  # out-degree into what remains
     below: dict[str, list[str]] = {}
     for u in left:
-        for t in succ.get(u, ()):
+        targets = [t for t in succ.get(u, ()) if t in left]
+        left[u] = len(targets)
+        for t in targets:
             below.setdefault(t, []).append(u)
     maximal = {v for v, k in left.items() if k == 0}
     order = []
     while maximal:
-        w = max(maximal)
-        maximal.remove(w)
+        maximal.remove(w := max(maximal))
         del left[w]
         order.append(w)
         for u in below.get(w, ()):
@@ -141,13 +145,18 @@ def leq(d: ColoredDag, u: str, v: str) -> bool:
     """True iff a directed path u -> ... -> v exists (reflexive)."""
     if u not in d.color or v not in d.color:
         raise UnknownVertexError(f"unknown vertex in leq({u}, {v})")
-    return u == v or v in d.reach.get(u, ())
+    _, bit, rows = d.peel
+    return u == v or rows.get(u, 0) & bit.get(v, 0) != 0
 
 
 def transitive_closure(d: ColoredDag) -> ColoredDag:
+    """It reaches, and peels, as ``d`` does, so it takes over ``d.peel``."""
     validate(d)
-    closed = frozenset((u, v) for u in d.vertices for v in d.reach[u])
-    return ColoredDag(d.vertices, closed, dict(d.color))
+    order, bit, rows = d.peel
+    edges = frozenset((u, t) for u in d.vertices for t in order if t != u and rows[u] & bit[t])
+    closed = ColoredDag(d.vertices, edges, dict(d.color))
+    closed.__dict__["peel"] = d.peel  # where cached_property keeps it
+    return closed
 
 
 def random_colored_dag(order: int, rng: random.Random, edge_prob: float = 0.5) -> ColoredDag:
@@ -156,20 +165,14 @@ def random_colored_dag(order: int, rng: random.Random, edge_prob: float = 0.5) -
     perm = ids[:]
     rng.shuffle(perm)
     rank = {v: i for i, v in enumerate(perm)}
-    edges = set()
-    for u in ids:
-        for v in ids:
-            if rank[u] < rank[v] and rng.random() < edge_prob:
-                edges.add((u, v))
+    edges = {(u, v) for u in ids for v in ids if rank[u] < rank[v] and rng.random() < edge_prob}
     color = {v: rng.randint(0, 1) for v in ids}
     return ColoredDag(tuple(ids), frozenset(edges), color)
 
 
 def to_json(d: ColoredDag) -> dict:
-    return {
-        "vertices": [{"id": v, "color": d.color[v]} for v in d.vertices],
-        "edges": [[u, v] for u, v in sorted(d.edges)],
-    }
+    return {"vertices": [{"id": v, "color": d.color[v]} for v in d.vertices],
+            "edges": [[u, v] for u, v in sorted(d.edges)]}
 
 
 def from_json(data) -> ColoredDag:
@@ -184,14 +187,11 @@ def from_json(data) -> ColoredDag:
     if len(set(raw_edges)) != len(raw_edges):
         dup = next(e for e, k in Counter(raw_edges).items() if k > 1)
         raise DuplicateEdgeError(f"duplicate edge {dup}")
-    d = ColoredDag(tuple(vertices), frozenset(raw_edges), color)
-    validate(d)
-    return d
+    return colored_dag(vertices, raw_edges, color)
 
 
 def dot_quote(v: str) -> str:
-    """``v`` inside a double-quoted DOT string: backslash, quote and newline
-    escaped."""
+    """``v`` inside a double-quoted DOT string (backslash, quote, newline escaped)."""
     return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 

@@ -122,14 +122,16 @@ def leaves(expr: GroupExpr) -> tuple[LeafExpr, ...]:
     return (expr,)
 
 
-def has_lamplighter(expr: GroupExpr) -> bool:
-    return any(isinstance(leaf, Lamplighter) for leaf in leaves(expr))
+def has_lamplighter(lvs: tuple[LeafExpr, ...]) -> bool:
+    """Whether a lamplighter is among the leaves ``lvs`` of an expression."""
+    return any(isinstance(leaf, Lamplighter) for leaf in lvs)
 
 
-def predicted_invariants(expr: GroupExpr) -> AbelianInvariants:
-    """Abelianization read off the structural expression (always torsion-free)."""
+def predicted_invariants(lvs: tuple[LeafExpr, ...]) -> AbelianInvariants:
+    """Abelianization read off the leaves ``lvs`` of the structural
+    expression (always torsion-free)."""
     free_rank = 0
-    for leaf in leaves(expr):
+    for leaf in lvs:
         if isinstance(leaf, InfiniteCyclic):
             free_rank += 1
         elif isinstance(leaf, FreeOfRank):
@@ -408,12 +410,17 @@ def _image_payload(leaf: LeafExpr, value, sign: int):
 @dataclass(frozen=True)
 class MarkedQuotient:
     """A quotient with decidable word problem: relators, a structural free
-    product expression, and the image of every ambient generator."""
+    product expression, and the image of every ambient generator.
+
+    ``dead_mask`` has bit i set when x_i evaluates to the identity: its image
+    is ``IdentityImage`` or 0 in a Z leaf.  ``__post_init__`` builds it in the
+    walk that checks the marking, which reads each entry's leaf type once."""
 
     rank: int
     relators: RelatorSet
     expr: GroupExpr
     marking: dict[int, MarkImage]
+    dead_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.relators.rank != self.rank:
@@ -424,37 +431,31 @@ class MarkedQuotient:
         if len(self.marking) != max(self.rank, 0) or set(self.marking) != set(
                 range(1, self.rank + 1)):
             raise QuotientModelError("marking must cover exactly generators 1..rank")
+        mask = 0
         for idx, img in self.marking.items():
             if isinstance(img, IdentityImage):
+                mask |= 1 << idx
                 continue
             if not 0 <= img.leaf < len(lvs):
                 raise QuotientModelError(f"marking of x{idx} uses unknown leaf {img.leaf}")
-            leaf = lvs[img.leaf]
+            leaf, value = lvs[img.leaf], img.value
+            kind = type(leaf)
             # type(...) is int: a bool is an int, and True == 1
-            if isinstance(leaf, InfiniteCyclic) and type(img.value) is not int:
-                raise QuotientModelError(f"x{idx}: Z leaf image must be an integer")
-            if isinstance(leaf, FreeOfRank) and not (
-                type(img.value) is int and 1 <= img.value <= leaf.rank
-            ):
-                raise QuotientModelError(f"x{idx}: free leaf image must be a generator index")
-            if isinstance(leaf, Lamplighter) and img.value not in ("lamp", "shift"):
+            if kind is InfiniteCyclic:
+                if type(value) is not int:
+                    raise QuotientModelError(f"x{idx}: Z leaf image must be an integer")
+                if value == 0:
+                    mask |= 1 << idx
+            elif kind is FreeOfRank:
+                if not (type(value) is int and 1 <= value <= leaf.rank):
+                    raise QuotientModelError(f"x{idx}: free leaf image must be a generator index")
+            elif kind is Lamplighter and value not in ("lamp", "shift"):
                 raise QuotientModelError(f"x{idx}: lamplighter image must be lamp or shift")
+        object.__setattr__(self, "dead_mask", mask)
 
     @cached_property
     def leaf_list(self) -> tuple[LeafExpr, ...]:
         return leaves(self.expr)
-
-    @cached_property
-    def dead_mask(self) -> int:
-        """Bit i set when x_i evaluates to the identity: its image is
-        ``IdentityImage`` or 0 in a Z leaf."""
-        lvs = self.leaf_list
-        mask = 0
-        for idx, img in self.marking.items():
-            if isinstance(img, IdentityImage) or (
-                    isinstance(lvs[img.leaf], InfiniteCyclic) and img.value == 0):
-                mask |= 1 << idx
-        return mask
 
 
 def _push_syllable(syls, lvs, leaf_idx: int, payload) -> None:
@@ -667,23 +668,29 @@ class QuotientWriter:
     """Writes each quotient as ``json.dumps`` with ``indent=2`` and sorted
     keys writes it as a vertex of ``realization.json``: keys indented six
     spaces, the closing brace four. One writer builds the text of each word
-    and marking image, and the marking key order of each rank, once."""
+    and marking image object, and the marking key order of each rank, once.
+
+    Texts are keyed by object identity: ``realize`` and the loader share each
+    word and image among the quotients of one realization, and an identity
+    lookup skips the Python-level dataclass hash.  The table keeps every
+    object it keys, so no id is reused while the writer lives."""
 
     def __init__(self):
-        self._texts: dict[Word | MarkImage, str] = {}
+        self._texts: dict[int, tuple[Word | MarkImage, str]] = {}
         self._keys: dict[int, list[tuple[int, str]]] = {}
 
     def _text(self, x: Word | MarkImage) -> str:
-        t = self._texts.get(x)
-        if t is None:
-            if isinstance(x, Word):
-                t = json_str(format_word(x))
-            elif isinstance(x, IdentityImage):
-                t = '"identity"'
-            else:
-                value = json_str(x.value) if isinstance(x.value, str) else x.value
-                t = f'{{\n          "leaf": {x.leaf},\n          "value": {value}\n        }}'
-            self._texts[x] = t
+        hit = self._texts.get(id(x))
+        if hit is not None:
+            return hit[1]
+        if isinstance(x, Word):
+            t = json_str(format_word(x))
+        elif isinstance(x, IdentityImage):
+            t = '"identity"'
+        else:
+            value = json_str(x.value) if isinstance(x.value, str) else x.value
+            t = f'{{\n          "leaf": {x.leaf},\n          "value": {value}\n        }}'
+        self._texts[id(x)] = x, t
         return t
 
     def text(self, q: MarkedQuotient) -> str:

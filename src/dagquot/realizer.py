@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from . import dag as dagmod, stallings
-from .dag import ColoredDag, removal_order
+from .dag import ColoredDag, removal_order  # re-exported: the one peel, read via ``peel``
 from .quotients import (
     CommutatorScheme,
     FreeOfRank,
@@ -92,12 +92,19 @@ def realize(d: ColoredDag) -> Realization:
     """The vertex of step j kills x1..x_{2j-2}, then carries x_{2j-1} (color 0)
     or the scheme on (x_{2j-1}, x_{2j}) (color 1).  The pair of each later
     step is a new F2 leaf when that step's vertex lies above it, and two more
-    relators otherwise."""
+    relators otherwise.
+
+    The build order and what each vertex reaches are read off the closure's
+    peel.  One call builds each generator, leaf and marking image once, and
+    its quotients share them."""
     closed = dagmod.transitive_closure(d)
-    build = list(reversed(removal_order(closed)))
+    order, bit, rows = closed.peel
+    build = order[::-1]
     rank = 2 * len(build)
     gens = [generator(rank, i) for i in range(1, rank + 1)]  # x_i is gens[i - 1]
-    dead = IdentityImage()
+    dead, z, lamplighter, free = IdentityImage(), InfiniteCyclic(), Lamplighter(), FreeOfRank(2)
+    pairs = [(LeafImage(leaf, 1), LeafImage(leaf, 2)) for leaf in range(len(build))]
+    lamp, shift = LeafImage(0, "lamp"), LeafImage(0, "shift")
 
     quotients: dict[str, MarkedQuotient] = {}
     for j, w in enumerate(build):
@@ -107,18 +114,17 @@ def realize(d: ColoredDag) -> Realization:
         if closed.color[w] == 0:
             finite.append(gens[lo - 1])
             schemes: tuple[CommutatorScheme, ...] = ()
-            parts: list[GroupExpr] = [InfiniteCyclic()]
-            marking[lo], marking[hi] = dead, LeafImage(0, 1)
+            parts: list[GroupExpr] = [z]
+            marking[lo], marking[hi] = dead, pairs[0][0]  # LeafImage(0, 1)
         else:
             schemes = (CommutatorScheme(gens[lo - 1], gens[hi - 1]),)
-            parts = [Lamplighter()]
-            marking[lo], marking[hi] = LeafImage(0, "lamp"), LeafImage(0, "shift")
-        reach_w = d.reach[w]
+            parts = [lamplighter]
+            marking[lo], marking[hi] = lamp, shift
+        above = rows[w]
         for k in range(j + 1, len(build)):
-            if build[k] in reach_w:
-                leaf = len(parts)
-                parts.append(FreeOfRank(2))
-                marking[2 * k + 1], marking[2 * k + 2] = LeafImage(leaf, 1), LeafImage(leaf, 2)
+            if above & bit[build[k]]:
+                marking[2 * k + 1], marking[2 * k + 2] = pairs[len(parts)]
+                parts.append(free)
             else:
                 finite += gens[2 * k : 2 * k + 2]
                 marking[2 * k + 1] = marking[2 * k + 2] = dead

@@ -54,17 +54,21 @@ class SubgroupGraph:
     @cached_property
     def tree_parent(self) -> dict[int, tuple[int, int, int]]:
         """Deterministic BFS tree: each non-base vertex -> its parent and
-        the letter (label, sign) that leads from the parent to it."""
+        the letter (label, sign) that leads from the parent to it.  Each
+        vertex's letters are tried label by label, ``+`` before ``-``; only
+        the letters it has are listed, so the alphabet's size costs nothing."""
+        letters: dict[int, list[tuple[int, int, int]]] = {}
+        for s, g, t in self.edges:
+            letters.setdefault(s, []).append((g, 1, t))
+            letters.setdefault(t, []).append((g, -1, s))
         parent: dict[int, tuple[int, int, int]] = {}
         queue = deque([self.base])
         while queue:
             v = queue.popleft()
-            for lab in range(1, self.rank + 1):
-                for sign in (1, -1):
-                    x = self.step(v, lab, sign)
-                    if x is not None and x != self.base and x not in parent:
-                        parent[x] = (v, lab, sign)
-                        queue.append(x)
+            for lab, sign, x in sorted(letters.get(v, ()), key=lambda e: (e[0], -e[1])):
+                if x != self.base and x not in parent:
+                    parent[x] = (v, lab, sign)
+                    queue.append(x)
         return parent
 
     @cached_property
@@ -84,7 +88,8 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
     sends that label elsewhere, the far ends merge and only the absorbed
     vertex's edges are requeued; the base stays vertex 0.  A queue trims
     non-base vertices of degree < 2, and the core is numbered breadth first
-    (``g``, then ``-g``); a vertex the numbering misses raises, never dropped.
+    (``g``, then ``-g``, over the labels each vertex has, so the rank costs
+    nothing); a vertex the numbering misses raises, never dropped.
 
     ``rng`` only shuffles the fold worklist; the canonical output is the same
     for every schedule (this is what the confluence tests exercise).
@@ -141,11 +146,10 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
 
     names, order = {0: 0}, [0]
     for v in order:
-        for g in range(1, rank + 1):
-            for x in (adj[v].get(g), adj[v].get(-g)):
-                if x is not None and x not in names:
-                    names[x] = len(order)
-                    order.append(x)
+        for lab in sorted(adj[v], key=lambda k: (abs(k), k < 0)):  # g, then -g
+            if (x := adj[v][lab]) not in names:
+                names[x] = len(order)
+                order.append(x)
     edges = frozenset((names[v], g, names[x]) for v in live for g, x in adj[v].items() if g > 0)
     return SubgroupGraph(rank, len(order), edges)
 

@@ -58,8 +58,8 @@ keyed by their records; a witness is keyed by ``_witness_key``, the plain
 tuple of its provenance, word rank, word letters and image syllables,
 since hashing and comparing a ``WitnessEvidence`` makes three
 Python-level dataclass calls per pair.  It chooses inclusion or
-separation from each source's ``reach`` set, read once per source, so the
-only ``leq`` per ordered pair is the certifier's own.
+separation from each source's reachability row in ``r.dag.peel``, read once
+per source, so the only ``leq`` per ordered pair is the certifier's own.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def certify_distinctness(r: Realization, u: str, v: str, bound: int = 5) -> Cert
 
 def _color_facts(r: Realization, v: str) -> ColorFacts:
     q = r.assignment[v]
-    return ColorFacts(r.dag.color[v], not q.relators.schemes, not has_lamplighter(q.expr),
+    return ColorFacts(r.dag.color[v], not q.relators.schemes, not has_lamplighter(q.leaf_list),
                       JUSTIFICATION_COLOR)
 
 
@@ -468,13 +468,14 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
 
     # (u, v) -> the subject text of its separation entry, then what run returned
     separations: dict[tuple[str, str], tuple[str, str, str, str]] = {}
+    _, bit, rows = r.dag.peel
     for u in ids:
-        above = r.dag.reach.get(u, ())
+        above = rows[u]
         for v in ids:
             if u == v:
                 continue
             subject = f"{quoted[u]},{quoted[v]}"
-            if v in above:
+            if above & bit[v]:
                 run("inclusion", subject, certify_inclusion, u, v, bound)
             elif cited := run("separation", subject, certify_separation, u, v, bound):
                 separations[u, v] = subject, *cited
@@ -496,7 +497,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     for v in ids:
         q = r.assignment[v]
         computed = abelianization(q.rank, q.relators)
-        predicted = predicted_invariants(q.expr)
+        predicted = predicted_invariants(q.leaf_list)
         if computed == predicted:
             rep.add("abelianization", quoted[v], "pass", str(computed))
         else:

@@ -111,6 +111,28 @@ class TestRealizeCommand:
             report = json.loads((out / "report.json").read_text())
             assert report["counts"]["inconclusive"] == 0
 
+    def test_one_peel_per_command(self, tmp_path, monkeypatch):
+        # the input DAG is peeled once; its closure, and the closure that
+        # verify_all's realize(r.dag) builds, take that peel over
+        d = dagmod.random_colored_dag(12, random.Random(12), 0.3)
+        inp, out = tmp_path / "dag.json", tmp_path / "out"
+        write_json(inp, dagmod.to_json(d))
+        peels = []
+        peel = dagmod.removal_order
+
+        def counted(d):
+            peels.append(d)
+            return peel(d)
+
+        monkeypatch.setattr(dagmod, "removal_order", counted)
+        monkeypatch.setattr(realizer, "removal_order", counted)
+        assert main(["realize", "--input", str(inp), "--out", str(out)]) == 0
+        assert len(peels) == 1
+        peels.clear()
+        assert main(["verify", "--input", str(out / "realization.json"),
+                     "--out", str(tmp_path / "checked")]) == 0
+        assert len(peels) == 1
+
 
 class TestRealizationBytes:
     # sha256 of realization.json as `dagquot realize` writes it for

@@ -187,6 +187,52 @@ class TestReachabilityAgainstBfs:
         with pytest.raises(UnknownVertexError):
             leq(d, "a", "z")
 
+    def test_seeded_digraphs_cyclic_and_with_outside_endpoints(self):
+        # odd cases carry a forced cycle and are never validated; every
+        # fifth case has an edge in and out of "z", which is no vertex and
+        # has a color only in every tenth case
+        rng = random.Random(18)
+        for case in range(3000):
+            order = rng.randint(1, 9)
+            ids = [str(i) for i in range(1, order + 1)]
+            if case % 2:
+                edges = {(u, v) for u in ids for v in ids if u != v and rng.random() < 0.2}
+                if order > 1:
+                    a, b = rng.sample(ids, 2)
+                    edges |= {(a, b), (b, a)}
+            else:
+                edges = set(random_colored_dag(order, rng, rng.random()).edges)
+            color = dict.fromkeys(ids, 0)
+            if case % 5 == 0:
+                edges |= {(rng.choice(ids), "z"), ("z", rng.choice(ids))}
+                if case % 10 == 0:
+                    color["z"] = 1
+            d = ColoredDag(tuple(ids), frozenset(edges), color)
+            for u in color:
+                reach = bfs_reach(d.edges, u)
+                for v in color:
+                    assert leq(d, u, v) == (u == v or v in reach), (case, u, v)
+
+    @pytest.mark.parametrize("order", [20, 50, 80])
+    def test_closures_of_random_dags(self, order):
+        rng = random.Random(order)
+        for edge_prob in (0.05, 0.3, 0.7):
+            d = random_colored_dag(order, rng, edge_prob)
+            succ = {}
+            for u, v in d.edges:
+                succ.setdefault(u, []).append(v)
+            closed = transitive_closure(d)
+            for u in d.vertices:
+                seen, stack = set(), [u]
+                while stack:
+                    for t in succ.get(stack.pop(), ()):
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+                for v in d.vertices:
+                    assert leq(closed, u, v) == leq(d, u, v) == (u == v or v in seen), (u, v)
+            assert transitive_closure(closed).edges == closed.edges
+
     def test_successors_returns_a_fresh_list(self):
         d = chain3()
         d.successors("1").pop()

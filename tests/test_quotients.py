@@ -277,8 +277,8 @@ class TestFreeProduct:
     def test_leaves_and_lamplighter_flag(self):
         e = free_product([InfiniteCyclic(), Lamplighter(), FreeOfRank(3)])
         assert leaves(e) == (InfiniteCyclic(), Lamplighter(), FreeOfRank(3))
-        assert has_lamplighter(e)
-        assert not has_lamplighter(free_product([InfiniteCyclic()]))
+        assert has_lamplighter(leaves(e))
+        assert not has_lamplighter(leaves(free_product([InfiniteCyclic()])))
 
     def test_json_round_trip(self):
         e = free_product([InfiniteCyclic(), Lamplighter(), FreeOfRank(2)])
@@ -396,6 +396,37 @@ class TestSoundness:
                 1, RelatorSet(1, ()), Lamplighter(), {1: LeafImage(0, "blue")}
             )
 
+    # leaves: 0 is Z, 1 is F2, 2 is Z wr Z; x4 dies
+    GOOD_MARKING = {1: LeafImage(0, 1), 2: LeafImage(1, 2), 3: LeafImage(2, "lamp"),
+                    4: IdentityImage()}
+
+    @pytest.mark.parametrize("bad,reverse,message", [
+        ({2: LeafImage(3, 1)}, False, "marking of x2 uses unknown leaf 3"),
+        ({3: LeafImage(-1, "lamp")}, False, "marking of x3 uses unknown leaf -1"),
+        ({1: LeafImage(0, True)}, False, "x1: Z leaf image must be an integer"),
+        ({1: LeafImage(0, "lamp")}, False, "x1: Z leaf image must be an integer"),
+        ({2: LeafImage(1, True)}, False, "x2: free leaf image must be a generator index"),
+        ({2: LeafImage(1, 3)}, False, "x2: free leaf image must be a generator index"),
+        ({2: LeafImage(1, 0)}, False, "x2: free leaf image must be a generator index"),
+        ({3: LeafImage(2, "blue")}, False, "x3: lamplighter image must be lamp or shift"),
+        ({3: LeafImage(2, 1)}, False, "x3: lamplighter image must be lamp or shift"),
+        # two bad entries: the first in marking order is named
+        ({1: LeafImage(0, True), 3: LeafImage(5, 1)}, False,
+         "x1: Z leaf image must be an integer"),
+        ({1: LeafImage(0, True), 3: LeafImage(5, 1)}, True, "marking of x3 uses unknown leaf 5"),
+        ({2: LeafImage(1, 9), 3: LeafImage(2, 0)}, True,
+         "x3: lamplighter image must be lamp or shift"),
+    ])
+    def test_marking_messages(self, bad, reverse, message):
+        marking = {**self.GOOD_MARKING, **bad}
+        if reverse:
+            marking = dict(reversed(marking.items()))
+        expr = FreeProduct((InfiniteCyclic(), FreeOfRank(2), Lamplighter()))
+        with pytest.raises(QuotientModelError) as err:
+            MarkedQuotient(4, RelatorSet(4, ()), expr, marking)
+        assert str(err.value) == message
+        assert MarkedQuotient(4, RelatorSet(4, ()), expr, self.GOOD_MARKING).dead_mask == 1 << 4
+
 
 def smith_invariants(rank, rows):
     """Invariants read off the Smith normal form of every exponent vector."""
@@ -437,12 +468,12 @@ class TestAbelianization:
             assert abelianization(rank, RelatorSet(rank, finite)) == smith_invariants(rank, rows)
 
     def test_predictions_from_structure(self):
-        assert predicted_invariants(InfiniteCyclic()) == AbelianInvariants(1, ())
-        assert predicted_invariants(FreeOfRank(3)) == AbelianInvariants(3, ())
-        assert predicted_invariants(Lamplighter()) == AbelianInvariants(2, ())
+        assert predicted_invariants(leaves(InfiniteCyclic())) == AbelianInvariants(1, ())
+        assert predicted_invariants(leaves(FreeOfRank(3))) == AbelianInvariants(3, ())
+        assert predicted_invariants(leaves(Lamplighter())) == AbelianInvariants(2, ())
         e = free_product([InfiniteCyclic(), FreeOfRank(2), Lamplighter()])
-        assert predicted_invariants(e) == AbelianInvariants(5, ())
-        assert predicted_invariants(TrivialGroup()) == AbelianInvariants(0, ())
+        assert predicted_invariants(leaves(e)) == AbelianInvariants(5, ())
+        assert predicted_invariants(leaves(TrivialGroup())) == AbelianInvariants(0, ())
 
 
 class TestSerialization:

@@ -453,6 +453,28 @@ class TestRealizationReader:
         assert not {id(w) for q in first.assignment.values() for w in q.relators.finite_part} & {
             id(w) for q in second.assignment.values() for w in q.relators.finite_part}
 
+    def test_parts_shared_within_one_realize_only(self):
+        # one realize call builds each (leaf, value) image and the F2 leaf
+        # once; a second call of the same DAG builds its own
+        d = random_colored_dag(8, random.Random(8), 0.5)
+        first, second = realize(d), realize(d)
+
+        def parts(r):
+            images = [img for q in r.assignment.values() for img in q.marking.values()
+                      if isinstance(img, LeafImage)]
+            frees = [leaf for q in r.assignment.values() for leaf in q.leaf_list
+                     if isinstance(leaf, FreeOfRank)]
+            return images, frees
+
+        images, frees = parts(first)
+        shared = {}
+        for img in images:
+            assert shared.setdefault((img.leaf, img.value), img) is img
+        assert len(shared) < len(images)
+        assert len(frees) > 1 and len({id(f) for f in frees}) == 1
+        assert not {id(x) for x in sum(parts(first), [])} & {
+            id(x) for x in sum(parts(second), [])}
+
     def test_one_text_under_two_ranks(self):
         words = {}
         low = relators_from_json({"rank": 2, "finite": ["x1 x2"]}, words)

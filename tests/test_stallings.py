@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -119,6 +120,18 @@ class TestBuild:
         assert build_subgroup_graph(gens) == expected
         for k in range(5):
             assert build_subgroup_graph(gens, rng=random.Random(k)) == expected
+
+    def test_cost_does_not_scale_with_rank(self):
+        # the numbering and the tree walk the labels each vertex has, not
+        # every generator of the alphabet
+        rank = 10**7
+        start = time.perf_counter()
+        g = build_subgroup_graph([parse_word("x1", rank), parse_word("x2", rank)], rank)
+        assert g.tree_parent == {}
+        b = basis(g)
+        assert time.perf_counter() - start < 0.5
+        assert g.num_vertices == 1 and g.edges == frozenset({(0, 1, 0), (0, 2, 0)})
+        assert [x.letters for x in b] == [((1, 1),), ((2, 1),)]
 
 
 class TestMembership:
