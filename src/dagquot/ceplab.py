@@ -20,7 +20,11 @@ representative per conjugacy class.  It is complete because every subgroup
 is generated by its elements of prime-power order, and because the subgroups
 found always form whole conjugacy classes: a join <K, z> with K = U^a is
 <U, z^(a^-1)>^a, in the class of a join made from the representative U.
-Every other subgroup's lattice is read off the whole one.  Normality is
+A representative U is joined with one zuppo per orbit under conjugation by
+U, and by the group when U is normal: <U, x^u> = <U, x> for u in U, and
+<U, x^a> = <U, x>^a is in the class of <U, x>.  The skipped joins would find
+only known subgroups, so the order of discovery is unchanged.  Every other
+subgroup's lattice is read off the whole one, up to its order.  Normality is
 checked by conjugating generators by generators only.  A normal closure in a
 subgroup whose normal subgroups are listed already is the first of them that
 contains the seed (exact: they are closed under intersection and listed by
@@ -41,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import stallings
@@ -240,22 +245,24 @@ def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozense
 def all_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
     """Every subgroup of the given subgroup, ordered by size, then by sorted
     elements.  Once the whole group's lattice is known, any other ambient's
-    lattice is read off it by filtering."""
+    lattice is read off it, testing only the runs of subgroups whose order
+    divides ambient's (Lagrange)."""
     cache = g._subgroups
     if ambient not in cache:
         whole = cache.get(frozenset(range(g.order)))
         if whole is None:
             cache[ambient] = _lattice(g, ambient)
         else:
-            cache[ambient] = [sub for sub in whole if sub <= ambient]
+            size = len(ambient)
+            runs = [(bisect_left(whole, d, key=len), bisect_right(whole, d, key=len))
+                    for d in range(1, size + 1) if size % d == 0]
+            cache[ambient] = [sub for lo, hi in runs for sub in whole[lo:hi] if sub <= ambient]
     return cache[ambient]
 
 
 def _is_prime_power(n: int) -> bool:
     p = next(p for p in range(2, n + 1) if n % p == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p ** n.bit_length() % n == 0  # n divides a power of p
 
 
 def _lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
@@ -272,25 +279,42 @@ def _lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
     with zuppo elements.  If L is on that chain and found, L = U^a for the
     representative U of its class and some a in ambient, and
     <L, z> = <U, z^(a^-1)>^a, where z^(a^-1) generates a zuppo joined with
-    U; its class, which holds <L, z>, was added whole."""
+    U; its class, which holds <L, z>, was added whole.
+
+    One join per orbit of zuppos: of the zuppos conjugate to <x> by U, U is
+    joined with <x> only, since <U, x^u> = <U, x> for u in U; when U is
+    normal, the same holds of the zuppos conjugate by ambient, since
+    <U, x^a> = <U, x>^a is found with the class of <U, x>.  A skipped join
+    would only find a known subgroup, so what is found, in what order and
+    from which generators is as if every zuppo were joined."""
     table = g.table
-    conjugations = []  # for each generator x of ambient, a -> x^-1 a x
-    for x in _generating_set(g, ambient):
-        row_inv = table[g.inv(x)]
-        conjugations.append(tuple(table[row_inv[a]][x] for a in range(g.order)))
+    # conjugation by x is a -> table[row[a]][x], where row is the row of x^-1
+    by = [(table[g.inv(x)], x) for x in _generating_set(g, ambient)]
+    conjugations = [tuple(table[row[a]][x] for a in range(g.order)) for row, x in by]
     zuppos: dict[frozenset[int], int] = {}
+    zuppo_of: dict[int, int] = {}  # element of prime-power order -> its zuppo's generator
     for x in sorted(ambient):
-        cyclic = _generate(g, (x,))[1]
-        if len(cyclic) > 1 and _is_prime_power(len(cyclic)):
-            zuppos.setdefault(cyclic, x)
+        powers = [x]
+        while powers[-1]:
+            powers.append(table[powers[-1]][x])
+        if len(powers) > 1 and _is_prime_power(len(powers)):
+            zuppo_of[x] = zuppos.setdefault(frozenset(powers), x)
     trivial = frozenset({0})
     found = {trivial: ()}
     representatives = [trivial]
     for current in representatives:  # grows while iterating
         gens = found[current]
+        normal = all(conj[u] in current for conj in conjugations for u in gens)
+        acting = by if normal else [(table[g.inv(u)], u) for u in gens]
+        joined: set[int] = set()  # the zuppos of the orbits joined with current
         for x in zuppos.values():
-            if x in current:
+            if x in current or x in joined:
                 continue
+            orbit = [x]
+            for y in orbit:  # grows while iterating
+                if y not in joined:
+                    joined.add(y)
+                    orbit += [zuppo_of[table[row[y]][a]] for row, a in acting]
             bigger = _join(g, current, gens, x)
             if bigger in found:
                 continue
@@ -318,10 +342,11 @@ def normal_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[fro
     generators of ambient lie in it."""
     normals = g._normal_subgroups.get(ambient)
     if normals is None:
-        by = _generating_set(g, ambient)
+        table = g.table
+        by = [(table[g.inv(x)], x) for x in _generating_set(g, ambient)]
         normals = g._normal_subgroups[ambient] = [
             sub for sub in all_subgroups_within(g, ambient)
-            if all(g.conj(a, x) in sub for a in _generating_set(g, sub) for x in by)
+            if all(table[row[a]][x] in sub for a in _generating_set(g, sub) for row, x in by)
         ]
     return normals
 
@@ -414,30 +439,30 @@ Perm = tuple[int, ...]
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation(text: str, degree: int) -> Perm:
-    """Cycle notation, 1-based: '(1 2 3)(4 5)' or '()' for the identity."""
+def _read_cycles(text: str, degree: int) -> dict[int, int]:
+    """Cycle notation, 1-based, checked against degree, read as a map from
+    each 0-based point a cycle names to its image."""
     text = text.strip()
-    perm = list(range(degree))
-    if text in ("()", "", "e"):
-        return tuple(perm)
-    if _CYCLE_RE.sub("", text).strip():
+    if text != "e" and _CYCLE_RE.sub("", text).strip():  # '', '()' and 'e' name no point
         raise GroupTableError(f"cannot parse permutation {text!r}")
-    moved: set[int] = set()
+    image: dict[int, int] = {}
     for cycle in _CYCLE_RE.findall(text):
         try:
             entries = [int(tok) - 1 for tok in cycle.replace(",", " ").split()]
         except ValueError as exc:
             raise GroupTableError(f"bad cycle ({cycle}): {exc}") from exc
-        if not entries:
-            continue
-        if any(not 0 <= e < degree for e in entries) or moved & set(entries):
+        if any(not 0 <= e < degree for e in entries) or image.keys() & entries:
             raise GroupTableError(f"bad cycle ({cycle}) for degree {degree}")
         if len(set(entries)) != len(entries):
             raise GroupTableError(f"repeated point in cycle ({cycle})")
-        moved |= set(entries)
-        for i, src in enumerate(entries):
-            perm[src] = entries[(i + 1) % len(entries)]
-    return tuple(perm)
+        image.update(zip(entries, entries[1:] + entries[:1]))
+    return image
+
+
+def parse_permutation(text: str, degree: int) -> Perm:
+    """Cycle notation, 1-based: '(1 2 3)(4 5)' or '()' for the identity."""
+    image = _read_cycles(text, degree)
+    return tuple(image.get(a, a) for a in range(degree))
 
 
 def permutation_name(p: Perm) -> str:
@@ -463,9 +488,13 @@ def group_from_permutations(degree: int, gen_texts) -> tuple[FiniteGroup, list[P
     breadth-first order from the identity.  Each element b other than the
     identity is found as c * q for an earlier c and a generator q, so
     column b of the table is column c followed by right multiplication by
-    q, a map the search has already recorded: (a * c) * q = a * b."""
-    gens = [parse_permutation(t, degree) for t in gen_texts]
-    ident = tuple(range(degree))
+    q, a map the search has already recorded: (a * c) * q = a * b.  Points
+    past the last one a cycle names are fixed by every element and never
+    named, so they are left out: a claimed degree costs nothing."""
+    images = [_read_cycles(t, degree) for t in gen_texts]
+    points = 1 + max((a for image in images for a in image), default=-1)
+    gens = [tuple(image.get(a, a) for a in range(points)) for image in images]
+    ident = tuple(range(points))
     elems: list[Perm] = [ident]
     index = {ident: 0}
     found_as: list[tuple[int, int]] = []  # elems[b] = elems[c] * gens[k] as (c, k)

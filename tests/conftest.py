@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,76 @@ def reference_lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset
                 found[bigger] = (*gens, x)
                 worklist.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _is_prime_power(n: int) -> bool:
+    p = next(p for p in range(2, n + 1) if n % p == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def reference_generating_sets(g: FiniteGroup) -> dict[frozenset[int], tuple[int, ...]]:
+    """The generating sets ``all_subgroups`` records on a fresh group, in
+    the order it records them, by cyclic extension over zuppos one class at
+    a time with every join made: the whole group's greedy generating set
+    first, then each class representative joined with the least generator
+    of every zuppo it does not contain, a new subgroup bringing in its whole
+    class by conjugation with the whole group's generators."""
+    by: list[int] = []
+    reached = frozenset({0})
+    for x in range(g.order):
+        if x not in reached:
+            by.append(x)
+            reached = reference_closure(g, by)
+    conjugations = [tuple(g.conj(a, x) for a in range(g.order)) for x in by]
+    zuppos: dict[frozenset[int], int] = {}
+    for x in range(g.order):
+        cyclic = reference_closure(g, (x,))
+        if len(cyclic) > 1 and _is_prime_power(len(cyclic)):
+            zuppos.setdefault(cyclic, x)
+    trivial = frozenset({0})
+    found = {trivial: ()}
+    representatives = [trivial]
+    for current in representatives:  # grows while iterating
+        gens = found[current]
+        for x in zuppos.values():
+            if x in current:
+                continue
+            bigger = reference_closure(g, (*gens, x))
+            if bigger in found:
+                continue
+            found[bigger] = (*gens, x)
+            representatives.append(bigger)
+            conjugates = [bigger]
+            for sub in conjugates:  # grows while iterating
+                for conj in conjugations:
+                    image = frozenset(conj[a] for a in sub)
+                    if image not in found:
+                        found[image] = tuple(conj[a] for a in found[sub])
+                        conjugates.append(image)
+    sets = {reached: tuple(by)}
+    for sub, gens in found.items():
+        sets.setdefault(sub, gens)
+    return sets
+
+
+# the two permutation groups the cep_scan benchmark loads from files
+RELABELLED_GENERATORS = {"s4xc2": (6, ("(1 2 3 4)", "(1 2)", "(5 6)")),
+                         "a5": (5, ("(1 2 3)", "(1 2 3 4 5)"))}
+
+
+def relabelled_generators(name: str, seed: int) -> tuple[int, list[str]]:
+    """The degree and generators of the permutation group ``name`` with its
+    points renamed by a seeded permutation and its generators shuffled, as
+    the benchmark builds them."""
+    degree, gens = RELABELLED_GENERATORS[name]
+    rng = random.Random(seed)
+    points = list(range(1, degree + 1))
+    sigma = dict(zip(points, rng.sample(points, degree)))
+    renamed = [re.sub(r"\d+", lambda m: str(sigma[int(m.group())]), text) for text in gens]
+    rng.shuffle(renamed)
+    return degree, renamed
 
 
 def a3_in_s3() -> tuple[FiniteGroup, Subgroup]:

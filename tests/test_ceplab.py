@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import re
 
 import pytest
 
@@ -10,7 +9,9 @@ from conftest import (
     check_certificate,
     normal_closure_finite,
     reference_closure,
+    reference_generating_sets,
     reference_lattice,
+    relabelled_generators,
 )
 from dagquot import ceplab
 from dagquot.ceplab import (
@@ -328,14 +329,7 @@ class TestSubgroups:
 def relabelled(name: str, seed: int) -> FiniteGroup:
     """The permutation group ``name`` with its points renamed by a seeded
     permutation and its generators shuffled, as the benchmark builds it."""
-    degree, gens = {"s4xc2": (6, ("(1 2 3 4)", "(1 2)", "(5 6)")),
-                    "a5": (5, ("(1 2 3)", "(1 2 3 4 5)"))}[name]
-    rng = random.Random(seed)
-    points = list(range(1, degree + 1))
-    sigma = dict(zip(points, rng.sample(points, degree)))
-    renamed = [re.sub(r"\d+", lambda m: str(sigma[int(m.group())]), text) for text in gens]
-    rng.shuffle(renamed)
-    return group_from_permutations(degree, renamed)[0]
+    return group_from_permutations(*relabelled_generators(name, seed))[0]
 
 
 class TestReferenceLattice:
@@ -362,6 +356,43 @@ class TestReferenceLattice:
         for k in all_subgroups(g):
             if k != whole:
                 assert all_subgroups_within(fresh_copy(g), k) == reference_lattice(g, k)
+
+
+def s6() -> FiniteGroup:
+    return group_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])[0]
+
+
+class TestDiscoveryOrder:
+    """``all_subgroups`` records the same generating sets, in the same order,
+    as the reference that makes every join of a class representative with a
+    zuppo: the joins it skips would only have found known subgroups."""
+
+    def assert_reference_order(self, g):
+        all_subgroups(g)
+        assert list(g._generating_sets.items()) == list(reference_generating_sets(g).items())
+
+    @pytest.mark.parametrize("name", [*builtin_names(), "s6"])
+    def test_every_builtin_and_s6(self, name):
+        self.assert_reference_order(s6() if name == "s6" else builtin_group(name))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["s4xc2", "a5"])
+    def test_relabelled_points(self, name, seed):
+        self.assert_reference_order(relabelled(name, seed))
+
+    @pytest.mark.parametrize("name,joins", [("s4xc2", 358), ("s5", 252), ("s6", 2537)])
+    def test_join_count(self, name, joins, monkeypatch):
+        g = s6() if name == "s6" else builtin_group(name)
+        calls = []
+        join = ceplab._join
+
+        def counted(*args):
+            calls.append(1)
+            return join(*args)
+
+        monkeypatch.setattr(ceplab, "_join", counted)
+        all_subgroups(g)
+        assert len(calls) == joins
 
 
 class TestNormalClosure:

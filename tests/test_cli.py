@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_certificate_to_json
+from conftest import reference_certificate_to_json, relabelled_generators
 from dagquot import ceplab, dag as dagmod, quotients, realizer, snf
 from dagquot.cli import build_parser, main
 from dagquot.realizer import realize
@@ -819,6 +819,48 @@ class TestCepCommand:
 
     def test_every_builtin_scan_is_pinned(self):
         assert set(self.SCAN_SHA256) == set(ceplab.builtin_names())
+
+    # sha256 of cep.json without "group", re-encoded as cep.json, for the
+    # permutation files the cep_scan benchmark loads with seed 0
+    INPUT_SCAN_SHA256 = {
+        "a5": "e26991cba59f99bfbe04388ebafb6e54cd37824a1da50096ea0337baf64ac768",
+        "s4xc2": "31142a00e1f027f6321e3874e00fb3d6528354509d58a2655ac2a50005a765e4",
+    }
+
+    @staticmethod
+    def scan_input(tmp_path, group, out) -> dict:
+        inp = tmp_path / f"{out}.json"
+        write_json(inp, group)
+        assert main(["cep", "--input", str(inp), "--scan", "--out", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "cep.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(INPUT_SCAN_SHA256))
+    def test_input_scan_bytes_pinned(self, tmp_path, capsys, name):
+        degree, gens = relabelled_generators(name, 0)
+        result = self.scan_input(tmp_path, {"degree": degree, "generators": gens}, name)
+        del result["group"]
+        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.INPUT_SCAN_SHA256[name]
+
+    def test_claimed_degree_costs_nothing(self, tmp_path, capsys):
+        # points no generator moves are left out of the group's permutations
+        small = self.scan_input(tmp_path, {"degree": 2, "generators": ["(1 2)"]}, "small")
+        tracemalloc.start()
+        try:
+            big = self.scan_input(tmp_path, {"degree": 10**9, "generators": ["(1 2)"]}, "big")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert {**big, "group": None} == {**small, "group": None}
+
+    def test_point_beyond_claimed_degree(self, tmp_path, capsys):
+        inp = tmp_path / "g.json"
+        write_json(inp, {"degree": 10**9, "generators": ["(1 2)", f"(1 {10**9 + 1})"]})
+        assert main(["cep", "--input", str(inp), "--scan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad cycle (1 {10**9 + 1}) for degree {10**9}\n"
 
     @pytest.mark.parametrize("argv,sha256", [
         (["--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)", "--max-s", "1"],
