@@ -24,7 +24,7 @@ A representative U is joined with one zuppo per orbit under conjugation by
 U, and by the group when U is normal: <U, x^u> = <U, x> for u in U, and
 <U, x^a> = <U, x>^a is in the class of <U, x>.  The skipped joins would find
 only known subgroups, so the order of discovery is unchanged.  Every other
-subgroup's lattice is read off the whole one, up to its order.  Normality is
+subgroup's lattice is read off the whole one.  Normality is
 checked by conjugating generators by generators only.  A normal closure in a
 subgroup whose normal subgroups are listed already is the first of them that
 contains the seed (exact: they are closed under intersection and listed by
@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import stallings
@@ -245,24 +244,22 @@ def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozense
 def all_subgroups_within(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
     """Every subgroup of the given subgroup, ordered by size, then by sorted
     elements.  Once the whole group's lattice is known, any other ambient's
-    lattice is read off it, testing only the runs of subgroups whose order
-    divides ambient's (Lagrange)."""
+    lattice is read off it by filtering."""
     cache = g._subgroups
     if ambient not in cache:
         whole = cache.get(frozenset(range(g.order)))
         if whole is None:
             cache[ambient] = _lattice(g, ambient)
         else:
-            size = len(ambient)
-            runs = [(bisect_left(whole, d, key=len), bisect_right(whole, d, key=len))
-                    for d in range(1, size + 1) if size % d == 0]
-            cache[ambient] = [sub for lo, hi in runs for sub in whole[lo:hi] if sub <= ambient]
+            cache[ambient] = [sub for sub in whole if sub <= ambient]
     return cache[ambient]
 
 
 def _is_prime_power(n: int) -> bool:
     p = next(p for p in range(2, n + 1) if n % p == 0)
-    return p ** n.bit_length() % n == 0  # n divides a power of p
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def _lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset[int]]:
@@ -483,7 +480,7 @@ def permutation_name(p: Perm) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def group_from_permutations(degree: int, gen_texts) -> tuple[FiniteGroup, list[Perm]]:
+def group_from_permutations(degree: int, gen_texts) -> FiniteGroup:
     """The group generated by the permutations, elements numbered in
     breadth-first order from the identity.  Each element b other than the
     identity is found as c * q for an earlier c and a generator q, so
@@ -514,7 +511,7 @@ def group_from_permutations(degree: int, gen_texts) -> tuple[FiniteGroup, list[P
         columns.append(tuple(map(right[k].__getitem__, columns[c])))
     table = tuple(zip(*columns))
     names = tuple(permutation_name(p) for p in elems)
-    return FiniteGroup(len(elems), table, names), elems
+    return FiniteGroup(len(elems), table, names)
 
 
 _Q8_MUL = {
@@ -561,7 +558,7 @@ def builtin_group(name: str) -> FiniteGroup:
     name = name.lower()
     if name in BUILTIN_GENERATORS:
         degree, gens = BUILTIN_GENERATORS[name]
-        return group_from_permutations(degree, gens)[0]
+        return group_from_permutations(degree, gens)
     if name == "q8":
         return _quaternion_group()
     if name == "c2xc2":
@@ -616,7 +613,7 @@ def group_from_json(data) -> FiniteGroup:
         if degree < 1:
             raise GroupTableError("group field 'degree' must be a positive integer")
         gens = json_field(data, "generators", list, "group", item=str)
-        return group_from_permutations(degree, gens)[0]
+        return group_from_permutations(degree, gens)
     raise GroupTableError("group JSON needs either a table or permutation generators")
 
 

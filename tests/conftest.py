@@ -10,6 +10,7 @@ from dagquot import dag as dagmod
 from dagquot.ceplab import (
     FiniteGroup,
     Subgroup,
+    _is_prime_power,
     builtin_group,
     normal_closure_in,
     subgroup_from_generator_names,
@@ -193,13 +194,6 @@ def reference_lattice(g: FiniteGroup, ambient: frozenset[int]) -> list[frozenset
                 found[bigger] = (*gens, x)
                 worklist.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def _is_prime_power(n: int) -> bool:
-    p = next(p for p in range(2, n + 1) if n % p == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def reference_generating_sets(g: FiniteGroup) -> dict[frozenset[int], tuple[int, ...]]:

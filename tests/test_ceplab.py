@@ -196,7 +196,7 @@ class TestAssociativity:
                 points = list(range(1, degree + 1))
                 rng.shuffle(points)
                 gens.append("(" + " ".join(map(str, points)) + ")")
-            g, _ = group_from_permutations(degree, gens)
+            g = group_from_permutations(degree, gens)
             g.validate()
             if g.order <= 24:
                 assert brute_force_associative(g.table)
@@ -226,6 +226,10 @@ def forbid_conjugation_search(monkeypatch):
 
 def fresh_copy(g):
     return FiniteGroup(g.order, g.table, g.names)
+
+
+def s6() -> FiniteGroup:
+    return group_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])
 
 
 class TestSubgroups:
@@ -264,10 +268,7 @@ class TestSubgroups:
     @pytest.mark.parametrize("name,count", [("s5", 156), ("a5", 59), ("s4xc2", 98),
                                             ("s6", 1455)])
     def test_classical_subgroup_counts(self, name, count):
-        if name == "s6":
-            g, _ = group_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])
-        else:
-            g = builtin_group(name)
+        g = s6() if name == "s6" else builtin_group(name)
         assert len(all_subgroups(g)) == count
 
     @pytest.mark.parametrize("name", ["s3", "c2xc2", "d4", "q8", "a4", "s4", "s4xc2", "a5", "s5"])
@@ -329,7 +330,7 @@ class TestSubgroups:
 def relabelled(name: str, seed: int) -> FiniteGroup:
     """The permutation group ``name`` with its points renamed by a seeded
     permutation and its generators shuffled, as the benchmark builds it."""
-    return group_from_permutations(*relabelled_generators(name, seed))[0]
+    return group_from_permutations(*relabelled_generators(name, seed))
 
 
 class TestReferenceLattice:
@@ -356,10 +357,6 @@ class TestReferenceLattice:
         for k in all_subgroups(g):
             if k != whole:
                 assert all_subgroups_within(fresh_copy(g), k) == reference_lattice(g, k)
-
-
-def s6() -> FiniteGroup:
-    return group_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])[0]
 
 
 class TestDiscoveryOrder:
