@@ -456,12 +456,6 @@ def _read_cycles(text: str, degree: int) -> dict[int, int]:
     return image
 
 
-def parse_permutation(text: str, degree: int) -> Perm:
-    """Cycle notation, 1-based: '(1 2 3)(4 5)' or '()' for the identity."""
-    image = _read_cycles(text, degree)
-    return tuple(image.get(a, a) for a in range(degree))
-
-
 def permutation_name(p: Perm) -> str:
     seen = set()
     cycles = []

@@ -528,19 +528,25 @@ def surviving_relators(rel: RelatorSet, q: MarkedQuotient,
                        if not eval_word(q, w).is_identity]
 
 
+def generator_survivor(rel: RelatorSet, q: MarkedQuotient) -> Labelled | None:
+    """The relator ``first_survivor`` tries alone, with its label: the lowest
+    generator of ``rel`` not dead in ``q``.  ``None`` when ``rel`` has no
+    generator mask or ``q`` kills every generator in it."""
+    alive = 0 if rel.generator_mask is None else rel.generator_mask & ~q.dead_mask
+    if not alive:
+        return None
+    k = rel.generator_position[(alive & -alive).bit_length() - 1]
+    return f"finite[{k}]", rel.finite_part[k]
+
+
 def first_survivor(rel: RelatorSet, q: MarkedQuotient,
                    bound: int) -> tuple[str, Word, NormalForm] | None:
     """The first relator of ``rel.by_length(bound)`` that survives in ``q``,
-    with its label and image. With a generator mask that is the lowest
-    generator of ``rel`` not dead in ``q``; scheme members are searched only
-    when there is none."""
-    alive = 0 if rel.generator_mask is None else rel.generator_mask & ~q.dead_mask
-    if alive:
-        k = rel.generator_position[(alive & -alive).bit_length() - 1]
-        candidates: tuple[Labelled, ...] = ((f"finite[{k}]", rel.finite_part[k]),)
-    else:
-        candidates = rel.by_length(bound)
-    for label, w in candidates:
+    with its label and image. With a generator mask that is
+    ``generator_survivor``; scheme members are searched only when there is
+    none."""
+    lone = generator_survivor(rel, q)
+    for label, w in rel.by_length(bound) if lone is None else (lone,):
         nf = eval_word(q, w)
         if not nf.is_identity:
             return label, w, nf

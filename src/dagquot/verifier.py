@@ -75,6 +75,7 @@ from .quotients import (
     abelianization,
     eval_word,
     first_survivor,
+    generator_survivor,
     has_lamplighter,
     json_field,
     json_str,
@@ -206,15 +207,28 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
     )
 
 
-def certify_separation(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
+def certify_separation(r: Realization, u: str, v: str, bound: int = 5,
+                       images: dict[tuple, NormalForm] | None = None) -> Certificate:
     """The first relator of ``u`` in ``by_length`` order that survives in
-    ``v``, as ``first_survivor`` finds it."""
+    ``v``, as ``first_survivor`` finds it.
+
+    ``images``, shared by calls on one realization, maps (target, word
+    rank, word letters) to the image ``first_survivor`` found: a witness
+    that ``generator_survivor`` names is searched for once per target."""
     if leq(r.dag, u, v):
         raise NotComparableError(f"path {u} -> {v} exists; nothing to separate")
-    survivor = first_survivor(r.assignment[u].relators, r.assignment[v], bound)
-    if survivor is None:
-        raise WitnessNotFoundError(bound)
-    provenance, w, nf = survivor
+    rel, q = r.assignment[u].relators, r.assignment[v]
+    images = {} if images is None else images
+    lone = generator_survivor(rel, q)
+    if lone is not None and (nf := images.get((v, lone[1].rank, lone[1].letters))) is not None:
+        provenance, w = lone
+    else:
+        survivor = first_survivor(rel, q, bound)
+        if survivor is None:
+            raise WitnessNotFoundError(bound)
+        provenance, w, nf = survivor
+        if lone is not None:
+            images[v, w.rank, w.letters] = nf
     return Certificate(
         kind="separation",
         subject=(u, v),
@@ -260,9 +274,14 @@ def certify_color(r: Realization, v: str) -> Certificate:
 
 
 def check_certificate_detailed(
-    r: Realization | None, c: Certificate
+    r: Realization | None, c: Certificate, images: dict[tuple, NormalForm] | None = None
 ) -> tuple[bool, list[str]]:
-    """Re-run every piece of evidence from scratch; list all mismatches."""
+    """Re-run every piece of evidence from scratch; list all mismatches.
+
+    A separation's provenance, identity test and image comparison are
+    re-derived per certificate.  Its witness image comes from ``images``,
+    the checker's own table by (target, word rank, word letters), so checks
+    of one realization sharing it evaluate each word once per target."""
     problems: list[str] = []
 
     for t in c.traces:
@@ -274,7 +293,7 @@ def check_certificate_detailed(
             problems.append(f"trace {t.label}: {exc}")
 
     try:
-        _check_kind_specific(r, c, problems)
+        _check_kind_specific(r, c, problems, {} if images is None else images)
     except Exception as exc:  # malformed subject/evidence counts as a failure
         problems.append(f"certificate is malformed: {exc}")
 
@@ -289,7 +308,8 @@ def check_certificate_detailed(
     return not problems, problems
 
 
-def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str]) -> None:
+def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str],
+                         images: dict[tuple, NormalForm]) -> None:
     if c.kind not in ("inclusion", "separation", "color"):
         if c.kind != "cep-counterexample":  # its traces and word facts are all its evidence
             problems.append(f"unknown certificate kind {c.kind!r}")
@@ -324,7 +344,11 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
                     f"witness provenance {c.witness.provenance!r} does not "
                     f"match the relators of {u}"
                 )
-            nf = eval_word(r.assignment[v], c.witness.word)
+            w = c.witness.word
+            key = (v, w.rank, w.letters)
+            nf = images.get(key)
+            if nf is None:
+                nf = images[key] = eval_word(r.assignment[v], w)
             if nf.is_identity:
                 problems.append("witness image is trivial in the target quotient")
             if nf != c.witness.image:
@@ -435,13 +459,22 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     Each entry is encoded as soon as it is checked and its certificate is
     dropped.  A distinctness entry carries the separation certificate it
     cites with a note added; notes are not evidence, so it takes the
-    witness text, status and detail of that separation's entry."""
+    witness text, status and detail of that separation's entry.
+
+    Each separation gets its own certificate, and its check re-derives the
+    witness's provenance label, tests the image for the identity and
+    compares it with the stored image, pair by pair.  The image of a witness
+    word in a target is evaluated once per call in each role: the search
+    fills ``certified`` and the check fills ``checked``, and neither table
+    outlives the call or is read by the other role."""
     start = time.perf_counter()
     ids = sorted(r.assignment)
     rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
     quoted = {v: json_str(v) for v in ids}
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
     witnesses: dict[tuple, str] = {}  # _witness_key -> witness text
+    certified: dict[tuple, NormalForm] = {}  # witness images, one table per role
+    checked: dict[tuple, NormalForm] = {}
 
     def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
         """Add the entry of ``certify(r, *args)``; for a checked certificate,
@@ -454,7 +487,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
         except (TraceFailedError, StructureMismatchError) as exc:
             rep.add(check, subject, "fail", str(exc))
             return None
-        ok, problems = check_certificate_detailed(r, cert)
+        ok, problems = check_certificate_detailed(r, cert, checked)
         status, detail = "pass" if ok else "fail", "; ".join(problems)
         coverage = _memo(coverages, cert.scheme_coverage, cert.scheme_coverage, _coverage_text)
         color = "" if cert.color_facts is None else _color_text(cert.color_facts)
@@ -477,7 +510,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             subject = f"{quoted[u]},{quoted[v]}"
             if above & bit[v]:
                 run("inclusion", subject, certify_inclusion, u, v, bound)
-            elif cited := run("separation", subject, certify_separation, u, v, bound):
+            elif cited := run("separation", subject, certify_separation, u, v, bound, certified):
                 separations[u, v] = subject, *cited
     no_witness = str(WitnessNotFoundError(bound))
     for i, u in enumerate(ids):

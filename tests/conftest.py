@@ -1,8 +1,10 @@
+import importlib.util
 import itertools
 import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from dagquot.ceplab import (
     FiniteGroup,
     Subgroup,
     _is_prime_power,
+    _read_cycles,
     builtin_group,
     normal_closure_in,
     subgroup_from_generator_names,
@@ -43,6 +46,16 @@ from dagquot.words import (
     generator,
     reduce as reduce_word,
 )
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def load_bench_inputs():
+    """The benchmark's seeded input generators, loaded without changing them."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_raw_letters(rng: random.Random, rank: int, length: int):
@@ -257,6 +270,13 @@ def relabelled_generators(name: str, seed: int) -> tuple[int, list[str]]:
     renamed = [re.sub(r"\d+", lambda m: str(sigma[int(m.group())]), text) for text in gens]
     rng.shuffle(renamed)
     return degree, renamed
+
+
+def parse_permutation(text: str, degree: int) -> tuple[int, ...]:
+    """Cycle notation, 1-based, as the ``degree``-long tuple of images:
+    '(1 2 3)(4 5)' or '()' for the identity."""
+    image = _read_cycles(text, degree)
+    return tuple(image.get(a, a) for a in range(degree))
 
 
 def a3_in_s3() -> tuple[FiniteGroup, Subgroup]:

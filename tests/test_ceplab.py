@@ -8,6 +8,7 @@ from conftest import (
     a3_in_s3,
     check_certificate,
     normal_closure_finite,
+    parse_permutation,
     reference_closure,
     reference_generating_sets,
     reference_lattice,
@@ -32,7 +33,6 @@ from dagquot.ceplab import (
     is_cep_pair,
     normal_closure_in,
     normal_subgroups_within,
-    parse_permutation,
     permutation_name,
     subgroup_from_generator_names,
     subgroup_generated,

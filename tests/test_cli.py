@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -12,22 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_certificate_to_json, relabelled_generators
+from conftest import load_bench_inputs, reference_certificate_to_json, relabelled_generators
 from dagquot import ceplab, dag as dagmod, quotients, realizer, snf
 from dagquot.cli import build_parser, main
 from dagquot.realizer import realize
 from dagquot.verifier import report_to_json, report_to_text, verify_all
 
-BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def load_bench_inputs():
-    """The benchmark's seeded input generators, loaded without changing them."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def write_json(path, data):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,11 @@ from conftest import (
     check_certificate,
     compact_json,
     enumerate_colored_dags,
+    load_bench_inputs,
     reference_certificate_to_json,
     reference_report_to_json,
 )
-from dagquot import dag as dag_module, verifier
+from dagquot import dag as dag_module, quotients, realizer, verifier
 from dagquot.ceplab import free_counterexample_demo
 from dagquot.dag import (
     colored_dag,
@@ -334,6 +336,39 @@ class TestDistinctnessFromSeparation:
         assert entries["separation", ("w", "u")].status == "pass"
         assert not report.verdict
 
+    def test_a_wrong_certified_image_fails_every_separation_into_its_target(
+            self, monkeypatch):
+        # t has three sources, and the separation search into t returns a
+        # wrong image: the check evaluates each witness itself, so every
+        # separation into t fails, and so does every distinctness entry
+        # citing one, while the separations into other targets pass
+        r = realize(colored_dag(["a", "b", "c", "t"], [("a", "b")],
+                                {"a": 0, "b": 1, "c": 0, "t": 0}))
+        real = verifier.first_survivor
+
+        def wrong_image_into_t(relators, q, bound):
+            found = real(relators, q, bound)
+            if found is not None and q is r.assignment["t"]:
+                provenance, word, _ = found
+                return provenance, word, NormalForm()
+            return found
+
+        monkeypatch.setattr(verifier, "first_survivor", wrong_image_into_t)
+        report = verify_all(r)
+        detail = "stored witness normal form does not re-derive"
+        into_t = Counter()
+        for e in report.entries:
+            if e.check not in ("separation", "distinctness"):
+                continue
+            if e.certificate.subject[1] == "t":
+                into_t[e.check] += 1
+                assert (e.status, e.detail) == ("fail", detail), (e.check, e.subject)
+            else:
+                assert e.status == "pass", (e.check, e.subject)
+        assert into_t == {"separation": 3, "distinctness": 3}
+        assert report.count("separation", "pass") == 8
+        assert not report.verdict
+
 
 def test_verify_all_keeps_no_certificates():
     r = realize(random_colored_dag(12, random.Random(12), 0.3))
@@ -346,6 +381,50 @@ def test_verify_all_keeps_no_certificates():
     report = verify_all(r)
     assert live_certificates() <= before
     assert report.verdict and report.count("separation") > 0
+
+
+def test_witness_evaluated_once_per_target_per_role(monkeypatch):
+    # verify_sparse pool DAG 0, loaded as test_pool_dag_report_pinned loads
+    # it: certify_separation and the check of a separation certificate each
+    # evaluate a witness at most once per target and witness word
+    inputs = load_bench_inputs()
+    dag = inputs.pool_dag("verify_sparse", 0, 0.05)
+    r = realization_from_json(json.loads(inputs.realization_text(dag_module, realizer, dag)))
+    role = [None]
+    evals = Counter()
+    real_eval = quotients.eval_word
+
+    def counted_eval(q, word):
+        evals[role[0]] += 1
+        return real_eval(q, word)
+
+    def in_role(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, role[0] = role[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                role[0] = outer
+        return wrapped
+
+    check = verifier.check_certificate_detailed
+    check_separation = in_role("check", check)
+
+    def role_of_check(r, c, *args, **kwargs):
+        return (check_separation if c.kind == "separation" else check)(r, c, *args, **kwargs)
+
+    monkeypatch.setattr(quotients, "eval_word", counted_eval)
+    monkeypatch.setattr(verifier, "eval_word", counted_eval)
+    monkeypatch.setattr(verifier, "certify_separation",
+                        in_role("certify", verifier.certify_separation))
+    monkeypatch.setattr(verifier, "check_certificate_detailed", role_of_check)
+    report = verify_all(r, 5)
+    monkeypatch.undo()
+    separations = [e for e in report.entries if e.check == "separation"]
+    distinct = {(e.subject[1], e.certificate.witness.word) for e in separations}
+    assert report.verdict and len(separations) > 10 * len(distinct)
+    assert 0 < evals["certify"] <= len(distinct)
+    assert 0 < evals["check"] <= len(distinct)
 
 
 class TestColor:
