@@ -21,9 +21,10 @@ hold these facts as bits, so the finite part of an inclusion is one test,
 ``gens_u & ~dead_v == 0``, and the first survivor is the lowest set bit of
 ``gens_u & ~dead_v``: the relator the shortest-first search over
 ``by_length`` finds.  An "exact" scheme is dead for every member, so it
-replaces the member probes; only "probed" schemes evaluate members up to the
-bound.  A relator set with any other finite relator, and a set with a
-survivor, take the evaluation path, which names every survivor.
+replaces the member probes, and a one-letter scheme word on a dead generator
+is trivial by that bit; only "probed" schemes evaluate members up to the
+bound.  Any other finite relator, or a survivor, takes the evaluation path,
+which names every survivor.
 """
 
 from __future__ import annotations
@@ -208,6 +209,10 @@ _SCHEME_LABEL = re.compile(r"scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]"
 
 @dataclass(frozen=True)
 class RelatorSet:
+    """``generator_mask`` has bit i set when x_i is a finite relator (``None``
+    unless each is one positive generator); ``generator_position`` maps i to
+    the first k with ``finite_part[k]`` in x_i, x_i^-1.  One checking walk builds both."""
+
     rank: int
     finite_part: tuple[Word, ...]
     schemes: tuple[CommutatorScheme, ...] = ()
@@ -215,16 +220,27 @@ class RelatorSet:
         default_factory=dict, init=False, repr=False, compare=False)
     _by_length: dict[int, tuple[Labelled, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    generator_mask: int | None = field(init=False, repr=False, compare=False)
+    generator_position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for w in self.finite_part:
+        mask, position = 0, {}
+        for k, w in enumerate(self.finite_part):
             if w.rank != self.rank:
                 raise RankMismatchError(f"relator rank {w.rank} != {self.rank}")
             if w.is_identity:
                 raise QuotientModelError("finite relators must be nontrivial")
+            if len(w.letters) != 1:
+                mask = None
+                continue
+            (i, sign), = w.letters
+            position.setdefault(i, k)
+            mask = None if mask is None or sign != 1 else mask | 1 << i
         for s in self.schemes:
             if s.rank != self.rank:
                 raise RankMismatchError(f"scheme rank {s.rank} != {self.rank}")
+        object.__setattr__(self, "generator_mask", mask)
+        object.__setattr__(self, "generator_position", position)
 
     def labelled(self, bound: int) -> tuple[Labelled, ...]:
         """Every finite relator, then per scheme its members 1..bound;
@@ -267,27 +283,6 @@ class RelatorSet:
         if int(si) < len(self.schemes) and int(j) <= bound:
             return self.schemes[int(si)].member(int(j))
         return None
-
-    @cached_property
-    def generator_mask(self) -> int | None:
-        """Bit i set when x_i is a finite relator; ``None`` when some finite
-        relator is not a single positive generator."""
-        mask = 0
-        for w in self.finite_part:
-            if len(w.letters) != 1 or w.letters[0][1] != 1:
-                return None
-            mask |= 1 << w.letters[0][0]
-        return mask
-
-    @cached_property
-    def generator_position(self) -> dict[int, int]:
-        """The first k with ``finite_part[k]`` equal to ``x_i`` or
-        ``x_i^-1``, per generator index i of a single-letter finite relator."""
-        out: dict[int, int] = {}
-        for k, w in enumerate(self.finite_part):
-            if len(w.letters) == 1:
-                out.setdefault(w.letters[0][0], k)
-        return out
 
 
 # (text, rank) -> the parsed word; one table per load shares each word
@@ -486,11 +481,18 @@ def eval_word(q: MarkedQuotient, w: Word) -> NormalForm:
 
 def scheme_exactness(q: MarkedQuotient, scheme: CommutatorScheme) -> tuple[str, str]:
     """Decide whether all scheme members die in q at once: ("exact", reason)
-    when a structural reason kills every member, else ("probed", ...)."""
+    when a structural reason kills every member, else ("probed", ...).
+    A one-letter word on a generator in ``q.dead_mask`` is trivial without evaluation."""
+    dead = q.dead_mask if scheme.a.rank == q.rank else 0
+    a, t = scheme.a.letters, scheme.t.letters
+    if len(a) == 1 and dead >> a[0][0] & 1:
+        return "exact", "a-image-trivial"
     img_a = eval_word(q, scheme.a)
-    img_t = eval_word(q, scheme.t)
     if img_a.is_identity:
         return "exact", "a-image-trivial"
+    if len(t) == 1 and dead >> t[0][0] & 1:
+        return "exact", "t-image-trivial"
+    img_t = eval_word(q, scheme.t)
     if img_t.is_identity:
         return "exact", "t-image-trivial"
     if (
@@ -513,17 +515,22 @@ def surviving_relators(rel: RelatorSet, q: MarkedQuotient,
     in that order.
 
     When every finite relator is a single generator, they all die exactly
-    when none is outside ``q.dead_mask``; an exact scheme is not evaluated,
-    and a probed one is evaluated up to the bound. Only a survivor, or a
-    relator set without a generator mask, takes the labelled loop."""
-    exactness = tuple(scheme_exactness(q, s) for s in rel.schemes)
+    when none is outside ``q.dead_mask``: a scheme-free set is then answered
+    by that one test, an exact scheme is not evaluated, and a probed one is
+    evaluated up to the bound. Only a survivor, or a relator set without a
+    generator mask, takes the labelled loop."""
     mask = rel.generator_mask
-    if mask is not None and not mask & ~q.dead_mask and all(
-        coverage == "exact"
-        or all(eval_word(q, s.member(i)).is_identity for i in range(1, bound + 1))
-        for s, (coverage, _) in zip(rel.schemes, exactness)
-    ):
-        return exactness, []
+    dead = mask is not None and not mask & ~q.dead_mask
+    if dead and not rel.schemes:
+        return (), []
+    exactness = tuple([scheme_exactness(q, s) for s in rel.schemes])
+    if dead:
+        for s, (coverage, _) in zip(rel.schemes, exactness):
+            if coverage != "exact" and not all(
+                    eval_word(q, s.member(i)).is_identity for i in range(1, bound + 1)):
+                break
+        else:
+            return exactness, []
     return exactness, [label for label, w in rel.labelled(bound)
                        if not eval_word(q, w).is_identity]
 

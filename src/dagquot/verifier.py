@@ -203,7 +203,7 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
         kind="inclusion",
         subject=(u, v),
         bound=bound,
-        scheme_coverage=tuple(SchemeCoverage(si, *e) for si, e in enumerate(exactness)),
+        scheme_coverage=tuple([SchemeCoverage(si, *e) for si, e in enumerate(exactness)]),
     )
 
 
@@ -321,8 +321,9 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
         exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], c.bound)
         for label in survivors:
             problems.append(f"relator {label} of {u} survives in quotient of {v}")
-        covered = {sc.scheme_index for sc in c.scheme_coverage}
-        if covered != set(range(len(exactness))):
+        # both empty, as for every scheme-free source, match without a set
+        if (c.scheme_coverage or exactness) and {
+                sc.scheme_index for sc in c.scheme_coverage} != set(range(len(exactness))):
             problems.append("scheme coverage tags do not match the scheme list")
         for sc in c.scheme_coverage:
             if sc.coverage == "exact" and exactness[sc.scheme_index] != ("exact", sc.reason):
@@ -388,6 +389,7 @@ class Report:
         self.verdict, self.elapsed, self.bound = verdict, elapsed, bound
         self.texts: list[str] = []
         self.tally: Counter[tuple[str, str]] = Counter()
+        self._tails: dict[tuple[str, str, str], str] = {}  # text between certificate and subject
         for e in entries:
             cert = "null" if e.certificate is None else _encode(e.certificate)
             self.add(e.check, _strings(e.subject), e.status, e.detail, cert)
@@ -397,9 +399,10 @@ class Report:
         """Append an entry: ``subject`` is the text inside its JSON array,
         ``certificate`` its JSON text."""
         self.tally[check, status] += 1
-        self.texts.append(f'{{"certificate":{certificate},"check":{json_str(check)},'
-                          f'"detail":{json_str(detail)},"status":{json_str(status)},'
-                          f'"subject":[{subject}]}}')
+        tail = self._tails.get((check, status, detail)) or self._tails.setdefault(
+            (check, status, detail), f',"check":{json_str(check)},"detail":{json_str(detail)},'
+            f'"status":{json_str(status)},"subject":[')
+        self.texts.append(f'{{"certificate":{certificate}{tail}{subject}]}}')
 
     @property
     def entries(self) -> list[ReportEntry]:

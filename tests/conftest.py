@@ -21,6 +21,7 @@ from dagquot.ceplab import (
 from dagquot.dag import ColoredDag, CycleFoundError, DagError, validate
 from dagquot.quotients import (
     LAMP_IDENTITY,
+    CommutatorScheme,
     FreeOfRank,
     GroupExpr,
     IdentityImage,
@@ -29,6 +30,7 @@ from dagquot.quotients import (
     Lamplighter,
     MarkedQuotient,
     NormalForm,
+    QuotientModelError,
     RelatorSet,
     TrivialGroup,
     _lamps_from_dict,
@@ -309,6 +311,113 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
         conj.insert(0, core[-1])
         core = core[1:-1]
     return Word(w.rank, tuple(core)), Word(w.rank, tuple(conj))
+
+
+# ---------------------------------------------------------------------------
+# reference quotient facts, by evaluation and by walks of their own: these
+# share only data types with ``dagquot.quotients``
+
+
+def _reference_leaf_mul(leaf, p1, p2):
+    if isinstance(leaf, InfiniteCyclic):
+        return p1 + p2
+    if isinstance(leaf, FreeOfRank):
+        out = list(p1)
+        for idx, sign in p2:
+            if out and out[-1] == (idx, -sign):
+                out.pop()
+            else:
+                out.append((idx, sign))
+        return tuple(out)
+    (s1, f1), (s2, f2) = p1, p2
+    lamps = dict(f1)
+    for pos, val in f2:
+        lamps[pos + s1] = lamps.get(pos + s1, 0) + val
+    return s1 + s2, tuple(sorted((p, v) for p, v in lamps.items() if v))
+
+
+_REFERENCE_LEAF_IDENTITY = {InfiniteCyclic: 0, FreeOfRank: (), Lamplighter: (0, ())}
+
+
+def reference_eval(q: MarkedQuotient, w: Word) -> NormalForm:
+    """The free-product normal form of the image of ``w`` in ``q``, merged
+    syllable by syllable with leaf-local arithmetic."""
+    if w.rank != q.rank:
+        raise RankMismatchError(f"word rank {w.rank} != quotient rank {q.rank}")
+    lvs = q.leaf_list
+    syls: list[tuple[int, object]] = []
+    for idx, sign in w.letters:
+        img = q.marking[idx]
+        if isinstance(img, IdentityImage):
+            continue
+        leaf = lvs[img.leaf]
+        if isinstance(leaf, InfiniteCyclic):
+            payload = img.value * sign
+        elif isinstance(leaf, FreeOfRank):
+            payload = ((img.value, sign),)
+        else:
+            payload = (0, ((0, sign),)) if img.value == "lamp" else (sign, ())
+        if syls and syls[-1][0] == img.leaf:
+            payload = _reference_leaf_mul(leaf, syls.pop()[1], payload)
+        if payload != _REFERENCE_LEAF_IDENTITY[type(leaf)]:
+            syls.append((img.leaf, payload))
+    return NormalForm(tuple(syls))
+
+
+def reference_scheme_exactness(q: MarkedQuotient, scheme: CommutatorScheme) -> tuple[str, str]:
+    """``scheme_exactness`` by evaluation alone: both images first, then
+    the structural tests in their order."""
+    img_a = reference_eval(q, scheme.a)
+    img_t = reference_eval(q, scheme.t)
+    if img_a.is_identity:
+        return "exact", "a-image-trivial"
+    if img_t.is_identity:
+        return "exact", "t-image-trivial"
+    if (
+        len(img_a) == 1
+        and len(img_t) == 1
+        and img_a.syllables[0][0] == img_t.syllables[0][0]
+        and isinstance(q.leaf_list[img_a.syllables[0][0]], Lamplighter)
+        and img_a.syllables[0][1][0] == 0
+    ):
+        return "exact", "abelian-base-zero-shift"
+    return "probed", "members checked for i <= bound only"
+
+
+def reference_generator_mask(rel: RelatorSet) -> int | None:
+    """Bit i set when x_i is a finite relator; ``None`` when some finite
+    relator is not a single positive generator."""
+    mask = 0
+    for w in rel.finite_part:
+        if len(w.letters) != 1 or w.letters[0][1] != 1:
+            return None
+        mask |= 1 << w.letters[0][0]
+    return mask
+
+
+def reference_generator_position(rel: RelatorSet) -> dict[int, int]:
+    """The first k with ``finite_part[k]`` equal to ``x_i`` or ``x_i^-1``,
+    per generator index i of a single-letter finite relator."""
+    out: dict[int, int] = {}
+    for k, w in enumerate(rel.finite_part):
+        if len(w.letters) == 1:
+            out.setdefault(w.letters[0][0], k)
+    return out
+
+
+def reference_relator_set_error(rank: int, finite_part, schemes=()) -> tuple[type, str] | None:
+    """The type and message of the error ``RelatorSet(rank, finite_part,
+    schemes)`` raises: per finite relator its rank, then that it is not the
+    identity, then each scheme's rank; ``None`` when the set is valid."""
+    for w in finite_part:
+        if w.rank != rank:
+            return RankMismatchError, f"relator rank {w.rank} != {rank}"
+        if w.is_identity:
+            return QuotientModelError, "finite relators must be nontrivial"
+    for s in schemes:
+        if s.rank != rank:
+            return RankMismatchError, f"scheme rank {s.rank} != {rank}"
+    return None
 
 
 # ---------------------------------------------------------------------------

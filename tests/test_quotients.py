@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,9 +10,14 @@ from conftest import (
     lamplighter_eval,
     nf_mul,
     random_word,
+    reference_eval,
     reference_expr_to_json,
+    reference_generator_mask,
+    reference_generator_position,
     reference_quotient_to_json,
+    reference_relator_set_error,
     reference_relators_to_json,
+    reference_scheme_exactness,
 )
 from dagquot.quotients import (
     CommutatorScheme,
@@ -44,6 +51,7 @@ from dagquot.quotients import (
 )
 from dagquot.snf import AbelianInvariants, smith_normal_form
 from dagquot.words import (
+    RankMismatchError,
     Word,
     commutator,
     conjugate,
@@ -426,6 +434,154 @@ class TestSoundness:
             MarkedQuotient(4, RelatorSet(4, ()), expr, marking)
         assert str(err.value) == message
         assert MarkedQuotient(4, RelatorSet(4, ()), expr, self.GOOD_MARKING).dead_mask == 1 << 4
+
+
+def random_marked_quotient(rng: random.Random, rank: int) -> MarkedQuotient:
+    """A quotient on up to three leaves of every kind; each generator goes
+    to the identity, to any value of a Z leaf (0 included), to a free
+    generator, or to the lamp or the shift."""
+    lvs = [rng.choice((InfiniteCyclic(), FreeOfRank(rng.randint(1, 3)), Lamplighter()))
+           for _ in range(rng.randint(0, 3))]
+    marking = {}
+    for i in range(1, rank + 1):
+        if not lvs or rng.random() < 0.3:
+            marking[i] = IdentityImage()
+            continue
+        k = rng.randrange(len(lvs))
+        if isinstance(lvs[k], InfiniteCyclic):
+            marking[i] = LeafImage(k, rng.randint(-2, 2))
+        elif isinstance(lvs[k], FreeOfRank):
+            marking[i] = LeafImage(k, rng.randint(1, lvs[k].rank))
+        else:
+            marking[i] = LeafImage(k, rng.choice(("lamp", "shift")))
+    return MarkedQuotient(rank, RelatorSet(rank, ()), free_product(lvs), marking)
+
+
+def scheme_words(rng: random.Random, q: MarkedQuotient) -> list[Word]:
+    """Every generator and its inverse, random words, and words over the
+    generators ``q`` kills."""
+    rank = q.rank
+    words = [Word(rank, ((i, s),)) for i in range(1, rank + 1) for s in (1, -1)]
+    words += [random_word(rng, rank, 6) for _ in range(6)]
+    dead = [i for i in range(1, rank + 1) if q.dead_mask >> i & 1]
+    if dead:
+        words += [multiply(generator(rank, rng.choice(dead)), power(generator(rank, i), -1))
+                  for i in dead]
+    return [x for x in words if not x.is_identity]
+
+
+def dead_letter(q: MarkedQuotient, x: Word) -> int:
+    """The sign of ``x`` when it is one letter on a generator ``q`` kills, else 0."""
+    return x.letters[0][1] if len(x) == 1 and q.dead_mask >> x.letters[0][0] & 1 else 0
+
+
+class TestSchemeExactnessShortcut:
+    """``scheme_exactness`` reads a single-letter scheme word's image off
+    ``dead_mask``; it must tag every scheme as evaluation does."""
+
+    def test_matches_evaluation(self):
+        seen = Counter()
+        for seed in range(30):
+            rng = random.Random(seed)
+            q = random_marked_quotient(rng, rng.randint(1, 5))
+            words = scheme_words(rng, q)
+            for x in words:
+                assert reference_eval(q, x) == eval_word(q, x)
+            for a in words:
+                for t in words:
+                    scheme = CommutatorScheme(a, t)
+                    tag = scheme_exactness(q, scheme)
+                    assert tag == reference_scheme_exactness(q, scheme), (seed, a, t)
+                    seen[tag[1], dead_letter(q, a), dead_letter(q, t)] += 1
+        assert {reason for reason, _, _ in seen} == {
+            "a-image-trivial", "t-image-trivial", "abelian-base-zero-shift",
+            "members checked for i <= bound only"}
+        # each shortcut on a generator of either sign, and each trivial
+        # image the shortcut does not see
+        for key in [("a-image-trivial", sign, 0) for sign in (1, -1)] + [
+                ("t-image-trivial", 0, sign) for sign in (1, -1)] + [
+                ("a-image-trivial", 0, 0), ("t-image-trivial", 0, 0)]:
+            assert seen[key], key
+
+    def test_rank_mismatch_still_raises(self):
+        q = MarkedQuotient(2, RelatorSet(2, ()), InfiniteCyclic(),
+                           {1: IdentityImage(), 2: LeafImage(0, 1)})
+        for a, t in (("x1", "x2"), ("x2", "x1"), ("x1^-1", "x3")):
+            scheme = CommutatorScheme(w(a, 3), w(t, 3))
+            with pytest.raises(RankMismatchError):
+                reference_scheme_exactness(q, scheme)
+            with pytest.raises(RankMismatchError):
+                scheme_exactness(q, scheme)
+
+
+class TestFusedMasks:
+    """``RelatorSet`` builds its generator mask and positions in the walk
+    that checks its finite relators."""
+
+    @staticmethod
+    def random_finite_part(rng: random.Random, rank: int) -> list[Word]:
+        out: list[Word] = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if out and kind < 0.2:
+                out.append(rng.choice(out))  # a repeat
+            elif kind < 0.7:
+                out.append(Word(rank, ((rng.randint(1, rank), rng.choice((1, -1, 1))),)))
+            else:
+                x = random_word(rng, rank, 4)
+                if not x.is_identity:
+                    out.append(x)
+        return out
+
+    @staticmethod
+    def raised(rank, finite, schemes=()):
+        try:
+            RelatorSet(rank, tuple(finite), tuple(schemes))
+        except (RankMismatchError, QuotientModelError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_masks_match_their_definitions(self):
+        kinds = Counter()
+        for seed in range(200):
+            rng = random.Random(seed)
+            rank = rng.randint(1, 5)
+            rel = RelatorSet(rank, tuple(self.random_finite_part(rng, rank)))
+            assert rel.generator_mask == reference_generator_mask(rel)
+            assert rel.generator_position == reference_generator_position(rel)
+            finite = rel.finite_part
+            kinds["empty"] += not finite
+            kinds["inverse"] += any(x.letters[0][1] == -1 for x in finite if len(x) == 1)
+            kinds["long"] += any(len(x) > 1 for x in finite)
+            kinds["repeat"] += len(set(finite)) < len(finite)
+        assert min(kinds.values()) > 10, kinds
+
+    def test_errors_match_their_definition(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            rank = rng.randint(1, 5)
+            finite = self.random_finite_part(rng, rank)
+            bad_words = [Word(rank + 1, ((1, 1),)), Word(rank, ()), Word(rank + 1, ())]
+            for bad in rng.sample(bad_words, rng.randint(0, 2)):
+                finite.insert(rng.randint(0, len(finite)), bad)
+            schemes = [CommutatorScheme(generator(r, 1), generator(r, 1))
+                       for r in rng.sample([rank, rank + 2], rng.randint(0, 2))]
+            assert self.raised(rank, finite, schemes) == reference_relator_set_error(
+                rank, finite, schemes)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_bad_word_is_named(self, reverse):
+        pair = [Word(3, ((1, 1),)), Word(4, ())]
+        finite = [w("x1"), *(reversed(pair) if reverse else pair), w("x2 x3")]
+        expected = reference_relator_set_error(4, finite)
+        assert expected == ((QuotientModelError, "finite relators must be nontrivial") if reverse
+                            else (RankMismatchError, "relator rank 3 != 4"))
+        assert self.raised(4, finite) == expected
+
+    def test_rank_is_checked_before_identity(self):
+        finite = [w("x1"), Word(3, ())]
+        assert reference_relator_set_error(4, finite) == (RankMismatchError, "relator rank 3 != 4")
+        assert self.raised(4, finite) == reference_relator_set_error(4, finite)
 
 
 def smith_invariants(rank, rows):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import random
 import re
@@ -1127,6 +1128,31 @@ class TestReportText:
             self.assert_same_bytes(report)
         details = [e.detail for e in report.entries if e.status == "fail"]
         assert any(ids[0] in t and ids[1] in t for t in details)
+
+    # sha256 of the report texts below, each without elapsed_seconds, joined
+    # by newlines; taken before ``Report.add`` memoized its constant tail
+    REPORTS_SHA256 = "5db6074c5134f45cac0227f860b0b33dba59d6c422ee3f7a880069c82cf0bcf1"
+
+    def test_order_40_reports_pinned(self):
+        texts = []
+        for edge_prob in (0.05, 0.5):
+            for seed in (0, 1):
+                r = realize(random_colored_dag(40, random.Random(seed), edge_prob))
+                texts += [report_to_text(verify_all(r, bound)) for bound in (1, 5)]
+        # failing entries whose details name many relators, pairs and
+        # vertices: the lowest vertex holds every generator as a relator, so
+        # each inclusion from it names the survivors in its target
+        r = tampered(realize(random_colored_dag(40, random.Random(2), 0.3)), random.Random(2))
+        ids = sorted(r.assignment)
+        low = max(ids, key=lambda u: sum(leq(r.dag, u, v) for v in ids))
+        rank = r.ambient_rank
+        r = replace_quotient(r, low, relators=RelatorSet(rank, tuple(
+            generator(rank, i) for i in range(1, rank + 1)), r.assignment[low].relators.schemes))
+        report = verify_all(r, 5)
+        assert len({e.detail for e in report.entries if e.status == "fail"}) > 20
+        texts.append(report_to_text(report))
+        text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", t) for t in texts)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORTS_SHA256
 
     @pytest.mark.parametrize("elapsed", [0, 0.0, 1e-7, 0.1234567, 3.0, 123456.7891234])
     def test_traces_word_facts_and_elapsed(self, elapsed):
