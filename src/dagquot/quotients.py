@@ -21,9 +21,9 @@ hold these facts as bits, so the finite part of an inclusion is one test,
 ``gens_u & ~dead_v == 0``, and the first survivor is the lowest set bit of
 ``gens_u & ~dead_v``: the relator the shortest-first search over
 ``by_length`` finds.  An "exact" scheme is dead for every member, so it
-replaces the member probes, and a one-letter scheme word on a dead generator
-is trivial by that bit; only "probed" schemes evaluate members up to the
-bound.  Any other finite relator, or a survivor, takes the evaluation path,
+replaces the member probes, and a scheme whose ``a`` is one letter on a dead
+generator is exact by that bit; only "probed" schemes evaluate members up to
+the bound.  Any other finite relator, or a survivor, takes the evaluation path,
 which names every survivor.
 """
 
@@ -209,9 +209,8 @@ _SCHEME_LABEL = re.compile(r"scheme\[(0|[1-9][0-9]*)\]\.member\[([1-9][0-9]*)\]"
 
 @dataclass(frozen=True)
 class RelatorSet:
-    """``generator_mask`` has bit i set when x_i is a finite relator (``None``
-    unless each is one positive generator); ``generator_position`` maps i to
-    the first k with ``finite_part[k]`` in x_i, x_i^-1.  One checking walk builds both."""
+    """``generator_mask``: bit i per finite relator x_i, ``None`` unless each is one positive
+    generator; ``generator_position``: i to the first k with ``finite_part[k]`` in x_i, x_i^-1."""
 
     rank: int
     finite_part: tuple[Word, ...]
@@ -482,16 +481,13 @@ def eval_word(q: MarkedQuotient, w: Word) -> NormalForm:
 def scheme_exactness(q: MarkedQuotient, scheme: CommutatorScheme) -> tuple[str, str]:
     """Decide whether all scheme members die in q at once: ("exact", reason)
     when a structural reason kills every member, else ("probed", ...).
-    A one-letter word on a generator in ``q.dead_mask`` is trivial without evaluation."""
-    dead = q.dead_mask if scheme.a.rank == q.rank else 0
-    a, t = scheme.a.letters, scheme.t.letters
-    if len(a) == 1 and dead >> a[0][0] & 1:
+    A one-letter ``a`` on a generator in ``q.dead_mask`` is trivial without evaluation."""
+    a = scheme.a.letters
+    if len(a) == 1 and scheme.a.rank == q.rank and q.dead_mask >> a[0][0] & 1:
         return "exact", "a-image-trivial"
     img_a = eval_word(q, scheme.a)
     if img_a.is_identity:
         return "exact", "a-image-trivial"
-    if len(t) == 1 and dead >> t[0][0] & 1:
-        return "exact", "t-image-trivial"
     img_t = eval_word(q, scheme.t)
     if img_t.is_identity:
         return "exact", "t-image-trivial"
@@ -523,7 +519,7 @@ def surviving_relators(rel: RelatorSet, q: MarkedQuotient,
     dead = mask is not None and not mask & ~q.dead_mask
     if dead and not rel.schemes:
         return (), []
-    exactness = tuple([scheme_exactness(q, s) for s in rel.schemes])
+    exactness = tuple(scheme_exactness(q, s) for s in rel.schemes)
     if dead:
         for s, (coverage, _) in zip(rel.schemes, exactness):
             if coverage != "exact" and not all(

@@ -203,7 +203,7 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
         kind="inclusion",
         subject=(u, v),
         bound=bound,
-        scheme_coverage=tuple([SchemeCoverage(si, *e) for si, e in enumerate(exactness)]),
+        scheme_coverage=tuple(SchemeCoverage(si, *e) for si, e in enumerate(exactness)),
     )
 
 
@@ -321,7 +321,6 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
         exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], c.bound)
         for label in survivors:
             problems.append(f"relator {label} of {u} survives in quotient of {v}")
-        # both empty, as for every scheme-free source, match without a set
         if (c.scheme_coverage or exactness) and {
                 sc.scheme_index for sc in c.scheme_coverage} != set(range(len(exactness))):
             problems.append("scheme coverage tags do not match the scheme list")
@@ -399,9 +398,8 @@ class Report:
         """Append an entry: ``subject`` is the text inside its JSON array,
         ``certificate`` its JSON text."""
         self.tally[check, status] += 1
-        tail = self._tails.get((check, status, detail)) or self._tails.setdefault(
-            (check, status, detail), f',"check":{json_str(check)},"detail":{json_str(detail)},'
-            f'"status":{json_str(status)},"subject":[')
+        key = check, status, detail
+        tail = _memo(self._tails, key, key, _tail_text)
         self.texts.append(f'{{"certificate":{certificate}{tail}{subject}]}}')
 
     @property
@@ -422,6 +420,12 @@ class Report:
     @property
     def inconclusive(self) -> int:
         return sum(n for (_, s), n in self.tally.items() if s == "inconclusive")
+
+
+def _tail_text(key: tuple[str, str, str]) -> str:
+    check, status, detail = key
+    return (f',"check":{json_str(check)},"detail":{json_str(detail)},'
+            f'"status":{json_str(status)},"subject":[')
 
 
 def _memo(texts: dict, key, evidence, encode) -> str:

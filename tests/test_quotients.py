@@ -476,7 +476,7 @@ def dead_letter(q: MarkedQuotient, x: Word) -> int:
 
 
 class TestSchemeExactnessShortcut:
-    """``scheme_exactness`` reads a single-letter scheme word's image off
+    """``scheme_exactness`` reads a single-letter ``a``'s image off
     ``dead_mask``; it must tag every scheme as evaluation does."""
 
     def test_matches_evaluation(self):
@@ -496,8 +496,8 @@ class TestSchemeExactnessShortcut:
         assert {reason for reason, _, _ in seen} == {
             "a-image-trivial", "t-image-trivial", "abelian-base-zero-shift",
             "members checked for i <= bound only"}
-        # each shortcut on a generator of either sign, and each trivial
-        # image the shortcut does not see
+        # the shortcut on a generator of either sign, a dead one-letter t
+        # (evaluated), and each trivial image the shortcut does not see
         for key in [("a-image-trivial", sign, 0) for sign in (1, -1)] + [
                 ("t-image-trivial", 0, sign) for sign in (1, -1)] + [
                 ("a-image-trivial", 0, 0), ("t-image-trivial", 0, 0)]:
