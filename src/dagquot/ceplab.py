@@ -154,9 +154,6 @@ class Subgroup:
             raise GroupTableError(f"elements are not a subgroup: they generate "
                                   f"{len(generated)} elements, not {len(self.elements)}")
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
     return Subgroup(g, _generate(g, gens)[1])
@@ -229,11 +226,12 @@ def normal_closure_in(g: FiniteGroup, ambient: frozenset[int], seed) -> frozense
         if normals is not None:
             closure = next(n for n in normals if seed <= n)
         else:
-            by = _generating_set(g, ambient)
+            table = g.table
+            by = [(table[g.inv(x)], x) for x in _generating_set(g, ambient)]
             gens, closure = _generate(g, seed)
             for s in gens:  # grows while iterating
-                for x in by:
-                    c = g.conj(s, x)
+                for row, x in by:
+                    c = table[row[s]][x]
                     if c not in closure:
                         closure = _join(g, closure, gens, c)
                         gens.append(c)

@@ -643,8 +643,7 @@ class LoadTables:
 def marking_from_json(data, tables: LoadTables) -> dict[int, MarkImage]:
     """The marking of one quotient. Each key is checked on its first
     appearance in ``tables`` only, and each distinct image is one object per
-    ``tables``. The image fields are read by type identity, as ``json_field``
-    reads them; ``json_field`` is called only to raise its message."""
+    ``tables``."""
     indices, images = tables.indices, tables.images
     out: dict[int, MarkImage] = {}
     for key, image in data.items():
@@ -656,16 +655,13 @@ def marking_from_json(data, tables: LoadTables) -> dict[int, MarkImage]:
         if image == "identity":
             out[idx] = _IDENTITY_IMAGE
             continue
-        if type(image) is not dict:
-            image = json_field(data, key, dict, "marking")
+        image = json_field(data, key, dict, "marking")
         value = image["value"]
         if type(value) is not int and value not in ("lamp", "shift"):
             raise ValueError(
                 "marking image field 'value' must be a JSON integer, \"lamp\" or "
                 f"\"shift\", not {type(value).__name__}")
-        leaf = image["leaf"]
-        if type(leaf) is not int:
-            leaf = json_field(image, "leaf", int, "marking image")
+        leaf = json_field(image, "leaf", int, "marking image")
         shared = images.get((leaf, value))
         if shared is None:
             shared = images[leaf, value] = LeafImage(leaf, value)

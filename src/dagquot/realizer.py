@@ -192,7 +192,11 @@ class Presentation:
     alphabet_rank: int
     relators: tuple[Word, ...]
     schemes: tuple[CommutatorScheme, ...]
-    finitely_presented_claim: bool
+
+    @property
+    def finitely_presented_claim(self) -> bool:
+        """Finitely presented when no scheme is left, only finite relators."""
+        return not self.schemes
 
     def __str__(self) -> str:
         gens = ", ".join(f"x{i}" for i in range(1, self.alphabet_rank + 1))
@@ -238,7 +242,6 @@ def cep_transfer(r: Realization, e: CepEmbedding) -> dict[str, Presentation]:
             alphabet_rank=e.alphabet_rank,
             relators=e.ambient_relators + rewritten,
             schemes=schemes,
-            finitely_presented_claim=not schemes,
         )
     return out
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .words import Word, RankMismatchError, Hom, apply_hom, reduce as reduce_word
+from .words import Word, RankMismatchError, Hom, apply_hom, invert, multiply, reduce as reduce_word
 
 
 class StallingsError(ValueError):
@@ -177,7 +177,8 @@ def _base_path(g: SubgroupGraph, v: int) -> Word:
 
 def basis(g: SubgroupGraph) -> list[Word]:
     """A free basis: one word per non-tree edge, via base paths in the tree."""
-    return [_base_path(g, s) * Word(g.rank, ((lab, 1),)) * _base_path(g, t).inverse()
+    return [multiply(multiply(_base_path(g, s), Word(g.rank, ((lab, 1),))),
+                     invert(_base_path(g, t)))
             for s, lab, t in g.numbering]
 
 

@@ -37,10 +37,11 @@ Certificates are written by one template, ``_certificate_text``, from
 pieces already encoded: it lists its keys in sorted order and strings go
 through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
 ``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.
-``verify_all`` encodes each entry as soon as it is checked and drops its
-certificate, so a ``Report`` holds one line of JSON per entry and a tally by
-check and status.  ``Report.entries`` decodes those lines, certificates
-through ``certificate_from_json``, each time it is read.  ``report_chunks``
+``verify_all`` encodes each entry, canonical mismatches included, as soon as
+it is checked and drops its certificate: ``Report.add`` is the one way into
+a ``Report``, which holds one line of JSON per entry and a tally by check and
+status.  ``Report.entries`` decodes those lines, certificates through
+``certificate_from_json``, each time it is read.  ``report_chunks``
 writes the report in pieces from the stored lines; ``report_to_json`` and
 ``certificate_to_json`` decode the same text.  Only the quotient of a trace
 goes through ``quotient_to_json``.
@@ -371,7 +372,7 @@ def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[s
 
 @dataclass
 class ReportEntry:
-    check: str  # inclusion | separation | distinctness | color | abelianization
+    check: str  # canonical | inclusion | separation | distinctness | color | abelianization
     subject: tuple[str, ...]
     status: str  # pass | fail | inconclusive
     detail: str = ""
@@ -380,18 +381,16 @@ class ReportEntry:
 
 class Report:
     """The entries of a verification, each kept as its one-line JSON text
-    and tallied by check and status as it is added.  ``entries`` decodes
-    the texts afresh on each access, certificates through
-    ``certificate_from_json``."""
+    and tallied by check and status as it is added.  A report starts empty,
+    with a pass verdict and no elapsed time; ``verify_all`` sets both once
+    every entry is in.  ``entries`` decodes the texts afresh on each access,
+    certificates through ``certificate_from_json``."""
 
-    def __init__(self, entries, verdict: bool, elapsed: float, bound: int):
-        self.verdict, self.elapsed, self.bound = verdict, elapsed, bound
+    def __init__(self, bound: int):
+        self.verdict, self.elapsed, self.bound = True, 0.0, bound
         self.texts: list[str] = []
         self.tally: Counter[tuple[str, str]] = Counter()
         self._tails: dict[tuple[str, str, str], str] = {}  # text between certificate and subject
-        for e in entries:
-            cert = "null" if e.certificate is None else _encode(e.certificate)
-            self.add(e.check, _strings(e.subject), e.status, e.detail, cert)
 
     def add(self, check: str, subject: str, status: str, detail: str = "",
             certificate: str = "null") -> None:
@@ -437,9 +436,9 @@ def _memo(texts: dict, key, evidence, encode) -> str:
     return text
 
 
-def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
-    """A fail entry per subject for the parts of ``r`` that differ from
-    ``realize(r.dag)``: the whole realization, then each vertex."""
+def _canonical_mismatches(r: Realization, ids: list[str]):
+    """The subject and detail of each fail entry for the parts of ``r`` that
+    differ from ``realize(r.dag)``: the whole realization, then each vertex."""
     canon = realize(r.dag)
     parts = {(): [("ambient_rank", r.ambient_rank, canon.ambient_rank),
                   ("step_index keys", sorted(r.step_index), sorted(canon.step_index))]}
@@ -449,13 +448,10 @@ def _canonical_entries(r: Realization, ids: list[str]) -> list[ReportEntry]:
                        ("relators", q.relators, c.relators),
                        ("expr", q.expr, c.expr),
                        ("marking", q.marking, c.marking)]
-    entries = []
     for subject, pairs in parts.items():
         differ = [name for name, mine, theirs in pairs if mine != theirs]
         if differ:
-            entries.append(ReportEntry("canonical", subject, "fail",
-                                       f"{', '.join(differ)} differ from realize(dag)"))
-    return entries
+            yield subject, f"{', '.join(differ)} differ from realize(dag)"
 
 
 def verify_all(r: Realization, bound: int = 5) -> Report:
@@ -476,7 +472,9 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     outlives the call or is read by the other role."""
     start = time.perf_counter()
     ids = sorted(r.assignment)
-    rep = Report(_canonical_entries(r, ids), True, 0.0, bound)
+    rep = Report(bound)
+    for subject, detail in _canonical_mismatches(r, ids):
+        rep.add("canonical", _strings(subject), "fail", detail)
     quoted = {v: json_str(v) for v in ids}
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
     witnesses: dict[tuple, str] = {}  # _witness_key -> witness text
@@ -600,18 +598,14 @@ def _certificate_text(kind: str, subject: str, bound: int, *, color: str = "",
             f'"traces":[{traces}]{witness},"word_facts":[{word_facts}]}}')
 
 
-def _encode(c: Certificate) -> str:
-    return _certificate_text(
+def certificate_to_json(c: Certificate) -> dict:
+    return json.loads(_certificate_text(
         json_str(c.kind), _strings(c.subject), c.bound,
         color="" if c.color_facts is None else _color_text(c.color_facts),
         coverage=_coverage_text(c.scheme_coverage), notes=_strings(c.notes),
         traces=",".join(map(_trace_text, c.traces)),
         witness="" if c.witness is None else _witness_text(c.witness),
-        word_facts=",".join(map(_word_fact_text, c.word_facts)))
-
-
-def certificate_to_json(c: Certificate) -> dict:
-    return json.loads(_encode(c))
+        word_facts=",".join(map(_word_fact_text, c.word_facts))))
 
 
 def _inline_quotient(data) -> MarkedQuotient:

@@ -66,21 +66,9 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __str__(self) -> str:
-        return format_word(self)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    def inverse(self) -> "Word":
-        return invert(self)
 
 
 def identity(rank: int) -> Word:

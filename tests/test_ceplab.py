@@ -256,7 +256,7 @@ class TestSubgroups:
     def test_generated(self):
         g = builtin_group("s3")
         h = subgroup_from_generator_names(g, ["(1 2 3)"])
-        assert len(h) == 3
+        assert len(h.elements) == 3
 
     def test_all_subgroups_s4_count(self):
         # classical count: the symmetric group on 4 points has 30 subgroups

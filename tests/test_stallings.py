@@ -237,7 +237,8 @@ def path_tuple_tree(g):
 
 def reference_basis(g):
     path, numbering = path_tuple_tree(g)
-    return [Word(g.rank, path[s]) * Word(g.rank, ((lab, 1),)) * Word(g.rank, path[t]).inverse()
+    return [multiply(multiply(Word(g.rank, path[s]), Word(g.rank, ((lab, 1),))),
+                     invert(Word(g.rank, path[t])))
             for s, lab, t in numbering]
 
 

@@ -47,7 +47,6 @@ from dagquot.verifier import (
     EvalTrace,
     NotComparableError,
     Report,
-    ReportEntry,
     SchemeCoverage,
     StructureMismatchError,
     TraceFailedError,
@@ -83,6 +82,36 @@ def replace_quotient(r, vertex, **changes):
     assignment = dict(r.assignment)
     assignment[vertex] = dataclasses.replace(assignment[vertex], **changes)
     return Realization(r.dag, r.ambient_rank, assignment, dict(r.step_index))
+
+
+# (mutation of chain(), subject of its canonical entry, parts it names)
+CANONICAL_MUTATIONS = [
+    (lambda r: replace_quotient(r, "w", marking={**r.assignment["w"].marking,
+                                                 1: LeafImage(0, 1)}),
+     ("w",), "marking"),
+    (lambda r: replace_quotient(r, "w", relators=RelatorSet(
+        4, r.assignment["w"].relators.finite_part[1:])), ("w",), "relators"),
+    (lambda r: replace_quotient(r, "u", expr=FreeProduct(
+        tuple(reversed(r.assignment["u"].expr.parts)))), ("u",), "expr"),
+    (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
+                           {"u": 2, "w": 1}), ("u",), "step_index"),
+    (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
+                           {**r.step_index, "ghost": 3}), (), "step_index keys"),
+]
+
+
+def escaped_realizations():
+    """Vertex ids that JSON escapes, their realization, and a copy whose
+    first vertex holds every generator as a relator: its inclusion in the
+    second vertex fails with a detail that names both ids."""
+    ids = ['quote"', "back\\slash", "caf\u00e9", "new\nline", "ctl\x01"]
+    d = colored_dag(ids, [(ids[0], ids[1]), (ids[2], ids[3]), (ids[1], ids[4])],
+                    {v: i % 2 for i, v in enumerate(ids)})
+    r = realize(d)
+    rank = r.ambient_rank
+    broken = replace_quotient(r, ids[0], relators=RelatorSet(
+        rank, tuple(generator(rank, i) for i in range(1, rank + 1))))
+    return ids, r, broken
 
 
 class TestInclusion:
@@ -1002,19 +1031,8 @@ class TestVerifyAll:
             r = realize(random_colored_dag(8, random.Random(seed), 0.3))
             assert verify_all(r, 3).count("canonical") == 0
 
-    @pytest.mark.parametrize("mutate,subject,parts", [
-        (lambda r: replace_quotient(r, "w", marking={**r.assignment["w"].marking,
-                                                     1: LeafImage(0, 1)}),
-         ("w",), "marking"),
-        (lambda r: replace_quotient(r, "w", relators=RelatorSet(
-            4, r.assignment["w"].relators.finite_part[1:])), ("w",), "relators"),
-        (lambda r: replace_quotient(r, "u", expr=FreeProduct(
-            tuple(reversed(r.assignment["u"].expr.parts)))), ("u",), "expr"),
-        (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
-                               {"u": 2, "w": 1}), ("u",), "step_index"),
-        (lambda r: Realization(r.dag, r.ambient_rank, dict(r.assignment),
-                               {**r.step_index, "ghost": 3}), (), "step_index keys"),
-    ], ids=["marking", "relators", "expr", "step-index", "step-index-keys"])
+    @pytest.mark.parametrize("mutate,subject,parts", CANONICAL_MUTATIONS,
+                             ids=["marking", "relators", "expr", "step-index", "step-index-keys"])
     def test_each_differing_part_fails(self, mutate, subject, parts):
         report = verify_all(mutate(chain()))
         assert not report.verdict
@@ -1113,15 +1131,7 @@ class TestReportText:
         assert any(status == "inconclusive" for _, status in seen)
 
     def test_escaped_vertex_ids(self):
-        ids = ['quote"', "back\\slash", "caf\u00e9", "new\nline", "ctl\x01"]
-        d = colored_dag(ids, [(ids[0], ids[1]), (ids[2], ids[3]), (ids[1], ids[4])],
-                        {v: i % 2 for i, v in enumerate(ids)})
-        r = realize(d)
-        rank = r.ambient_rank
-        # every generator a relator of ids[0]: its inclusion in ids[1] fails
-        # with a detail that names both ids
-        broken = replace_quotient(r, ids[0], relators=RelatorSet(
-            rank, tuple(generator(rank, i) for i in range(1, rank + 1))))
+        ids, r, broken = escaped_realizations()
         for report in (verify_all(r, 3), verify_all(broken, 3)):
             text = report_to_text(report)
             assert text.isascii() and "\n" not in text and "\x01" not in text
@@ -1154,13 +1164,31 @@ class TestReportText:
         text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", t) for t in texts)
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORTS_SHA256
 
+    # sha256 of the reports of test_each_differing_part_fails,
+    # test_ambient_rank_fails and the broken realization of
+    # test_escaped_vertex_ids, each without elapsed_seconds, joined by
+    # newlines; ``assert_same_bytes`` compares with a reference built from
+    # ``entries``, which decodes these same texts, so only a pin catches a
+    # wrong canonical subject or detail
+    CANONICAL_SHA256 = "24f483f9faf53d6c5c8d17e615e5d628216a2ecbfd54c6dd9de7d6c2b4a9562e"
+
+    def test_canonical_entries_pinned(self):
+        reports = [verify_all(mutate(chain())) for mutate, _, _ in CANONICAL_MUTATIONS]
+        reports.append(verify_all(Realization(colored_dag([], [], {}), 2, {}, {})))
+        reports.append(verify_all(escaped_realizations()[2], 3))
+        assert all(report.count("canonical", "fail") for report in reports)
+        text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", report_to_text(report))
+                         for report in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CANONICAL_SHA256
+
     @pytest.mark.parametrize("elapsed", [0, 0.0, 1e-7, 0.1234567, 3.0, 123456.7891234])
     def test_traces_word_facts_and_elapsed(self, elapsed):
         cert = free_counterexample_demo()
         assert cert.traces and cert.word_facts
         assert compact_json(certificate_to_json(cert)) == compact_json(
             reference_certificate_to_json(cert))
-        report = Report([ReportEntry("demo", (), "pass", "", cert),
-                         ReportEntry("other", ("x",), "unknown", "no certificate")],
-                        True, elapsed, 5)
+        report = Report(5)
+        report.add("demo", "", "pass", "", compact_json(certificate_to_json(cert)))
+        report.add("other", '"x"', "unknown", "no certificate")
+        report.elapsed = elapsed
         self.assert_same_bytes(report)

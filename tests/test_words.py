@@ -208,3 +208,11 @@ class TestHelpers:
     def test_generator(self):
         assert generator(3, 2) == w("x2", 3)
         assert generator(3, 2, -1) == w("x2^-1", 3)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 5])
+    def test_truth_value(self, rank):
+        # a word is false exactly when it is the identity
+        assert bool(identity(rank)) is False
+        for idx in range(1, rank + 1):
+            assert bool(generator(rank, idx)) is True
+            assert bool(multiply(generator(rank, idx), generator(rank, idx, -1))) is False
