@@ -225,15 +225,17 @@ class RelatorSet:
     def __post_init__(self):
         mask, position = 0, {}
         for k, w in enumerate(self.finite_part):
+            letters = w.letters
             if w.rank != self.rank:
                 raise RankMismatchError(f"relator rank {w.rank} != {self.rank}")
-            if w.is_identity:
+            if not letters:
                 raise QuotientModelError("finite relators must be nontrivial")
-            if len(w.letters) != 1:
+            if len(letters) != 1:
                 mask = None
                 continue
-            (i, sign), = w.letters
-            position.setdefault(i, k)
+            (i, sign), = letters
+            if i not in position:
+                position[i] = k
             mask = None if mask is None or sign != 1 else mask | 1 << i
         for s in self.schemes:
             if s.rank != self.rank:
@@ -347,6 +349,11 @@ def lamp_mul(x: LampElem, y: LampElem) -> LampElem:
 class IdentityImage:
     def __str__(self) -> str:
         return "identity"
+
+
+# the image ``realize`` and the loader give every dead generator: markings
+# built by the two then compare their dead entries by identity
+IDENTITY_IMAGE = IdentityImage()
 
 
 @dataclass(frozen=True)
@@ -625,9 +632,6 @@ def nf_from_json(data) -> NormalForm:
     ))
 
 
-_IDENTITY_IMAGE = IdentityImage()
-
-
 @dataclass(slots=True)
 class LoadTables:
     """The tables one load shares among its quotients, so that no table
@@ -653,7 +657,7 @@ def marking_from_json(data, tables: LoadTables) -> dict[int, MarkImage]:
                 raise ValueError(f"marking field {key!r} must be a generator index")
             idx = indices[key] = int(key)
         if image == "identity":
-            out[idx] = _IDENTITY_IMAGE
+            out[idx] = IDENTITY_IMAGE
             continue
         image = json_field(data, key, dict, "marking")
         value = image["value"]

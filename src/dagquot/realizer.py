@@ -32,7 +32,7 @@ from .quotients import (
     CommutatorScheme,
     FreeOfRank,
     GroupExpr,
-    IdentityImage,
+    IDENTITY_IMAGE,
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
@@ -102,7 +102,7 @@ def realize(d: ColoredDag) -> Realization:
     build = order[::-1]
     rank = 2 * len(build)
     gens = [generator(rank, i) for i in range(1, rank + 1)]  # x_i is gens[i - 1]
-    dead, z, lamplighter, free = IdentityImage(), InfiniteCyclic(), Lamplighter(), FreeOfRank(2)
+    dead, z, lamplighter, free = IDENTITY_IMAGE, InfiniteCyclic(), Lamplighter(), FreeOfRank(2)
     pairs = [(LeafImage(leaf, 1), LeafImage(leaf, 2)) for leaf in range(len(build))]
     lamp, shift = LeafImage(0, "lamp"), LeafImage(0, "shift")
 

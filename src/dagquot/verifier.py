@@ -37,14 +37,19 @@ Certificates are written by one template, ``_certificate_text``, from
 pieces already encoded: it lists its keys in sorted order and strings go
 through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
 ``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.
-``verify_all`` encodes each entry, canonical mismatches included, as soon as
-it is checked and drops its certificate: ``Report.add`` is the one way into
-a ``Report``, which holds one line of JSON per entry and a tally by check and
-status.  ``Report.entries`` decodes those lines, certificates through
-``certificate_from_json``, each time it is read.  ``report_chunks``
-writes the report in pieces from the stored lines; ``report_to_json`` and
-``certificate_to_json`` decode the same text.  Only the quotient of a trace
-goes through ``quotient_to_json``.
+``verify_all`` calls it once per certificate kind with a control character
+in each per-pair slot and splits the text there, so each pair's certificate
+is the template's fixed pieces joined around its own subject, coverage,
+witness and notes; ``json_str`` escapes control characters, so no encoded
+piece holds one.  ``verify_all`` encodes each entry, canonical mismatches
+included, as soon as it is checked and drops its certificate:
+``Report.add`` is the one way into a ``Report``, which holds one line of
+JSON per entry and a tally by check and status, and encodes the text after
+each distinct (check, status, detail) once.  ``Report.entries`` decodes
+those lines, certificates through ``certificate_from_json``, each time it
+is read.  ``report_chunks`` writes the report in pieces from the stored
+lines; ``report_to_json`` and ``certificate_to_json`` decode the same text.
+Only the quotient of a trace goes through ``quotient_to_json``.
 
 ``verify_all`` makes a ``Certificate`` for every ordered pair, and a
 ``WitnessEvidence`` and two ``NormalForm`` records for each separation, so
@@ -53,9 +58,10 @@ these records and ``SchemeCoverage`` are slotted and not frozen: the
 field, defaults included.  Nothing assigns to their fields after
 construction; tampered copies are made with ``dataclasses.replace``.  The
 three evidence records keep value equality and hashing.  ``verify_all``
-encodes each distinct scheme coverage and each distinct witness once and
-reuses the text for every later entry that carries it.  Coverages are
-keyed by their records; a witness is keyed by ``_witness_key``, the plain
+certifies, checks and encodes each ordered pair in its own loop, with no
+wrapper call per pair, and encodes each distinct scheme coverage and each
+distinct witness once, reusing the text for every later entry that carries
+it.  Coverages are keyed by their records; a witness is keyed by the plain
 tuple of its provenance, word rank, word letters and image syllables,
 since hashing and comparing a ``WitnessEvidence`` makes three
 Python-level dataclass calls per pair.  It chooses inclusion or
@@ -141,13 +147,6 @@ class WitnessEvidence:
     image: NormalForm  # nontrivial normal form in the target quotient
 
 
-def _witness_key(wt: WitnessEvidence) -> tuple:
-    """Every field of ``wt``, its word and its image as one plain tuple:
-    ``verify_all``'s witness memo key, cheaper to hash and compare than the
-    record."""
-    return (wt.provenance, wt.word.rank, wt.word.letters, wt.image.syllables)
-
-
 @dataclass(frozen=True)
 class ColorFacts:
     color: int
@@ -200,12 +199,8 @@ def certify_inclusion(r: Realization, u: str, v: str, bound: int = 5) -> Certifi
     exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], bound)
     if survivors:
         raise TraceFailedError(f"relator {survivors[0]} of {u} survives in quotient of {v}")
-    return Certificate(
-        kind="inclusion",
-        subject=(u, v),
-        bound=bound,
-        scheme_coverage=tuple(SchemeCoverage(si, *e) for si, e in enumerate(exactness)),
-    )
+    return Certificate("inclusion", (u, v), bound, (),
+                       tuple(SchemeCoverage(si, *e) for si, e in enumerate(exactness)))
 
 
 def certify_separation(r: Realization, u: str, v: str, bound: int = 5,
@@ -230,12 +225,7 @@ def certify_separation(r: Realization, u: str, v: str, bound: int = 5,
         provenance, w, nf = survivor
         if lone is not None:
             images[v, w.rank, w.letters] = nf
-    return Certificate(
-        kind="separation",
-        subject=(u, v),
-        bound=bound,
-        witness=WitnessEvidence(w, provenance, nf),
-    )
+    return Certificate("separation", (u, v), bound, (), (), WitnessEvidence(w, provenance, nf))
 
 
 def certify_distinctness(r: Realization, u: str, v: str, bound: int = 5) -> Certificate:
@@ -397,8 +387,11 @@ class Report:
         """Append an entry: ``subject`` is the text inside its JSON array,
         ``certificate`` its JSON text."""
         self.tally[check, status] += 1
-        key = check, status, detail
-        tail = _memo(self._tails, key, key, _tail_text)
+        tail = self._tails.get((check, status, detail))
+        if tail is None:
+            tail = self._tails[check, status, detail] = (
+                f',"check":{json_str(check)},"detail":{json_str(detail)},'
+                f'"status":{json_str(status)},"subject":[')
         self.texts.append(f'{{"certificate":{certificate}{tail}{subject}]}}')
 
     @property
@@ -419,21 +412,6 @@ class Report:
     @property
     def inconclusive(self) -> int:
         return sum(n for (_, s), n in self.tally.items() if s == "inconclusive")
-
-
-def _tail_text(key: tuple[str, str, str]) -> str:
-    check, status, detail = key
-    return (f',"check":{json_str(check)},"detail":{json_str(detail)},'
-            f'"status":{json_str(status)},"subject":[')
-
-
-def _memo(texts: dict, key, evidence, encode) -> str:
-    """The text of ``evidence``, stored under ``key`` and encoded on its
-    first request only."""
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = encode(evidence)
-    return text
 
 
 def _canonical_mismatches(r: Realization, ids: list[str]):
@@ -476,35 +454,21 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     for subject, detail in _canonical_mismatches(r, ids):
         rep.add("canonical", _strings(subject), "fail", detail)
     quoted = {v: json_str(v) for v in ids}
+    # each certificate kind's text at this bound, cut where each entry's own
+    # pieces go; json_str escapes control characters, so no piece holds a slot
+    slot = "\x00"
+    inc_head, inc_mid, inc_tail = _certificate_text(
+        '"inclusion"', slot, bound, coverage=slot).split(slot)
+    sep_head, sep_mid, sep_tail = _certificate_text(
+        '"separation"', slot, bound, witness=slot).split(slot)
+    dis_head, dis_notes_end, dis_subject_end, dis_tail = _certificate_text(
+        '"separation"', slot, bound, notes=slot, witness=slot).split(slot)
     coverages: dict[tuple[SchemeCoverage, ...], str] = {}
-    witnesses: dict[tuple, str] = {}  # _witness_key -> witness text
+    # (provenance, word rank, word letters, image syllables) -> witness text
+    witnesses: dict[tuple, str] = {}
     certified: dict[tuple, NormalForm] = {}  # witness images, one table per role
     checked: dict[tuple, NormalForm] = {}
-
-    def run(check: str, subject: str, certify, *args) -> tuple[str, str, str] | None:
-        """Add the entry of ``certify(r, *args)``; for a checked certificate,
-        return its witness text, status and detail."""
-        try:
-            cert = certify(r, *args)
-        except WitnessNotFoundError as exc:
-            rep.add(check, subject, "inconclusive", str(exc))
-            return None
-        except (TraceFailedError, StructureMismatchError) as exc:
-            rep.add(check, subject, "fail", str(exc))
-            return None
-        ok, problems = check_certificate_detailed(r, cert, checked)
-        status, detail = "pass" if ok else "fail", "; ".join(problems)
-        coverage = _memo(coverages, cert.scheme_coverage, cert.scheme_coverage, _coverage_text)
-        color = "" if cert.color_facts is None else _color_text(cert.color_facts)
-        witness = ""
-        if (w := cert.witness) is not None:
-            witness = _memo(witnesses, _witness_key(w), w, _witness_text)
-        rep.add(check, subject, status, detail, _certificate_text(
-            json_str(cert.kind), subject, cert.bound, color=color, coverage=coverage,
-            witness=witness))
-        return witness, status, detail
-
-    # (u, v) -> the subject text of its separation entry, then what run returned
+    # (u, v) -> the subject text, witness text, status and detail of its separation entry
     separations: dict[tuple[str, str], tuple[str, str, str, str]] = {}
     _, bit, rows = r.dag.peel
     for u in ids:
@@ -513,10 +477,35 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             if u == v:
                 continue
             subject = f"{quoted[u]},{quoted[v]}"
-            if above & bit[v]:
-                run("inclusion", subject, certify_inclusion, u, v, bound)
-            elif cited := run("separation", subject, certify_separation, u, v, bound, certified):
-                separations[u, v] = subject, *cited
+            included = above & bit[v]
+            check = "inclusion" if included else "separation"
+            try:
+                cert = certify_inclusion(r, u, v, bound) if included else certify_separation(
+                    r, u, v, bound, certified)
+            except WitnessNotFoundError as exc:
+                rep.add(check, subject, "inconclusive", str(exc))
+                continue
+            except (TraceFailedError, StructureMismatchError) as exc:
+                rep.add(check, subject, "fail", str(exc))
+                continue
+            ok, problems = check_certificate_detailed(r, cert, checked)
+            status, detail = "pass" if ok else "fail", "; ".join(problems)
+            if included:
+                coverage = cert.scheme_coverage
+                text = coverages.get(coverage)
+                if text is None:
+                    text = coverages[coverage] = _coverage_text(coverage)
+                rep.add(check, subject, status, detail,
+                        f"{inc_head}{text}{inc_mid}{subject}{inc_tail}")
+            else:
+                wt = cert.witness
+                key = wt.provenance, wt.word.rank, wt.word.letters, wt.image.syllables
+                text = witnesses.get(key)
+                if text is None:
+                    text = witnesses[key] = _witness_text(wt)
+                rep.add(check, subject, status, detail,
+                        f"{sep_head}{subject}{sep_mid}{text}{sep_tail}")
+                separations[u, v] = subject, text, status, detail
     no_witness = str(WitnessNotFoundError(bound))
     for i, u in enumerate(ids):
         for v in ids[i + 1:]:
@@ -527,10 +516,19 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
                 continue
             cited_subject, witness, status, detail = cited
             notes = json_str(f"distinctness of ({u}, {v})")
-            rep.add("distinctness", subject, status, detail, _certificate_text(
-                '"separation"', cited_subject, bound, notes=notes, witness=witness))
+            rep.add("distinctness", subject, status, detail,
+                    f"{dis_head}{notes}{dis_notes_end}{cited_subject}{dis_subject_end}"
+                    f"{witness}{dis_tail}")
     for v in ids:
-        run("color", quoted[v], certify_color, v)
+        try:
+            cert = certify_color(r, v)
+        except StructureMismatchError as exc:
+            rep.add("color", quoted[v], "fail", str(exc))
+            continue
+        ok, problems = check_certificate_detailed(r, cert, checked)
+        rep.add("color", quoted[v], "pass" if ok else "fail", "; ".join(problems),
+                _certificate_text('"color"', quoted[v], cert.bound,
+                                  color=_color_text(cert.color_facts)))
 
     for v in ids:
         q = r.assignment[v]

@@ -1063,21 +1063,30 @@ class TestVerifyAll:
         assert len(encoded) == len(set(witnesses))
         assert set(encoded) == set(witnesses)
 
-    def test_witness_key_covers_every_field(self):
-        # the memo reuses a text for equal keys, so the key must name every
-        # field the text could read; a new field fails here until it is added
+    def test_a_witness_differing_in_any_field_gets_its_own_text(self, monkeypatch):
+        # verify_all reuses a witness text for an equal memo key, so the key
+        # must name every field the text reads; a new field fails here until
+        # it is added
         assert [f.name for f in dataclasses.fields(WitnessEvidence)] == [
             "word", "provenance", "image"]
         assert [f.name for f in dataclasses.fields(Word)] == ["rank", "letters"]
         assert [f.name for f in dataclasses.fields(NormalForm)] == ["syllables"]
-        wt = certify_separation(antichain(), "u", "w").witness
-        assert verifier._witness_key(wt) == (
-            wt.provenance, wt.word.rank, wt.word.letters, wt.image.syllables)
-        for other in (dataclasses.replace(wt, provenance="finite[9]"),
-                      dataclasses.replace(wt, word=Word(wt.word.rank + 1, wt.word.letters)),
-                      dataclasses.replace(wt, word=parse_word("x1 x1", wt.word.rank)),
-                      dataclasses.replace(wt, image=NormalForm(((0, 2),)))):
-            assert verifier._witness_key(other) != verifier._witness_key(wt)
+        r = realize(colored_dag(["a", "b", "c"], [], {"a": 0, "b": 0, "c": 0}))
+        wt = certify_separation(r, "a", "b").witness
+        variants = [wt, dataclasses.replace(wt, provenance="finite[9]"),
+                    dataclasses.replace(wt, word=Word(wt.word.rank + 1, wt.word.letters)),
+                    dataclasses.replace(wt, word=parse_word("x1 x1", wt.word.rank)),
+                    dataclasses.replace(wt, image=NormalForm(((0, 2),))), wt]
+        given = iter(variants)
+        real = verifier.certify_separation
+
+        def forged(*args):
+            return dataclasses.replace(real(*args), witness=next(given))
+
+        monkeypatch.setattr(verifier, "certify_separation", forged)
+        report = verify_all(r)
+        assert [e.certificate.witness for e in report.entries
+                if e.check == "separation"] == variants
 
     def test_one_leq_per_ordered_pair(self, monkeypatch):
         n = 12
@@ -1180,6 +1189,59 @@ class TestReportText:
         text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", report_to_text(report))
                          for report in reports)
         assert hashlib.sha256(text.encode()).hexdigest() == self.CANONICAL_SHA256
+
+    # sha256 of the reports of test_failure_branches_pinned, each without
+    # elapsed_seconds, joined by newlines; ``assert_same_bytes`` decodes the
+    # texts it compares, so only a pin catches a failing entry's bytes
+    FAILURES_SHA256 = "9b001e4d4c3e8f02e98b75160db8bf9f2a83473067ec11e4a168374a0465f6c6"
+
+    def test_failure_branches_pinned(self, monkeypatch):
+        base = realize(colored_dag(["u", "w", "z"], [("u", "w")], {"u": 1, "w": 0, "z": 0}))
+        rank, schemes = base.ambient_rank, base.assignment["u"].relators.schemes
+        every = tuple(generator(rank, i) for i in range(1, rank + 1))
+        z_finite = base.assignment["z"].relators.finite_part
+        realizations = [
+            # a relator of u survives in w: the inclusion raises
+            replace_quotient(base, "u", relators=RelatorSet(rank, every, schemes)),
+            # z has no relator to separate it from anything
+            replace_quotient(base, "z", relators=RelatorSet(rank, ())),
+            # a scheme in the relators of a color-0 vertex
+            replace_quotient(base, "z", relators=RelatorSet(rank, z_finite, (
+                CommutatorScheme(generator(rank, 1), generator(rank, 2)),))),
+            # no witness survives in w or z, in either direction
+            all_identity(all_identity(base, "w"), "z"),
+        ]
+        reports = [verify_all(r, bound) for r in realizations for bound in (1, 5)]
+        real_inclusion, real_survivor = verifier.certify_inclusion, verifier.first_survivor
+
+        def coverage_dropped(*args):
+            return dataclasses.replace(real_inclusion(*args), scheme_coverage=())
+
+        def wrong_image_into_z(relators, q, bound):
+            found = real_survivor(relators, q, bound)
+            if found is not None and q is base.assignment["z"]:
+                return found[0], found[1], NormalForm()
+            return found
+
+        monkeypatch.setattr(verifier, "certify_inclusion", coverage_dropped)
+        monkeypatch.setattr(verifier, "first_survivor", wrong_image_into_z)
+        reports += [verify_all(base, bound) for bound in (1, 5)]
+        monkeypatch.undo()
+        reached = set()
+        for report in reports:
+            self.assert_same_bytes(report)
+            reached |= {(e.check, e.status, e.certificate is None, e.detail.split(" ")[0])
+                        for e in report.entries}
+        assert {("inclusion", "fail", True, "relator"),
+                ("inclusion", "fail", False, "scheme"),
+                ("separation", "inconclusive", True, "no"),
+                ("separation", "fail", False, "stored"),
+                ("color", "fail", True, "vertex"),
+                ("distinctness", "inconclusive", True, "no"),
+                ("distinctness", "fail", False, "stored")} <= reached
+        text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", report_to_text(report))
+                         for report in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FAILURES_SHA256
 
     @pytest.mark.parametrize("elapsed", [0, 0.0, 1e-7, 0.1234567, 3.0, 123456.7891234])
     def test_traces_word_facts_and_elapsed(self, elapsed):
