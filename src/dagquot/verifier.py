@@ -33,23 +33,23 @@ masks that ``quotients.surviving_relators`` and
 ``realize`` and fails every vertex whose stored quotient or step differs
 from it, since every certificate evaluates words in the stored markings.
 
-Certificates are written by one template, ``_certificate_text``, from
-pieces already encoded: it lists its keys in sorted order and strings go
-through ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
-``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.
-``verify_all`` calls it once per certificate kind with a control character
-in each per-pair slot and splits the text there, so each pair's certificate
-is the template's fixed pieces joined around its own subject, coverage,
-witness and notes; ``json_str`` escapes control characters, so no encoded
-piece holds one.  ``verify_all`` encodes each entry, canonical mismatches
-included, as soon as it is checked and drops its certificate:
-``Report.add`` is the one way into a ``Report``, which holds one line of
-JSON per entry and a tally by check and status, and encodes the text after
-each distinct (check, status, detail) once.  ``Report.entries`` decodes
-those lines, certificates through ``certificate_from_json``, each time it
-is read.  ``report_chunks`` writes the report in pieces from the stored
-lines; ``report_to_json`` and ``certificate_to_json`` decode the same text.
-Only the quotient of a trace goes through ``quotient_to_json``.
+Certificates are written by one template, ``_certificate_text``, from pieces
+already encoded: it lists its keys in sorted order and strings go through
+``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
+``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.  For
+pair entries ``verify_all`` calls it once per call and entry kind, with a
+control character in each per-pair slot, and splits the text there, so each
+pair's certificate is the template's fixed pieces joined around its own
+subject, coverage, witness and notes; ``json_str`` escapes control
+characters, so no encoded piece holds one.  ``verify_all`` encodes each
+entry, canonical mismatches included, as soon as it is checked and drops its
+certificate: ``Report.add`` is the one way into a ``Report``, which holds
+one line of JSON per entry and a tally by check and status, and encodes the
+text after each distinct (check, status, detail) once.  ``Report.entries``
+decodes those lines, certificates through ``certificate_from_json``, each
+time it is read.  ``report_chunks`` writes the report in pieces from the
+stored lines; ``report_to_json`` and ``certificate_to_json`` decode the same
+text.  Only the quotient of a trace goes through ``quotient_to_json``.
 
 ``verify_all`` makes a ``Certificate`` for every ordered pair, and a
 ``WitnessEvidence`` and two ``NormalForm`` records for each separation, so
