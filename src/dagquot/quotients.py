@@ -347,8 +347,7 @@ def lamp_mul(x: LampElem, y: LampElem) -> LampElem:
 
 @dataclass(frozen=True)
 class IdentityImage:
-    def __str__(self) -> str:
-        return "identity"
+    """A dead generator's image."""
 
 
 # the image ``realize`` and the loader give every dead generator: markings

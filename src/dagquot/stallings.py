@@ -2,14 +2,14 @@
 
 A subgroup graph is a folded, connected, core labeled digraph with a base
 vertex; the words labeling closed base paths are exactly the elements of the
-subgroup.  A union-find worklist folds it, a queue trims it to its core, and
-a breadth-first numbering from the base makes it canonical: the output does
-not depend on generator order or on the fold schedule.
+subgroup.  A union-find worklist folds it, and a breadth-first numbering from
+the base makes it canonical: the output does not depend on generator order or
+on the fold schedule.  Folding reduced words leaves no vertex but the base
+with fewer than two letters, so the folded graph is already its core.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +20,20 @@ class StallingsError(ValueError):
     pass
 
 
+def _walk(adj):
+    """Breadth first from vertex 0: each vertex first reached, with the vertex
+    it was reached from and the signed label it was reached along.  Labels
+    are tried ``g`` before ``-g``, smallest first, over the labels each vertex
+    has, so the rank costs nothing."""
+    seen, order = {0}, [0]
+    for v in order:
+        for lab in sorted(adj[v], key=lambda k: (abs(k), k < 0)):
+            if (x := adj[v][lab]) not in seen:
+                seen.add(x)
+                order.append(x)
+                yield x, v, lab
+
+
 @dataclass(frozen=True)
 class SubgroupGraph:
     """Folded core graph; base vertex is always 0."""
@@ -27,19 +41,20 @@ class SubgroupGraph:
     rank: int
     num_vertices: int
     edges: frozenset[tuple[int, int, int]]  # (source, generator, target)
-    _out: dict = field(default_factory=dict, compare=False, repr=False)
-    _in: dict = field(default_factory=dict, compare=False, repr=False)
+    # per vertex: signed label -> the vertex it leads to (g along, -g against)
+    adj: list[dict[int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
+        n = self.num_vertices
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for s, g, t in self.edges:
-            if (s, g) in out or (t, g) in inc:
+            if not (0 < g <= self.rank and 0 <= s < n and 0 <= t < n):
+                raise StallingsError(f"edge {(s, g, t)!r} leaves a graph of rank {self.rank} "
+                                     f"on {n} vertices")
+            if g in adj[s] or -g in adj[t]:
                 raise StallingsError("graph is not folded")
-            out[(s, g)] = t
-            inc[(t, g)] = s
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+            adj[s][g], adj[t][-g] = t, s
+        object.__setattr__(self, "adj", adj)
 
     @property
     def base(self) -> int:
@@ -47,29 +62,13 @@ class SubgroupGraph:
 
     def step(self, vertex: int, idx: int, sign: int) -> int | None:
         """Follow one labeled edge (forward for sign +1, backward for -1)."""
-        if sign > 0:
-            return self._out.get((vertex, idx))
-        return self._in.get((vertex, idx))
+        return self.adj[vertex].get(idx if sign > 0 else -idx)
 
     @cached_property
     def tree_parent(self) -> dict[int, tuple[int, int, int]]:
-        """Deterministic BFS tree: each non-base vertex -> its parent and
-        the letter (label, sign) that leads from the parent to it.  Each
-        vertex's letters are tried label by label, ``+`` before ``-``; only
-        the letters it has are listed, so the alphabet's size costs nothing."""
-        letters: dict[int, list[tuple[int, int, int]]] = {}
-        for s, g, t in self.edges:
-            letters.setdefault(s, []).append((g, 1, t))
-            letters.setdefault(t, []).append((g, -1, s))
-        parent: dict[int, tuple[int, int, int]] = {}
-        queue = deque([self.base])
-        while queue:
-            v = queue.popleft()
-            for lab, sign, x in sorted(letters.get(v, ()), key=lambda e: (e[0], -e[1])):
-                if x != self.base and x not in parent:
-                    parent[x] = (v, lab, sign)
-                    queue.append(x)
-        return parent
+        """Breadth-first tree: each non-base vertex -> its parent and the
+        letter (label, sign) that leads from the parent to it."""
+        return {x: (v, abs(lab), 1 if lab > 0 else -1) for x, v, lab in _walk(self.adj)}
 
     @cached_property
     def numbering(self) -> dict[tuple[int, int, int], int]:
@@ -86,10 +85,9 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
     Each word is a closed path (petal) at the base; each edge enters the maps
     of both its ends (``g`` along it, ``-g`` against it).  Where a map already
     sends that label elsewhere, the far ends merge and only the absorbed
-    vertex's edges are requeued; the base stays vertex 0.  A queue trims
-    non-base vertices of degree < 2, and the core is numbered breadth first
-    (``g``, then ``-g``, over the labels each vertex has, so the rank costs
-    nothing); a vertex the numbering misses raises, never dropped.
+    vertex's edges are requeued; the base stays vertex 0.  The folded graph
+    is numbered breadth first, as ``_walk`` visits it; a vertex the numbering
+    misses raises, never dropped.
 
     ``rng`` only shuffles the fold worklist; the canonical output is the same
     for every schedule (this is what the confluence tests exercise).
@@ -135,35 +133,14 @@ def build_subgroup_graph(generators, rank: int | None = None, rng=None) -> Subgr
 
     adj = [{lab: find(x) for lab, x in m.items()} for m in adj]
     live = {v for v in range(fresh) if parent[v] == v}
-    queue = deque(v for v in live if v and len(adj[v]) < 2)
-    while queue:  # each vertex is queued once: at the start, or when its degree drops to 1
-        v = queue.popleft()
-        live.remove(v)
-        for lab, x in adj[v].items():
-            del adj[x][-lab]
-            if x and len(adj[x]) == 1:
-                queue.append(x)
-
-    names, order = {0: 0}, [0]
-    for v in order:
-        for lab in sorted(adj[v], key=lambda k: (abs(k), k < 0)):  # g, then -g
-            if (x := adj[v][lab]) not in names:
-                names[x] = len(order)
-                order.append(x)
+    names = {0: 0} | {x: i for i, (x, _, _) in enumerate(_walk(adj), 1)}
     edges = frozenset((names[v], g, names[x]) for v in live for g, x in adj[v].items() if g > 0)
-    return SubgroupGraph(rank, len(order), edges)
+    return SubgroupGraph(rank, len(names), edges)
 
 
 def contains(g: SubgroupGraph, w: Word) -> bool:
     """Exact membership: does w label a closed base path?"""
-    if w.rank != g.rank:
-        raise RankMismatchError(f"word rank {w.rank} != graph rank {g.rank}")
-    cur: int | None = g.base
-    for idx, sign in w.letters:
-        cur = g.step(cur, idx, sign)
-        if cur is None:
-            return False
-    return cur == g.base
+    return express(g, w) is not None
 
 
 def _base_path(g: SubgroupGraph, v: int) -> Word:
@@ -213,9 +190,6 @@ def substitute_basis(g: SubgroupGraph, expression: Word) -> Word:
 
 
 def index_in_ambient(g: SubgroupGraph) -> int | None:
-    """Finite index iff the graph is complete; None means infinite index."""
-    for v in range(g.num_vertices):
-        for lab in range(1, g.rank + 1):
-            if g.step(v, lab, 1) is None or g.step(v, lab, -1) is None:
-                return None
-    return g.num_vertices
+    """Finite index iff the graph is complete (every vertex has all 2·rank
+    signed labels); None means infinite index."""
+    return g.num_vertices if all(len(m) == 2 * g.rank for m in g.adj) else None

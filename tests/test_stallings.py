@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 from collections import deque
 
@@ -109,6 +110,21 @@ class TestBuild:
         assert digest.hexdigest() == (
             "3773b4238644a6e9381dc136e578a71758bdeab0ae5489ecf6e7ae4331c36621"
         )
+
+    def test_folding_leaves_no_hanging_vertex(self):
+        # on the generator sets of test_canonical_graphs_digest, under both
+        # schedules, every non-base vertex carries at least two letters: the
+        # fold alone gives the core, so no vertex needs trimming
+        rng = random.Random(17)
+        for k in range(600):
+            rank = rng.randint(1, 4)
+            gens = [random_word(rng, rank, 12) for _ in range(rng.randint(0, 5))]
+            for g in (build_subgroup_graph(gens, rank=rank),
+                      build_subgroup_graph(gens, rank=rank, rng=random.Random(k))):
+                for v in range(1, g.num_vertices):
+                    letters = [(lab, sign) for lab in range(1, rank + 1) for sign in (1, -1)
+                               if g.step(v, lab, sign) is not None]
+                    assert len(letters) >= 2, (k, v, letters)
 
     @pytest.mark.parametrize("n", [2, 7, 50])
     def test_power_pair_cascades_to_one_loop(self, n):
@@ -292,3 +308,9 @@ class TestSerialization:
     def test_unfolded_rejected(self):
         with pytest.raises(StallingsError):
             SubgroupGraph(2, 3, frozenset({(0, 1, 1), (0, 1, 2)}))
+
+    @pytest.mark.parametrize("edge", [(0, 2, 0), (0, 0, 0), (0, -1, 0), (0, 1, 1), (-1, 1, 0)])
+    def test_edge_outside_the_graph_rejected(self, edge):
+        # a label outside 1..rank or an end outside 0..num_vertices-1
+        with pytest.raises(StallingsError, match=re.escape(repr(edge))):
+            SubgroupGraph(1, 1, frozenset({edge}))
