@@ -1,7 +1,8 @@
 """Batch front-end: realize -> verify -> report pipelines over JSON files.
 
 Exit codes: 0 = pass, 1 = math-level failure or inconclusive verification,
-2 = input error (bad JSON, cycles, rank mismatches, unknown names).
+2 = input error (bad JSON, cycles, rank mismatches, unknown names) or an
+--out that cannot be a directory.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ def _write_report(path: Path, report) -> None:
     _write_text(path, *report_chunks(report), "\n")
 
 
-def _outdir(args) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
-
-
 def cmd_realize(args) -> int:
     try:
         d = _read(args.input, dagmod.from_json)
@@ -80,12 +76,11 @@ def cmd_realize(args) -> int:
         return _input_error(exc)
     r = realize(d)
     report = verify_all(r, args.bound)
-    out = _outdir(args)
-    _write_text(out / "realization.json", realization_to_text(r))
-    _write_report(out / "report.json", report)
-    _write_text(out / "lattice.dot", lattice_to_dot(r))
+    _write_text(args.out / "realization.json", realization_to_text(r))
+    _write_report(args.out / "report.json", report)
+    _write_text(args.out / "lattice.dot", lattice_to_dot(r))
     if args.dot:
-        _write_text(out / "dag.dot", dagmod.to_dot(d))
+        _write_text(args.out / "dag.dot", dagmod.to_dot(d))
     print(
         f"realized {len(d.vertices)} vertices in ambient free rank "
         f"{r.ambient_rank}; verdict: {'pass' if report.verdict else 'FAIL'}"
@@ -99,10 +94,9 @@ def cmd_verify(args) -> int:
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     report = verify_all(r, args.bound)
-    out = _outdir(args)
-    _write_report(out / "report.json", report)
+    _write_report(args.out / "report.json", report)
     if args.dot:
-        _write_text(out / "lattice.dot", lattice_to_dot(r))
+        _write_text(args.out / "lattice.dot", lattice_to_dot(r))
     print(f"verdict: {'pass' if report.verdict else 'FAIL'} "
           f"({report.inconclusive} inconclusive)")
     return 0 if report.verdict else 1
@@ -119,7 +113,7 @@ def cmd_transfer(args) -> int:
     except INPUT_ERRORS as exc:
         # also covers RealizerError, rank mismatches and missing basis words
         return _input_error(exc)
-    _write_json(_outdir(args) / "presentations.json", presentations_to_json(presentations, e.note))
+    _write_json(args.out / "presentations.json", presentations_to_json(presentations, e.note))
     print(f"transferred {len(presentations)} vertex presentations "
           f"(conditional on CEP of the supplied basis)")
     return 0
@@ -166,7 +160,7 @@ def cmd_cep(args) -> int:
             )
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
-        _write_text(_outdir(args) / "cep.json", text + "\n")
+        _write_text(args.out / "cep.json", text + "\n")
     print(text)
     return code
 
@@ -185,8 +179,7 @@ def cmd_demo(args) -> int:
         return _demo_s4_d4(args)
     cert = ceplab.free_counterexample_demo()
     ok, problems = check_certificate_detailed(None, cert)
-    out = _outdir(args)
-    _write_json(out / "certificate.json", certificate_to_json(cert))
+    _write_json(args.out / "certificate.json", certificate_to_json(cert))
     lines = ["free-group congruence extension counterexample", ""]
     lines += [f"* {note}" for note in cert.notes]
     lines.append("")
@@ -197,7 +190,7 @@ def cmd_demo(args) -> int:
         lines.append(f"checked {f.label}: substitution identity holds")
     lines.append("")
     lines.append(f"certificate re-check: {'pass' if ok else 'FAIL: ' + '; '.join(problems)}")
-    _write_text(out / "transcript.txt", "\n".join(lines) + "\n")
+    _write_text(args.out / "transcript.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0 if ok else 1
 
@@ -213,7 +206,6 @@ def _demo_s4_d4(args) -> int:
         verified = (closure & h.elements) == violation.intersection and (
             violation.intersection != violation.seed_normal
         )
-    out = _outdir(args)
     result = {
         "group": "s4",
         "subgroup": g.name_set(h.elements),
@@ -221,7 +213,7 @@ def _demo_s4_d4(args) -> int:
         "violation": _violation_json(g, violation),
         "recheck": verified,
     }
-    _write_json(out / "cep_violation.json", result)
+    _write_json(args.out / "cep_violation.json", result)
     lines = [
         "dihedral Sylow subgroup of the symmetric group on 4 points",
         f"CEP holds: {is_cep}",
@@ -236,7 +228,7 @@ def _demo_s4_d4(args) -> int:
             + ", ".join(g.name_set(violation.intersection))
         )
         lines.append(f"both sides recomputed and unequal: {verified}")
-    _write_text(out / "transcript.txt", "\n".join(lines) + "\n")
+    _write_text(args.out / "transcript.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0 if (not is_cep and verified) else 1
 
@@ -306,6 +298,12 @@ def main(argv=None) -> int:
     if getattr(args, "max_s", None) is not None and not args.subgroup:
         print("error: --max-s needs --subgroup", file=sys.stderr)
         return 2
+    if getattr(args, "out", None) is not None:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or a path under one
+            print(f"error: cannot use --out: {exc}", file=sys.stderr)
+            return 2
     return args.run(args)
 
 

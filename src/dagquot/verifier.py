@@ -23,11 +23,14 @@ evaluation alone.  An inclusion certificate stores no evaluations: the checker
 rebuilds the relators of the source up to the certificate's bound from the
 realization and checks that each dies in the target quotient.  A trace,
 where a certificate carries one, is a word, the quotient it is evaluated in
-and the expected normal form.  ``check_certificate_detailed`` shares no
-state with generation beyond what each ``RelatorSet`` and
-``MarkedQuotient`` caches: labelled relator lists per bound and the bit
-masks that ``quotients.surviving_relators`` and
-``quotients.first_survivor`` read.
+and the expected normal form.  ``check_evidence`` re-checks an inclusion,
+separation or color certificate's own evidence, and ``verify_all`` calls it
+for each certificate it makes.  ``check_certificate_detailed`` checks a
+certificate from elsewhere: its traces, its kind and the realization it
+needs, then ``check_evidence`` and its word facts.  Neither shares state
+with generation beyond what each ``RelatorSet`` and ``MarkedQuotient``
+caches: labelled relator lists per bound and the bit masks that
+``quotients.surviving_relators`` and ``quotients.first_survivor`` read.
 
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
@@ -264,15 +267,8 @@ def certify_color(r: Realization, v: str) -> Certificate:
 # independent re-checking
 
 
-def check_certificate_detailed(
-    r: Realization | None, c: Certificate, images: dict[tuple, NormalForm] | None = None
-) -> tuple[bool, list[str]]:
-    """Re-run every piece of evidence from scratch; list all mismatches.
-
-    A separation's provenance, identity test and image comparison are
-    re-derived per certificate.  Its witness image comes from ``images``,
-    the checker's own table by (target, word rank, word letters), so checks
-    of one realization sharing it evaluate each word once per target."""
+def check_certificate_detailed(r: Realization | None, c: Certificate) -> tuple[bool, list[str]]:
+    """Re-run every piece of evidence from scratch; list all mismatches."""
     problems: list[str] = []
 
     for t in c.traces:
@@ -283,10 +279,14 @@ def check_certificate_detailed(
         except Exception as exc:  # malformed trace counts as a failure
             problems.append(f"trace {t.label}: {exc}")
 
-    try:
-        _check_kind_specific(r, c, problems, {} if images is None else images)
-    except Exception as exc:  # malformed subject/evidence counts as a failure
-        problems.append(f"certificate is malformed: {exc}")
+    if c.kind not in ("inclusion", "separation", "color"):
+        if c.kind != "cep-counterexample":  # its traces and word facts are all its evidence
+            problems.append(f"unknown certificate kind {c.kind!r}")
+    elif r is None:
+        article = "an" if c.kind == "inclusion" else "a"
+        problems.append(f"{article} {c.kind} is checked against a realization, and none is given")
+    else:
+        check_evidence(r, c, problems, {})
 
     for f in c.word_facts:
         try:
@@ -299,61 +299,60 @@ def check_certificate_detailed(
     return not problems, problems
 
 
-def _check_kind_specific(r: Realization | None, c: Certificate, problems: list[str],
-                         images: dict[tuple, NormalForm]) -> None:
-    if c.kind not in ("inclusion", "separation", "color"):
-        if c.kind != "cep-counterexample":  # its traces and word facts are all its evidence
-            problems.append(f"unknown certificate kind {c.kind!r}")
-    elif r is None:
-        article = "an" if c.kind == "inclusion" else "a"
-        problems.append(f"{article} {c.kind} is checked against a realization, and none is given")
-    elif c.kind == "inclusion":
-        u, v = c.subject
-        exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v], c.bound)
-        for label in survivors:
-            problems.append(f"relator {label} of {u} survives in quotient of {v}")
-        if (c.scheme_coverage or exactness) and {
-                sc.scheme_index for sc in c.scheme_coverage} != set(range(len(exactness))):
-            problems.append("scheme coverage tags do not match the scheme list")
-        for sc in c.scheme_coverage:
-            if sc.coverage == "exact" and exactness[sc.scheme_index] != ("exact", sc.reason):
-                problems.append(
-                    f"scheme[{sc.scheme_index}]: exactness reason "
-                    f"{sc.reason!r} does not re-derive"
-                )
-    elif c.kind == "separation":
-        if c.witness is None:
-            problems.append("separation certificate carries no witness")
-        else:
+def check_evidence(r: Realization, c: Certificate, problems: list[str],
+                   images: dict[tuple, NormalForm]) -> list[str]:
+    """Append each mismatch in the evidence of an inclusion, separation or
+    color certificate to ``problems`` and return it.  ``images``, the
+    checker's own table of witness images by (target, word rank, word
+    letters), lets checks that share it evaluate a word once per target."""
+    try:
+        if c.kind == "inclusion":
             u, v = c.subject
-            # the witness must be a candidate certify_separation draws from;
-            # a word is equal to itself, and ``!=`` on a dataclass runs its
-            # Python-level ``__eq__`` even then
-            named = r.assignment[u].relators.relator(c.witness.provenance, c.bound)
-            if named is not c.witness.word and named != c.witness.word:
-                problems.append(
-                    f"witness provenance {c.witness.provenance!r} does not "
-                    f"match the relators of {u}"
-                )
-            w = c.witness.word
-            key = (v, w.rank, w.letters)
-            nf = images.get(key)
-            if nf is None:
-                nf = images[key] = eval_word(r.assignment[v], w)
-            if nf.is_identity:
-                problems.append("witness image is trivial in the target quotient")
-            if nf != c.witness.image:
-                problems.append("stored witness normal form does not re-derive")
-    elif c.color_facts is None:
-        problems.append("color certificate carries no facts")
-    else:
-        (v,) = c.subject
-        # the justification is prose, not evidence: it is not compared
-        facts = _color_facts(r, v)
-        if replace(c.color_facts, justification=facts.justification) != facts:
-            problems.append("color facts do not re-derive from the realization")
-        elif not facts.biconditional:
-            problems.append("color biconditional fails")
+            exactness, survivors = surviving_relators(r.assignment[u].relators, r.assignment[v],
+                                                      c.bound)
+            for label in survivors:
+                problems.append(f"relator {label} of {u} survives in quotient of {v}")
+            if (c.scheme_coverage or exactness) and {
+                    sc.scheme_index for sc in c.scheme_coverage} != set(range(len(exactness))):
+                problems.append("scheme coverage tags do not match the scheme list")
+            for sc in c.scheme_coverage:
+                if sc.coverage == "exact" and exactness[sc.scheme_index] != ("exact", sc.reason):
+                    problems.append(f"scheme[{sc.scheme_index}]: exactness reason "
+                                    f"{sc.reason!r} does not re-derive")
+        elif c.kind == "separation":
+            if c.witness is None:
+                problems.append("separation certificate carries no witness")
+            else:
+                u, v = c.subject
+                # the witness must be a candidate certify_separation draws from;
+                # a word is equal to itself, and ``!=`` on a dataclass runs its
+                # Python-level ``__eq__`` even then
+                named = r.assignment[u].relators.relator(c.witness.provenance, c.bound)
+                if named is not c.witness.word and named != c.witness.word:
+                    problems.append(f"witness provenance {c.witness.provenance!r} does not "
+                                    f"match the relators of {u}")
+                w = c.witness.word
+                key = (v, w.rank, w.letters)
+                nf = images.get(key)
+                if nf is None:
+                    nf = images[key] = eval_word(r.assignment[v], w)
+                if nf.is_identity:
+                    problems.append("witness image is trivial in the target quotient")
+                if nf != c.witness.image:
+                    problems.append("stored witness normal form does not re-derive")
+        elif c.color_facts is None:
+            problems.append("color certificate carries no facts")
+        else:
+            (v,) = c.subject
+            # the justification is prose, not evidence: it is not compared
+            facts = _color_facts(r, v)
+            if replace(c.color_facts, justification=facts.justification) != facts:
+                problems.append("color facts do not re-derive from the realization")
+            elif not facts.biconditional:
+                problems.append("color biconditional fails")
+    except Exception as exc:  # malformed subject/evidence counts as a failure
+        problems.append(f"certificate is malformed: {exc}")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +487,8 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
             except (TraceFailedError, StructureMismatchError) as exc:
                 rep.add(check, subject, "fail", str(exc))
                 continue
-            ok, problems = check_certificate_detailed(r, cert, checked)
-            status, detail = "pass" if ok else "fail", "; ".join(problems)
+            problems = check_evidence(r, cert, [], checked)
+            status, detail = "fail" if problems else "pass", "; ".join(problems)
             if included:
                 coverage = cert.scheme_coverage
                 text = coverages.get(coverage)
@@ -525,8 +524,8 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
         except StructureMismatchError as exc:
             rep.add("color", quoted[v], "fail", str(exc))
             continue
-        ok, problems = check_certificate_detailed(r, cert, checked)
-        rep.add("color", quoted[v], "pass" if ok else "fail", "; ".join(problems),
+        problems = check_evidence(r, cert, [], checked)
+        rep.add("color", quoted[v], "fail" if problems else "pass", "; ".join(problems),
                 _certificate_text('"color"', quoted[v], cert.bound,
                                   color=_color_text(cert.color_facts)))
 

@@ -750,6 +750,37 @@ class TestMalformedInput:
         assert "'table'" in captured.err and "'generators'" in captured.err
 
 
+class TestUnusableOut:
+    """An `--out` that names a file, or a path under one, exits 2 with one
+    `error:` line and leaves the file as it was."""
+
+    @pytest.mark.parametrize("command", [
+        ["realize", "--input", "dag.json"],
+        ["verify", "--input", "realization.json"],
+        ["cep", "--group", "s3", "--scan"],
+        ["demo", "sec3-counterexample"],
+        ["demo", "s4-d4-cep"],
+        ["transfer", "--input", "realization.json", "--embedding", "emb.json"],
+    ], ids=["realize", "verify", "cep-scan", "demo-sec3", "demo-s4-d4", "transfer"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_exits_two(self, tmp_path, capsys, monkeypatch, command, under):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "dag.json", chain_dag())
+        (tmp_path / "realization.json").write_text(
+            realizer.realization_to_text(realize(dagmod.from_json(chain_dag()))),
+            encoding="utf-8")
+        write_json(tmp_path / "emb.json",
+                   {"alphabet_rank": 4, "relators": [], "basis": ["x1", "x2", "x3", "x4"]})
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        out = taken / "sub" if under else taken
+        assert main(command + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 class TestCepCommand:
     def test_s4_d4_query(self, tmp_path, capsys):
         code = main(["cep", "--group", "s4", "--subgroup", "(1 2 3 4)", "(1 3)",

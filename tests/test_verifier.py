@@ -437,7 +437,7 @@ def test_witness_evaluated_once_per_target_per_role(monkeypatch):
                 role[0] = outer
         return wrapped
 
-    check = verifier.check_certificate_detailed
+    check = verifier.check_evidence
     check_separation = in_role("check", check)
 
     def role_of_check(r, c, *args, **kwargs):
@@ -447,7 +447,7 @@ def test_witness_evaluated_once_per_target_per_role(monkeypatch):
     monkeypatch.setattr(verifier, "eval_word", counted_eval)
     monkeypatch.setattr(verifier, "certify_separation",
                         in_role("certify", verifier.certify_separation))
-    monkeypatch.setattr(verifier, "check_certificate_detailed", role_of_check)
+    monkeypatch.setattr(verifier, "check_evidence", role_of_check)
     report = verify_all(r, 5)
     monkeypatch.undo()
     separations = [e for e in report.entries if e.check == "separation"]
@@ -728,6 +728,34 @@ class TestCheckCertificate:
         data["subject"] = ["u", "ghost"]
         ok, problems = check_certificate_detailed(r, certificate_from_json(data))
         assert not ok and problems
+
+    def test_problems_appended_before_a_raise_are_kept(self):
+        # each check appends one problem, then raises on the malformed field
+        r = scheme_below()
+        data = certificate_to_json(certify_inclusion(r, "u", "w"))
+        set_coverage(data, scheme=3)
+        assert check_certificate_detailed(r, certificate_from_json(data)) == (False, [
+            "scheme coverage tags do not match the scheme list",
+            "certificate is malformed: tuple index out of range"])
+        cert = certify_separation(r, "z", "u")
+        forged = dataclasses.replace(cert, witness=dataclasses.replace(
+            cert.witness, word=Word(7, cert.witness.word.letters)))
+        assert check_certificate_detailed(r, forged) == (False, [
+            "witness provenance 'finite[0]' does not match the relators of z",
+            "certificate is malformed: word rank 7 != quotient rank 6"])
+
+    def test_malformed_trace_and_word_fact_named(self):
+        cert = free_counterexample_demo()
+        trace, *traces = cert.traces
+        bad_trace = dataclasses.replace(trace, word=Word(3, trace.word.letters))
+        assert check_certificate_detailed(None, dataclasses.replace(
+            cert, traces=(bad_trace, *traces))) == (False, [
+                "trace closure-side:hom-kills-relator: word rank 3 != quotient rank 2"])
+        fact, *facts = cert.word_facts
+        bad_fact = dataclasses.replace(fact, basis=fact.basis[:1])
+        assert check_certificate_detailed(None, dataclasses.replace(
+            cert, word_facts=(bad_fact, *facts))) == (False, [
+                "word fact a-in-subgroup: word rank 2 != domain rank 1"])
 
 
 def scheme_below():
@@ -1242,6 +1270,26 @@ class TestReportText:
         text = "\n".join(re.sub(r'"elapsed_seconds":[^,]*,', "", report_to_text(report))
                          for report in reports)
         assert hashlib.sha256(text.encode()).hexdigest() == self.FAILURES_SHA256
+
+    def test_verify_all_never_enters_check_certificate_detailed(self, monkeypatch):
+        # verify_all checks its own certificates with check_evidence alone:
+        # the traces, word facts and kind guards are for certificates from
+        # elsewhere, so every failure branch and a pool DAG keep their bytes
+        inputs = load_bench_inputs()
+        dag = inputs.pool_dag("verify_sparse", 0, 0.05)
+        r = realization_from_json(json.loads(inputs.realization_text(dag_module, realizer, dag)))
+
+        def text():
+            return re.sub(r'"elapsed_seconds":[^,]*,', "", report_to_text(verify_all(r)))
+
+        def refuse(*args):
+            raise AssertionError("verify_all entered check_certificate_detailed")
+
+        want = text()
+        with pytest.MonkeyPatch.context() as guard:
+            guard.setattr(verifier, "check_certificate_detailed", refuse)
+            assert text() == want
+            self.test_failure_branches_pinned(monkeypatch)
 
     @pytest.mark.parametrize("elapsed", [0, 0.0, 1e-7, 0.1234567, 3.0, 123456.7891234])
     def test_traces_word_facts_and_elapsed(self, elapsed):
