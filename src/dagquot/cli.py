@@ -25,7 +25,8 @@ from .realizer import (
     realization_to_text,
     realize,
 )
-from .verifier import certificate_to_json, check_certificate_detailed, report_chunks, verify_all
+from .verifier import (certificate_to_json, certify_all, check_certificate_detailed,
+                       report_chunks, verify_all)
 
 # What reading an input file can raise: an unreadable file, bad JSON or a
 # domain error (each a ValueError), a missing key, JSON of the wrong shape
@@ -75,7 +76,7 @@ def cmd_realize(args) -> int:
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     r = realize(d)
-    report = verify_all(r, args.bound)
+    report = certify_all(r, args.bound)  # r is realize(d) by construction
     _write_text(args.out / "realization.json", realization_to_text(r))
     _write_report(args.out / "report.json", report)
     _write_text(args.out / "lattice.dot", lattice_to_dot(r))

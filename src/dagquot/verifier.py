@@ -24,8 +24,8 @@ rebuilds the relators of the source up to the certificate's bound from the
 realization and checks that each dies in the target quotient.  A trace,
 where a certificate carries one, is a word, the quotient it is evaluated in
 and the expected normal form.  ``check_evidence`` re-checks an inclusion,
-separation or color certificate's own evidence, and ``verify_all`` calls it
-for each certificate it makes.  ``check_certificate_detailed`` checks a
+separation or color certificate's own evidence, and ``certify_all`` calls
+it for each certificate it makes.  ``check_certificate_detailed`` checks a
 certificate from elsewhere: its traces, its kind and the realization it
 needs, then ``check_evidence`` and its word facts.  Neither shares state
 with generation beyond what each ``RelatorSet`` and ``MarkedQuotient``
@@ -34,19 +34,23 @@ caches: labelled relator lists per bound and the bit masks that
 
 ``verify_all`` also rebuilds the realization of the stored DAG with
 ``realize`` and fails every vertex whose stored quotient or step differs
-from it, since every certificate evaluates words in the stored markings.
+from it, since every certificate evaluates words in the stored markings;
+``certify_all`` adds the same entries without that comparison.  ``dagquot
+realize`` uses it on the ``realize(d)`` it built: ``transitive_closure``
+hands ``d.peel`` to the closed DAG, so a rebuild from ``r.dag`` would repeat
+one construction on the same peel and could never differ.
 
 Certificates are written by one template, ``_certificate_text``, from pieces
 already encoded: it lists its keys in sorted order and strings go through
 ``json``'s own ASCII escaper, so the text equals ``json.dumps`` with
 ``sort_keys=True`` and ``separators=(",", ":")`` of the decoded object.  For
-pair entries ``verify_all`` calls it once per call and entry kind, with a
+pair entries ``certify_all`` calls it once per call and entry kind, with a
 control character in each per-pair slot, and splits the text there, so each
 pair's certificate is the template's fixed pieces joined around its own
 subject, coverage, witness and notes; ``json_str`` escapes control
-characters, so no encoded piece holds one.  ``verify_all`` encodes each
-entry, canonical mismatches included, as soon as it is checked and drops its
-certificate: ``Report.add`` is the one way into a ``Report``, which holds
+characters, so no encoded piece holds one.  Each entry, canonical
+mismatches included, is encoded as soon as it is checked and its certificate
+dropped: ``Report.add`` is the one way into a ``Report``, which holds
 one line of JSON per entry and a tally by check and status, and encodes the
 text after each distinct (check, status, detail) once.  ``Report.entries``
 decodes those lines, certificates through ``certificate_from_json``, each
@@ -54,13 +58,13 @@ time it is read.  ``report_chunks`` writes the report in pieces from the
 stored lines; ``report_to_json`` and ``certificate_to_json`` decode the same
 text.  Only the quotient of a trace goes through ``quotient_to_json``.
 
-``verify_all`` makes a ``Certificate`` for every ordered pair, and a
+``certify_all`` makes a ``Certificate`` for every ordered pair, and a
 ``WitnessEvidence`` and two ``NormalForm`` records for each separation, so
 these records and ``SchemeCoverage`` are slotted and not frozen: the
 ``__init__`` of a frozen dataclass makes one ``object.__setattr__`` call per
 field, defaults included.  Nothing assigns to their fields after
 construction; tampered copies are made with ``dataclasses.replace``.  The
-three evidence records keep value equality and hashing.  ``verify_all``
+three evidence records keep value equality and hashing.  ``certify_all``
 certifies, checks and encodes each ordered pair in its own loop, with no
 wrapper call per pair, and encodes each distinct scheme coverage and each
 distinct witness once, reusing the text for every later entry that carries
@@ -371,9 +375,10 @@ class ReportEntry:
 class Report:
     """The entries of a verification, each kept as its one-line JSON text
     and tallied by check and status as it is added.  A report starts empty,
-    with a pass verdict and no elapsed time; ``verify_all`` sets both once
-    every entry is in.  ``entries`` decodes the texts afresh on each access,
-    certificates through ``certificate_from_json``."""
+    with a pass verdict and no elapsed time; ``certify_all`` and
+    ``verify_all`` set both once every entry is in.  ``entries`` decodes
+    the texts afresh on each access, certificates through
+    ``certificate_from_json``."""
 
     def __init__(self, bound: int):
         self.verdict, self.elapsed, self.bound = True, 0.0, bound
@@ -432,9 +437,25 @@ def _canonical_mismatches(r: Realization, ids: list[str]):
 
 
 def verify_all(r: Realization, bound: int = 5) -> Report:
-    """Compare the realization with ``realize(r.dag)``, certify every pair
-    and vertex, re-check each certificate, and cross-check every vertex's
-    abelianization against its structural expression.
+    """Compare the realization with ``realize(r.dag)``, then add the
+    entries of ``certify_all``."""
+    start = time.perf_counter()
+    rep = Report(bound)
+    for subject, detail in _canonical_mismatches(r, sorted(r.assignment)):
+        rep.add("canonical", _strings(subject), "fail", detail)
+    return _certify(r, rep, start)
+
+
+def certify_all(r: Realization, bound: int = 5) -> Report:
+    """Certify every pair and vertex, re-check each certificate, and
+    cross-check every vertex's abelianization against its structural
+    expression."""
+    return _certify(r, Report(bound), time.perf_counter())
+
+
+def _certify(r: Realization, rep: Report, start: float) -> Report:
+    """Add the entries of ``certify_all`` at ``rep.bound`` to ``rep``, then
+    set its verdict and the time since ``start``.
 
     Each entry is encoded as soon as it is checked and its certificate is
     dropped.  A distinctness entry carries the separation certificate it
@@ -447,11 +468,7 @@ def verify_all(r: Realization, bound: int = 5) -> Report:
     word in a target is evaluated once per call in each role: the search
     fills ``certified`` and the check fills ``checked``, and neither table
     outlives the call or is read by the other role."""
-    start = time.perf_counter()
-    ids = sorted(r.assignment)
-    rep = Report(bound)
-    for subject, detail in _canonical_mismatches(r, ids):
-        rep.add("canonical", _strings(subject), "fail", detail)
+    ids, bound = sorted(r.assignment), rep.bound
     quoted = {v: json_str(v) for v in ids}
     # each certificate kind's text at this bound, cut where each entry's own
     # pieces go; json_str escapes control characters, so no piece holds a slot
