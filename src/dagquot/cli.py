@@ -128,6 +128,7 @@ def cmd_cep(args) -> int:
         else:
             g = ceplab.load_group(args.input)
             label = str(args.input)
+        h = ceplab.subgroup_from_generator_names(g, args.subgroup) if args.subgroup else None
     except INPUT_ERRORS as exc:
         return _input_error(exc)
     result: dict = {"group": label, "order": g.order}
@@ -143,12 +144,7 @@ def cmd_cep(args) -> int:
         }
         if not rep.ok:
             code = 1
-    if args.subgroup:
-        try:
-            h = ceplab.subgroup_from_generator_names(g, args.subgroup)
-        except ceplab.GroupTableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if h is not None:
         is_cep, violation = ceplab.is_cep_finite(g, h)
         result["subgroup"] = g.name_set(h.elements)
         result["is_cep"] = is_cep

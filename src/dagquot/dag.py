@@ -95,7 +95,7 @@ def validate(d: ColoredDag) -> None:
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
         dup = next(v for v, k in Counter(d.vertices).items() if k > 1)
-        raise DuplicateEdgeError(f"duplicate vertex id {dup!r}")
+        raise DagError(f"duplicate vertex id {dup!r}")
     for u, v in d.edges:
         if u not in vset or v not in vset:
             raise UnknownVertexError(f"edge ({u}, {v}) uses unknown vertex")
@@ -182,7 +182,7 @@ def from_json(data) -> ColoredDag:
     raw_edges = [tuple(e) for e in json_field(data, "edges", list, "DAG", item=list)]
     if any(len(e) != 2 for e in raw_edges):
         raise DagError("malformed DAG JSON: every edge needs exactly two endpoints")
-    if not all(isinstance(x, str) for e in raw_edges for x in e):
+    if not all(type(x) is str for e in raw_edges for x in e):
         raise DagError("DAG field 'edges' must hold pairs of JSON strings")
     if len(set(raw_edges)) != len(raw_edges):
         dup = next(e for e, k in Counter(raw_edges).items() if k > 1)

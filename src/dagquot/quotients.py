@@ -4,8 +4,9 @@ for the quotients this package constructs.
 A constructed quotient is always a free product of copies of Z, free groups,
 and the wreath product Z wr Z (the "lamplighter over Z", the package's fixed
 two-generated non-finitely-presented group).  Each ambient generator is
-marked with its image in one leaf of that free product, which makes the word
-problem decidable by free-product normal forms plus leaf-local arithmetic.
+marked with its image in one leaf of that free product, or with ``None`` when
+the quotient kills it, which makes the word problem decidable by
+free-product normal forms plus leaf-local arithmetic.
 
 Infinite relator families appear only as commutator schemes: the family
 [a, t^-i a t^i] for i >= 1, which generates the kernel of the free group on
@@ -15,8 +16,8 @@ through exact evaluation in the marked quotient.
 Whether a relator of one quotient dies in another is answered here, once,
 for ``check_soundness`` and for the verifier's inclusion and separation
 certificates.  Every finite relator the construction writes is one positive
-generator, and a marking kills x_i exactly when its image is the identity or
-0 in a Z leaf.  ``RelatorSet.generator_mask`` and ``MarkedQuotient.dead_mask``
+generator, and a marking kills x_i exactly when its image is ``None`` or 0
+in a Z leaf.  ``RelatorSet.generator_mask`` and ``MarkedQuotient.dead_mask``
 hold these facts as bits, so the finite part of an inclusion is one test,
 ``gens_u & ~dead_v == 0``, and the first survivor is the lowest set bit of
 ``gens_u & ~dead_v``: the relator the shortest-first search over
@@ -346,22 +347,12 @@ def lamp_mul(x: LampElem, y: LampElem) -> LampElem:
 
 
 @dataclass(frozen=True)
-class IdentityImage:
-    """A dead generator's image."""
-
-
-# the image ``realize`` and the loader give every dead generator: markings
-# built by the two then compare their dead entries by identity
-IDENTITY_IMAGE = IdentityImage()
-
-
-@dataclass(frozen=True)
 class LeafImage:
     leaf: int
     value: int | str  # Z: exponent; free leaf: generator index; lamplighter: "lamp"/"shift"
 
 
-MarkImage = Union[IdentityImage, LeafImage]
+MarkImage = LeafImage | None  # None: the generator is dead
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -410,10 +401,11 @@ def _image_payload(leaf: LeafExpr, value, sign: int):
 @dataclass(frozen=True)
 class MarkedQuotient:
     """A quotient with decidable word problem: relators, a structural free
-    product expression, and the image of every ambient generator.
+    product expression, and the image of every ambient generator: a
+    ``LeafImage``, or ``None`` for a killed one (``"identity"`` in JSON).
 
     ``dead_mask`` has bit i set when x_i evaluates to the identity: its image
-    is ``IdentityImage`` or 0 in a Z leaf.  ``__post_init__`` builds it in the
+    is ``None`` or 0 in a Z leaf.  ``__post_init__`` builds it in the
     walk that checks the marking, which reads each entry's leaf type once."""
 
     rank: int
@@ -433,7 +425,7 @@ class MarkedQuotient:
             raise QuotientModelError("marking must cover exactly generators 1..rank")
         mask = 0
         for idx, img in self.marking.items():
-            if isinstance(img, IdentityImage):
+            if img is None:
                 mask |= 1 << idx
                 continue
             if not 0 <= img.leaf < len(lvs):
@@ -478,7 +470,7 @@ def eval_word(q: MarkedQuotient, w: Word) -> NormalForm:
     syls: list[tuple[int, object]] = []
     for idx, sign in w.letters:
         img = q.marking[idx]
-        if isinstance(img, IdentityImage):
+        if img is None:
             continue
         _push_syllable(syls, lvs, img.leaf, _image_payload(lvs[img.leaf], img.value, sign))
     return NormalForm(tuple(syls))
@@ -600,7 +592,7 @@ def _syllable_text(leaf: int, payload) -> str:
 
 def _int_pairs(data, key: str) -> tuple[tuple[int, int], ...]:
     pairs = json_field(data, key, list, "syllable", item=list)
-    if not all(len(p) == 2 and _is_json(p[0], int) and _is_json(p[1], int) for p in pairs):
+    if not all(len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in pairs):
         raise ValueError(f"syllable field {key!r} must hold pairs of JSON integers")
     return tuple((p[0], p[1]) for p in pairs)
 
@@ -623,7 +615,7 @@ def nf_to_json(nf: NormalForm) -> list:
 
 
 def nf_from_json(data) -> NormalForm:
-    if not isinstance(data, list):
+    if type(data) is not list:
         raise ValueError(f"normal form must be a JSON array, not {type(data).__name__}")
     return NormalForm(tuple(
         (json_field(entry, "leaf", int, "syllable"), _payload_from_json(entry))
@@ -656,7 +648,7 @@ def marking_from_json(data, tables: LoadTables) -> dict[int, MarkImage]:
                 raise ValueError(f"marking field {key!r} must be a generator index")
             idx = indices[key] = int(key)
         if image == "identity":
-            out[idx] = IDENTITY_IMAGE
+            out[idx] = None
             continue
         image = json_field(data, key, dict, "marking")
         value = image["value"]
@@ -693,7 +685,7 @@ class QuotientWriter:
             return hit[1]
         if isinstance(x, Word):
             t = json_str(format_word(x))
-        elif isinstance(x, IdentityImage):
+        elif x is None:
             t = '"identity"'
         else:
             value = json_str(x.value) if isinstance(x.value, str) else x.value
@@ -742,30 +734,28 @@ _JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer", str: "string"
                     bool: "boolean"}
 
 
-def _is_json(value, kind: type) -> bool:
-    # a JSON boolean is a Python bool, which is also an int
-    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-
-
 def json_field(data, key: str, kind: type, owner: str, item: type | None = None,
                optional: bool = False):
     """``data[key]``, checked to be a JSON value of ``kind`` (an array of
     ``item`` values, when given); a wrong shape raises a ValueError that
-    names the field. An ``optional`` field that is absent reads as ``kind()``."""
-    if not isinstance(data, dict):
+    names the field. An ``optional`` field that is absent reads as ``kind()``.
+
+    A JSON value's kind is its exact type: ``json.load`` yields only exact
+    ``dict``, ``list``, ``str``, ``int``, ``float``, ``bool`` and ``None``,
+    and a JSON boolean is a ``bool``, never an ``int``."""
+    if type(data) is not dict:
         raise ValueError(f"{owner} must be a JSON object, not {type(data).__name__}")
     if optional and key not in data:
         return kind()
     value = data[key]
-    # a value of exactly the kind passes without the slower _is_json
-    if type(value) is not kind and not _is_json(value, kind):
+    if type(value) is not kind:
         raise ValueError(
             f"{owner} field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
             f"not {type(value).__name__}"
         )
-    if item is not None and any(type(x) is not item for x in value):
+    if item is not None:
         for x in value:
-            if not _is_json(x, item):
+            if type(x) is not item:
                 raise ValueError(
                     f"{owner} field {key!r} must hold JSON {_JSON_TYPE_NAMES[item]}s, "
                     f"not {type(x).__name__}"

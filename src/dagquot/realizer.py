@@ -32,7 +32,6 @@ from .quotients import (
     CommutatorScheme,
     FreeOfRank,
     GroupExpr,
-    IDENTITY_IMAGE,
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
@@ -102,7 +101,7 @@ def realize(d: ColoredDag) -> Realization:
     build = order[::-1]
     rank = 2 * len(build)
     gens = [generator(rank, i) for i in range(1, rank + 1)]  # x_i is gens[i - 1]
-    dead, z, lamplighter, free = IDENTITY_IMAGE, InfiniteCyclic(), Lamplighter(), FreeOfRank(2)
+    z, lamplighter, free = InfiniteCyclic(), Lamplighter(), FreeOfRank(2)
     pairs = [(LeafImage(leaf, 1), LeafImage(leaf, 2)) for leaf in range(len(build))]
     lamp, shift = LeafImage(0, "lamp"), LeafImage(0, "shift")
 
@@ -110,12 +109,12 @@ def realize(d: ColoredDag) -> Realization:
     for j, w in enumerate(build):
         lo, hi = 2 * j + 1, 2 * j + 2  # the pair of step j + 1
         finite = gens[: lo - 1]
-        marking: dict[int, MarkImage] = dict.fromkeys(range(1, lo), dead)
+        marking: dict[int, MarkImage] = dict.fromkeys(range(1, lo))  # x1..x_{lo-1} dead
         if closed.color[w] == 0:
             finite.append(gens[lo - 1])
             schemes: tuple[CommutatorScheme, ...] = ()
             parts: list[GroupExpr] = [z]
-            marking[lo], marking[hi] = dead, pairs[0][0]  # LeafImage(0, 1)
+            marking[lo], marking[hi] = None, pairs[0][0]  # LeafImage(0, 1)
         else:
             schemes = (CommutatorScheme(gens[lo - 1], gens[hi - 1]),)
             parts = [lamplighter]
@@ -127,7 +126,7 @@ def realize(d: ColoredDag) -> Realization:
                 parts.append(free)
             else:
                 finite += gens[2 * k : 2 * k + 2]
-                marking[2 * k + 1] = marking[2 * k + 2] = dead
+                marking[2 * k + 1] = marking[2 * k + 2] = None
         q = MarkedQuotient(
             rank, RelatorSet(rank, tuple(finite), schemes), free_product(parts), marking
         )

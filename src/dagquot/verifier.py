@@ -8,7 +8,7 @@ Three certificate kinds cover the realization conditions:
     generators carry a coverage tag: "exact" when a structural reason kills
     every member at once (trivial images, or images inside one lamplighter
     leaf with zero shift, whose base is abelian), otherwise "probed" up to
-    the bound.
+    the bound.  The checker re-derives every tag, in scheme order.
   * separation - unreachable ordered pairs: a witness generator of the
     source with a nontrivial normal form in the target quotient.  A failed
     search is reported as inconclusive, never as a pass.  Distinctness of
@@ -316,11 +316,12 @@ def check_evidence(r: Realization, c: Certificate, problems: list[str],
                                                       c.bound)
             for label in survivors:
                 problems.append(f"relator {label} of {u} survives in quotient of {v}")
-            if (c.scheme_coverage or exactness) and {
-                    sc.scheme_index for sc in c.scheme_coverage} != set(range(len(exactness))):
+            # the tags, in order, must be the re-derived (scheme, coverage, reason) list
+            if (c.scheme_coverage or exactness) and [
+                    sc.scheme_index for sc in c.scheme_coverage] != list(range(len(exactness))):
                 problems.append("scheme coverage tags do not match the scheme list")
             for sc in c.scheme_coverage:
-                if sc.coverage == "exact" and exactness[sc.scheme_index] != ("exact", sc.reason):
+                if exactness[sc.scheme_index] != (sc.coverage, sc.reason):
                     problems.append(f"scheme[{sc.scheme_index}]: exactness reason "
                                     f"{sc.reason!r} does not re-derive")
         elif c.kind == "separation":

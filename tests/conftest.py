@@ -24,7 +24,6 @@ from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
     GroupExpr,
-    IdentityImage,
     InfiniteCyclic,
     LampElem,
     Lamplighter,
@@ -348,7 +347,7 @@ def reference_eval(q: MarkedQuotient, w: Word) -> NormalForm:
     syls: list[tuple[int, object]] = []
     for idx, sign in w.letters:
         img = q.marking[idx]
-        if isinstance(img, IdentityImage):
+        if img is None:
             continue
         leaf = lvs[img.leaf]
         if isinstance(leaf, InfiniteCyclic):
@@ -450,7 +449,7 @@ def reference_marking_to_json(marking) -> dict:
     out = {}
     for idx in sorted(marking):
         img = marking[idx]
-        if isinstance(img, IdentityImage):
+        if img is None:
             out[str(idx)] = "identity"
         else:
             out[str(idx)] = {"leaf": img.leaf, "value": img.value}

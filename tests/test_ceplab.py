@@ -58,6 +58,16 @@ class TestPermutations:
             with pytest.raises(GroupTableError):
                 parse_permutation(bad, 4)
 
+    def test_non_integer_point(self):
+        with pytest.raises(GroupTableError) as err:
+            group_from_permutations(3, ["(1 a)"])
+        assert str(err.value) == "bad cycle (1 a): invalid literal for int() with base 10: 'a'"
+
+    def test_order_cap(self):
+        # S8 has order 40320; the search stops at the cap
+        with pytest.raises(GroupTableError, match=r"^order cap 10080 exceeded$"):
+            group_from_permutations(8, ["(1 2)", "(1 2 3 4 5 6 7 8)"])
+
 
 class TestGroupConstruction:
     def test_builtin_orders(self):
@@ -457,6 +467,11 @@ class TestCep:
             g = builtin_group(name)
             assert is_cep_finite(g, Subgroup(g, frozenset(range(g.order))))[0]
             assert is_cep_finite(g, Subgroup(g, frozenset({0})))[0]
+
+    def test_chain_must_be_nested(self):
+        g, h = a3_in_s3()
+        with pytest.raises(GroupTableError, match=r"^chain is not nested$"):
+            is_cep_pair(g, h.elements, frozenset(range(g.order)))
 
     def test_s3_a3_is_cep(self):
         g, h = a3_in_s3()

@@ -925,6 +925,18 @@ class TestCepCommand:
     def test_unknown_subgroup_element(self):
         assert main(["cep", "--group", "s3", "--subgroup", "(9 9)"]) == 2
 
+    def test_unknown_subgroup_element_stops_before_the_scan(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def refuse(g):
+            raise AssertionError("scanned a group whose subgroup cannot be built")
+
+        monkeypatch.setattr(ceplab, "cep_transitivity_scan", refuse)
+        out = tmp_path / "out"
+        code = main(["cep", "--group", "s3", "--scan", "--subgroup", "(9 9)", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: no element named '(9 9)'\n")
+        assert list(out.iterdir()) == []
+
 
 class TestDemoCommand:
     def test_counterexample_demo(self, tmp_path):
@@ -1101,6 +1113,23 @@ def test_readme_cli_block_names_every_option():
                     for o in action.option_strings):
                 missing.append(f"{name} {action.option_strings[0]}")
     assert missing == []
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # ``python -m dagquot.cli`` exits with the code ``main`` returns
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "dagquot.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    demo = run("demo", "s4-d4-cep", "--out", tmp_path / "demo")
+    assert (demo.returncode, demo.stderr) == (0, "")
+    assert (tmp_path / "demo" / "cep_violation.json").is_file()
+    write_json(tmp_path / "dag.json", chain_dag())
+    bad = run("realize", "--bound", "0", "--input", tmp_path / "dag.json",
+              "--out", tmp_path / "real")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, "", "error: --bound must be >= 1\n")
 
 
 def test_every_subcommand_clean_under_dev_mode(tmp_path):

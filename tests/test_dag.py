@@ -53,6 +53,11 @@ class TestValidate:
         with pytest.raises(UnknownVertexError):
             colored_dag(["1"], [("1", "9")], {"1": 0})
 
+    def test_duplicate_vertex_is_no_duplicate_edge(self):
+        with pytest.raises(DagError, match=r"^duplicate vertex id 'a'$") as err:
+            colored_dag(["a", "b", "a"], [], {"a": 0, "b": 0})
+        assert not isinstance(err.value, DuplicateEdgeError)
+
     def test_duplicate_edge_in_json(self):
         data = {
             "vertices": [{"id": "a", "color": 0}, {"id": "b", "color": 1}],

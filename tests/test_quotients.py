@@ -23,7 +23,6 @@ from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
     FreeProduct,
-    IdentityImage,
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
@@ -70,7 +69,7 @@ def w(text, rank=4):
 def z_quotient_killing_first(rank=2):
     """Model of <x1,...,xn | x1,...,x_{n-1}> = Z marked on the last generator."""
     relators = RelatorSet(rank, tuple(generator(rank, i) for i in range(1, rank)))
-    marking = {i: IdentityImage() for i in range(1, rank)}
+    marking = {i: None for i in range(1, rank)}
     marking[rank] = LeafImage(0, 1)
     return MarkedQuotient(rank, relators, InfiniteCyclic(), marking)
 
@@ -99,6 +98,14 @@ class TestSchemeMember:
         s = CommutatorScheme(w("x3"), w("x4"))
         m = s.member(2)
         assert not m.is_identity
+
+    def test_words_of_two_ranks(self):
+        with pytest.raises(RankMismatchError, match=r"^scheme words must share a rank$"):
+            CommutatorScheme(w("x1"), w("x2", 5))
+
+    def test_identity_word(self):
+        with pytest.raises(QuotientModelError, match=r"^scheme words must be nontrivial$"):
+            CommutatorScheme(w("x1"), w(""))
 
     def test_rejects_bad_index(self):
         s = CommutatorScheme(w("x3"), w("x4"))
@@ -316,7 +323,7 @@ class TestEval:
             RelatorSet(4, (generator(4, 1),)),
             free_product([InfiniteCyclic(), FreeOfRank(2)]),
             {
-                1: IdentityImage(),
+                1: None,
                 2: LeafImage(0, 1),
                 3: LeafImage(1, 1),
                 4: LeafImage(1, 2),
@@ -353,7 +360,7 @@ class TestSoundness:
     def test_unsound_marking_rejected(self):
         relators = RelatorSet(2, (generator(2, 2),))
         q = MarkedQuotient(
-            2, relators, InfiniteCyclic(), {1: IdentityImage(), 2: LeafImage(0, 1)}
+            2, relators, InfiniteCyclic(), {1: None, 2: LeafImage(0, 1)}
         )
         with pytest.raises(QuotientModelError):
             check_soundness(q)
@@ -361,7 +368,7 @@ class TestSoundness:
     def test_mask_path_names_the_survivor(self):
         q = MarkedQuotient(3, RelatorSet(3, (generator(3, 1), generator(3, 3))),
                            InfiniteCyclic(),
-                           {1: IdentityImage(), 2: IdentityImage(), 3: LeafImage(0, 1)})
+                           {1: None, 2: None, 3: LeafImage(0, 1)})
         assert q.relators.generator_mask == 0b1010
         with pytest.raises(QuotientModelError, match=r"^relator finite\[1\] survives in quotient$"):
             check_soundness(q)
@@ -406,7 +413,7 @@ class TestSoundness:
 
     # leaves: 0 is Z, 1 is F2, 2 is Z wr Z; x4 dies
     GOOD_MARKING = {1: LeafImage(0, 1), 2: LeafImage(1, 2), 3: LeafImage(2, "lamp"),
-                    4: IdentityImage()}
+                    4: None}
 
     @pytest.mark.parametrize("bad,reverse,message", [
         ({2: LeafImage(3, 1)}, False, "marking of x2 uses unknown leaf 3"),
@@ -445,7 +452,7 @@ def random_marked_quotient(rng: random.Random, rank: int) -> MarkedQuotient:
     marking = {}
     for i in range(1, rank + 1):
         if not lvs or rng.random() < 0.3:
-            marking[i] = IdentityImage()
+            marking[i] = None
             continue
         k = rng.randrange(len(lvs))
         if isinstance(lvs[k], InfiniteCyclic):
@@ -505,7 +512,7 @@ class TestSchemeExactnessShortcut:
 
     def test_rank_mismatch_still_raises(self):
         q = MarkedQuotient(2, RelatorSet(2, ()), InfiniteCyclic(),
-                           {1: IdentityImage(), 2: LeafImage(0, 1)})
+                           {1: None, 2: LeafImage(0, 1)})
         for a, t in (("x1", "x2"), ("x2", "x1"), ("x1^-1", "x3")):
             scheme = CommutatorScheme(w(a, 3), w(t, 3))
             with pytest.raises(RankMismatchError):
@@ -640,7 +647,7 @@ class TestSerialization:
 
     def test_quotient_round_trip(self):
         trivial = MarkedQuotient(1, RelatorSet(1, (w("x1", 1),)), TrivialGroup(),
-                                 {1: IdentityImage()})
+                                 {1: None})
         for q in (z_quotient_killing_first(3), lamplighter_quotient(), trivial):
             data = json.loads(json.dumps(quotient_to_json(q)))
             assert data == reference_quotient_to_json(q)

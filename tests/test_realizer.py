@@ -16,7 +16,6 @@ from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
     FreeProduct,
-    IdentityImage,
     InfiniteCyclic,
     Lamplighter,
     LeafImage,
@@ -112,7 +111,7 @@ class TestRealizeBaseCases:
         assert q.relators.finite_part == (w("x1", 2),)
         assert q.relators.schemes == ()
         assert q.expr == InfiniteCyclic()
-        assert q.marking == {1: IdentityImage(), 2: LeafImage(0, 1)}
+        assert q.marking == {1: None, 2: LeafImage(0, 1)}
 
     def test_single_vertex_color1(self):
         r = realize(single(1))
@@ -137,7 +136,7 @@ class TestRealizeChain:
         assert qu.relators.finite_part == (w("x1", 4),)
         assert qu.expr == FreeProduct((InfiniteCyclic(), FreeOfRank(2)))
         assert qu.marking == {
-            1: IdentityImage(),
+            1: None,
             2: LeafImage(0, 1),
             3: LeafImage(1, 1),
             4: LeafImage(1, 2),
@@ -431,7 +430,7 @@ class TestRealizationReader:
             for w in q.relators.finite_part:
                 assert by_text.setdefault(w, w) is w
         identities = {id(img) for q in r.assignment.values() for img in q.marking.values()
-                      if isinstance(img, IdentityImage)}
+                      if img is None}
         assert len(identities) == 1
 
     def test_marking_images_shared_within_one_load_only(self):

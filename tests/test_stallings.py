@@ -67,6 +67,14 @@ class TestBuild:
         g = build_subgroup_graph([], rank=2)
         assert g.num_vertices == 1 and not g.edges
 
+    def test_empty_generators_need_a_rank(self):
+        with pytest.raises(StallingsError, match=r"^rank is required for the trivial subgroup$"):
+            build_subgroup_graph([])
+
+    def test_generators_of_two_ranks(self):
+        with pytest.raises(RankMismatchError, match=r"^subgroup generators must share a rank$"):
+            build_subgroup_graph([w("x1"), w("x1", 3)])
+
     def test_full_rank_generators(self):
         g = build_subgroup_graph([w("x1"), w("x2")])
         assert g.num_vertices == 1

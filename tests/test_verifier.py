@@ -29,7 +29,6 @@ from dagquot.quotients import (
     CommutatorScheme,
     FreeOfRank,
     FreeProduct,
-    IdentityImage,
     InfiniteCyclic,
     LeafImage,
     MarkedQuotient,
@@ -275,7 +274,7 @@ def distinctness_entries(r, bound=5):
 
 def all_identity(r, vertex):
     q = r.assignment[vertex]
-    marking = {i: IdentityImage() for i in range(1, q.rank + 1)}
+    marking = {i: None for i in range(1, q.rank + 1)}
     return replace_quotient(r, vertex, marking=marking)
 
 
@@ -799,6 +798,23 @@ class TestInclusionByReference:
         tamper(data)
         ok, problems = check_certificate_detailed(r, certificate_from_json(data))
         assert not ok and problems
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda d: d.update(scheme_coverage=d["scheme_coverage"] * 2),
+         "scheme coverage tags do not match the scheme list"),
+        (lambda d: set_coverage(d, coverage="bogus", reason="anything"),
+         "scheme[0]: exactness reason 'anything' does not re-derive"),
+        (lambda d: set_coverage(d, coverage="probed", reason="made up"),
+         "scheme[0]: exactness reason 'made up' does not re-derive"),
+    ], ids=["tag-repeated", "coverage-unknown", "probed-tag-made-up"])
+    def test_every_coverage_tag_re_derives_in_order(self, tamper, problem):
+        # the stored tags must be the re-derived (scheme, coverage, reason)
+        # list, whatever each tag's coverage
+        r = realize(colored_dag(["u", "w"], [("u", "w")], {"u": 1, "w": 0}))
+        data = json.loads(json.dumps(certificate_to_json(certify_inclusion(r, "u", "w"))))
+        assert check_certificate_detailed(r, certificate_from_json(data)) == (True, [])
+        tamper(data)
+        assert check_certificate_detailed(r, certificate_from_json(data)) == (False, [problem])
 
     def test_surviving_relator_rejected(self):
         # a forged certificate over a realization whose source carries a

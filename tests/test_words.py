@@ -26,6 +26,16 @@ def w(text, rank=4):
     return parse_word(text, rank)
 
 
+class TestWordChecks:
+    def test_letter_sign_must_be_one(self):
+        with pytest.raises(WordError, match=r"^letter sign must be \+1 or -1, got 2$"):
+            Word(2, ((1, 2),))
+
+    def test_rank_must_not_be_negative(self):
+        with pytest.raises(WordError, match=r"^rank must be >= 0, got -1$"):
+            Word(-1)
+
+
 class TestReduce:
     def test_full_cancellation(self):
         assert reduce([(1, 1), (1, -1)], 2) == identity(2)
@@ -105,6 +115,10 @@ class TestConjugate:
     def test_self_conjugation(self):
         assert conjugate(w("x1", 2), w("x1", 2)) == w("x1", 2)
 
+    def test_ranks_must_match(self):
+        with pytest.raises(RankMismatchError, match=r"^rank 2 vs 3$"):
+            conjugate(w("x1", 2), w("x1", 3))
+
     def test_composition(self, rng):
         for _ in range(100):
             g, h1, h2 = (random_word(rng, 3) for _ in range(3))
@@ -164,6 +178,10 @@ class TestHom:
             apply_hom(identity_hom(2), w("x1", 3))
         with pytest.raises(WordError):
             Hom(2, 2, (w("x1", 2),))
+
+    def test_image_of_wrong_rank(self):
+        with pytest.raises(RankMismatchError, match=r"^image rank 3 != codomain rank 2$"):
+            Hom(2, 2, (w("x1", 2), w("x3", 3)))
 
 
 class TestTextFormat:
